@@ -46,8 +46,9 @@ sys.path[:0] = [str(HERE), str(ROOT / "src")]   # repro is imported lazily, afte
 from tracing import summarise  # noqa: E402
 
 CONNECTIONS = 2              # closed-loop clients = cores of the reference box
-SETUP_SAMPLES = 7            # process start-ups timed per training run (median reported)
+SETUP_SAMPLES = 9            # process start-ups timed per training run (median reported)
 WARMUP_STARTS = 3            # untimed start-ups before a traced training run
+TRACE_PAIRS = 3              # untraced/traced job pairs of a traced training run
 SERVER_STARTS = 5            # server start-ups timed per serving run (median reported)
 CHILD_TIMEOUT_S = 150.0
 SERVE_DATASET = "proteins25"
@@ -199,11 +200,7 @@ def job_offsets(work: Training, seed: int, seconds: float) -> list[int]:
 
 
 def setup_samples(count: int) -> list[float]:
-    """Start-up times of ``count`` fresh processes that only import the stack.
-
-    Run before the timed jobs, they also bring an idle box up to speed:
-    the first job after a pause is otherwise measurably slower.
-    """
+    """Start-up times of ``count`` fresh processes that only import the stack."""
     samples = []
     for _ in range(count):
         spawned_at, rc, stdout = run_child([LAUNCH, "setup"])
@@ -214,8 +211,16 @@ def setup_samples(count: int) -> list[float]:
 
 def training_e2e(work: Training, seed: int, seconds: float):
     offsets = job_offsets(work, seed, seconds)
-    setups = setup_samples(max(0, SETUP_SAMPLES - len(offsets)))
-    records = [run_job(work, offset) for offset in offsets]
+    # Import-only start-ups follow each job.  On the reference box a
+    # start-up after an idle stretch runs up to a third slower than one
+    # right after a job, so every sample is taken in that one state, and
+    # the samples still span the run.
+    jobs = len(offsets)
+    extra = max(0, SETUP_SAMPLES - jobs)
+    setups, records = [], []
+    for j, offset in enumerate(offsets):
+        records.append(run_job(work, offset))
+        setups += setup_samples(extra // jobs + (j < extra % jobs))
     setups += [r["setup_s"] for r in records if r["ok"]]
     checks = {}
     if seed == 0 and records[0]["ok"]:
@@ -240,22 +245,13 @@ def training_e2e(work: Training, seed: int, seconds: float):
         "ok_share": 1.0 - failed / attempted,
         "peak_rss_mb": statistics.median(r["max_rss_mb"] for r in ok),
     }
-    checks.update(job_s=[r["job_s"] for r in ok], steps=len(step_ms),
+    checks.update(job_s=[r["job_s"] for r in ok], setup_s=setups, steps=len(step_ms),
                   p95_ms=percentile(step_ms, 95))
     return failed == 0, attempted, failed, metrics, checks
 
 
-def training_layers(work: Training, seed: int, seconds: float, workdir: Path):
-    offset = job_offsets(work, seed, seconds)[0]
-    setup_samples(WARMUP_STARTS)
-    plain = run_job(work, offset)
-    trace_out = str(workdir / "job-trace.json")
-    traced = run_job(work, offset, trace_out)
-    failed = sum(not r["ok"] for r in (plain, traced))
-    if failed:
-        return False, 2, failed, {}, {}
-    with open(trace_out) as fh:
-        trace = json.load(fh)
+def job_layers(trace: dict, job_s: float) -> tuple[dict, dict]:
+    """Per-layer metrics of one traced job, and its inclusive layer times."""
     layers = summarise(trace["spans"])
     counters = trace["counters"]
 
@@ -280,15 +276,37 @@ def training_layers(work: Training, seed: int, seconds: float, workdir: Path):
         "datasets.load_s": self_s("datasets.load"),
         "datasets.load_calls": calls("datasets.load"),
         "training.eval_s": self_s("training.eval"),
-        "trace.unattributed_share": 1.0 - sum(v["self_s"] for v in layers.values()) / traced["job_s"],
-        "trace.overhead_ratio": traced["job_s"] / plain["job_s"],
+        "trace.unattributed_share": 1.0 - sum(v["self_s"] for v in layers.values()) / job_s,
     }
-    # Instrumentation must not change results: same printed metrics.
-    same = traced["lines"] == plain["lines"]
-    checks = {"traced_matches_untraced": same,
-              "traced_job_s": traced["job_s"], "untraced_job_s": plain["job_s"],
-              "inclusive_s": {k: v["incl_s"] for k, v in layers.items()}}
-    return same, 2, int(not same), metrics, checks
+    return metrics, {k: v["incl_s"] for k, v in layers.items()}
+
+
+def training_layers(work: Training, seed: int, seconds: float, workdir: Path):
+    """Untraced and traced jobs of one seed, alternating; medians over the traced ones."""
+    offset = job_offsets(work, seed, seconds)[0]
+    setup_samples(WARMUP_STARTS)
+    plain, traced, rows = [], [], []
+    for pair in range(TRACE_PAIRS):
+        plain.append(run_job(work, offset))
+        trace_out = workdir / f"job-trace-{pair}.json"
+        traced.append(run_job(work, offset, str(trace_out)))
+        if traced[-1]["ok"]:
+            with open(trace_out) as fh:
+                rows.append(job_layers(json.load(fh), traced[-1]["job_s"]))
+    jobs = plain + traced
+    failed = sum(not r["ok"] for r in jobs)
+    if failed:
+        return False, len(jobs), failed, {}, {}
+    metrics = {name: statistics.median(row[name] for row, _incl in rows) for name in rows[0][0]}
+    plain_s = [r["job_s"] for r in plain]
+    traced_s = [r["job_s"] for r in traced]
+    metrics["trace.overhead_ratio"] = statistics.median(traced_s) / statistics.median(plain_s)
+    # Instrumentation must not change results: every job prints the same metrics.
+    same = all(r["lines"] == plain[0]["lines"] for r in jobs)
+    checks = {"traced_matches_untraced": same, "traced_job_s": traced_s, "untraced_job_s": plain_s,
+              "inclusive_s": {k: statistics.median(incl.get(k, 0.0) for _row, incl in rows)
+                              for k in rows[0][1]}}
+    return same, len(jobs), int(not same), metrics, checks
 
 
 # ----------------------------------------------------------------------
@@ -394,25 +412,18 @@ class Server:
 
 
 def closed_loop(port: int, requests: list, seconds: float) -> dict:
-    """Two keep-alive clients replay ``requests`` in passes for ``seconds``.
+    """Two keep-alive clients replay ``requests`` for ``seconds``.
 
-    A pass sends every request once, shared between the clients; both
-    start the next pass together, so pass wall time is one "job" of
-    scoring the whole probe set.  Returns per-request records
-    ``(pass, index, latency_s, status, body)`` and the pass boundaries.
+    Each client sends its next request as soon as its previous reply is
+    in, taking the index from one shared counter that cycles over the
+    probe set.  Returns per-request records ``(index, latency_s, status,
+    body)``, the loop's wall time and any client errors.
     """
-    state = {"next": itertools.count(), "stop": False}
-    marks: list[float] = []
-    errors: list[BaseException] = []
-
-    def boundary():
-        now = time.perf_counter()
-        marks.append(now)
-        state["next"] = itertools.count()
-        state["stop"] = now - marks[0] >= seconds
-
-    barrier = threading.Barrier(CONNECTIONS, action=boundary)
+    counter = itertools.count()   # next() on it is one C call: atomic under the GIL
     records: list[list] = [[] for _ in range(CONNECTIONS)]
+    errors: list[BaseException] = []
+    started = time.perf_counter()
+    deadline = started + seconds
 
     def client(slot: int) -> None:
         out = records[slot]
@@ -420,21 +431,14 @@ def closed_loop(port: int, requests: list, seconds: float) -> dict:
             conn = Connection(port)
         except OSError as err:
             errors.append(err)
-            barrier.abort()
             return
         try:
-            for pass_no in itertools.count():
-                barrier.wait(timeout=120)
-                if state["stop"]:
-                    return
-                counter = state["next"]
-                while (index := next(counter)) < len(requests):
-                    started = time.perf_counter()
-                    status, body = conn.request(requests[index])
-                    out.append((pass_no, index, time.perf_counter() - started, status, body))
-        except (OSError, ValueError, threading.BrokenBarrierError) as err:
+            while (sent := time.perf_counter()) < deadline:
+                index = next(counter) % len(requests)
+                status, body = conn.request(requests[index])
+                out.append((index, time.perf_counter() - sent, status, body))
+        except (OSError, ValueError) as err:
             errors.append(err)
-            barrier.abort()
         finally:
             conn.close()
 
@@ -443,7 +447,8 @@ def closed_loop(port: int, requests: list, seconds: float) -> dict:
         thread.start()
     for thread in threads:
         thread.join()
-    return {"records": [r for out in records for r in out], "marks": marks, "errors": errors}
+    return {"records": [r for out in records for r in out],
+            "wall_s": time.perf_counter() - started, "errors": errors}
 
 
 class ServingFixture:
@@ -488,14 +493,19 @@ class ServingFixture:
             self.requests.append(post_request(json.dumps(payload).encode()))
             self.graph_ranges.append((lo, lo + len(chunk)))
 
-    def check(self, loop: dict) -> tuple[int, int, float | None]:
-        """(requests, failed, OOD metric of the first pass's served outputs)."""
+    def check(self, loop: dict) -> tuple[int, int, int, float | None]:
+        """(requests, failed, graphs answered, OOD metric of the served outputs).
+
+        Each graph is scored from the first good response that carried it.
+        """
         import numpy as np
         from repro.training.metrics import evaluate_metric
 
         failed = len(loop["errors"])
-        first_pass = np.full_like(self.reference, np.nan)
-        for pass_no, index, _latency, status, body in loop["records"]:
+        graphs = 0
+        served = np.full_like(self.reference, np.nan)
+        scored = set()
+        for index, _latency, status, body in loop["records"]:
             lo, hi = self.graph_ranges[index]
             try:
                 payload = json.loads(body) if status == 200 else None
@@ -511,33 +521,34 @@ class ServingFixture:
                 )
             except (ValueError, KeyError, TypeError):
                 good = False
-            failed += not good
-            if good and pass_no == 0:
-                first_pass[lo:hi] = [a["output"] for a in answers]
-        if np.isnan(first_pass).any():
-            return len(loop["records"]), max(failed, 1), None
-        outputs = first_pass[:, 0] if first_pass.shape[1] == 1 else first_pass
-        return len(loop["records"]), failed, evaluate_metric(self.metric, outputs, self.targets)
-
-
-def loop_rates(loop: dict, graphs_per_pass: int) -> dict:
-    marks = loop["marks"]
-    passes = len(marks) - 1
-    return {
-        "passes": passes,
-        "graphs_per_s": passes * graphs_per_pass / (marks[-1] - marks[0]),
-        "pass_s": [b - a for a, b in zip(marks, marks[1:])],
-        "latency_ms": [r[2] * 1e3 for r in loop["records"]],
-    }
+            if not good:
+                failed += 1
+                continue
+            graphs += hi - lo
+            if index not in scored:
+                scored.add(index)
+                served[lo:hi] = [a["output"] for a in answers]
+        requests = len(loop["records"])
+        if len(scored) < len(self.requests):
+            return requests, max(failed, 1), graphs, None
+        outputs = served[:, 0] if served.shape[1] == 1 else served
+        return requests, failed, graphs, evaluate_metric(self.metric, outputs, self.targets)
 
 
 def serving_e2e(work: Serving, seed: int, seconds: float, workdir: Path):
     fixture = ServingFixture(seed, work.graphs_per_request, workdir)
     setups, clean = [], []
-    for _ in range(SERVER_STARTS - 1):
-        server = Server(fixture.artifact, workdir)
-        setups.append(server.setup_s)
-        clean.append(server.stop())
+
+    def start_and_stop(count: int) -> None:
+        for _ in range(count):
+            server = Server(fixture.artifact, workdir)
+            setups.append(server.setup_s)
+            clean.append(server.stop())
+
+    # The timed loop's server is one set-up sample; the others start before
+    # and after the loop, so the samples span the run.
+    before = (SERVER_STARTS - 1) // 2
+    start_and_stop(before)
     server = Server(fixture.artifact, workdir)
     setups.append(server.setup_s)
     try:
@@ -545,33 +556,34 @@ def serving_e2e(work: Serving, seed: int, seconds: float, workdir: Path):
         rss = server.peak_rss_mb()
     finally:
         clean.append(server.stop())
-    attempted, failed, ood = fixture.check(loop)
+    start_and_stop(SERVER_STARTS - 1 - before)
+    attempted, failed, graphs, ood = fixture.check(loop)
     failed += clean.count(False)
     attempted += len(clean)
-    rates = loop_rates(loop, len(fixture.graphs))
-    if ood is None or rates["passes"] < 1:
+    if ood is None:
         return False, attempted, max(failed, 1), {}, {}
-    latency = rates["latency_ms"]
+    latency = [r[1] * 1e3 for r in loop["records"]]
+    graphs_per_s = graphs / loop["wall_s"]
     metrics = {
         "setup_s": statistics.median(setups),
-        "job_s": statistics.median(rates["pass_s"]),
+        # Time to score the whole probe set once, at the loop's rate.
+        "job_s": len(fixture.graphs) / graphs_per_s,
         "ood_metric": ood,
-        "graphs_per_s": rates["graphs_per_s"],
+        "graphs_per_s": graphs_per_s,
         "p50_ms": percentile(latency, 50),
         "ok_share": 1.0 - failed / attempted,
         "peak_rss_mb": rss,
     }
     # Tail percentiles are informational: on a shared 2-core box they move
     # with other tenants' load beyond any usable bound (see README).
-    checks = {"artifact_sha256": fixture.sha256, "passes": rates["passes"],
-              "requests": len(latency), "p95_ms": percentile(latency, 95),
+    checks = {"artifact_sha256": fixture.sha256, "requests": len(latency),
+              "setup_s": setups, "p95_ms": percentile(latency, 95),
               "p99_ms": percentile(latency, 99)}
     return failed == 0, attempted, failed, metrics, checks
 
 
 def serving_layers(work: Serving, seed: int, seconds: float, workdir: Path):
     fixture = ServingFixture(seed, work.graphs_per_request, workdir)
-    graphs_per_pass = len(fixture.graphs)
     loops, clean = [], []
     trace_out = str(workdir / "serve-trace.json")
     for out in (None, trace_out):
@@ -580,27 +592,27 @@ def serving_layers(work: Serving, seed: int, seconds: float, workdir: Path):
             loops.append(closed_loop(server.port, fixture.requests, seconds / 2))
         finally:
             clean.append(server.stop())
-    attempted = failed = 0
-    for loop in loops:
-        n, bad, _ood = fixture.check(loop)
-        attempted += n
-        failed += bad
-    failed += clean.count(False)
-    if failed or not all(len(loop["marks"]) > 1 for loop in loops):
-        return False, attempted + 2, max(failed, 1), {}, {}
-    plain, traced = (loop_rates(loop, graphs_per_pass) for loop in loops)
+    checked = [fixture.check(loop) for loop in loops]
+    attempted = sum(c[0] for c in checked) + len(clean)
+    failed = sum(c[1] for c in checked) + clean.count(False)
+    if failed:
+        return False, attempted, failed, {}, {}
+    plain_rate, traced_rate = (c[2] / loop["wall_s"] for c, loop in zip(checked, loops))
     with open(trace_out) as fh:
         trace = json.load(fh)
-    layers = summarise(trace["spans"])
+    # /healthz answers pass through the wrapped _respond outside any POST;
+    # only the request path counts.
+    spans = [s for s in trace["spans"] if not (s[0] == "serve.net.request" and s[4] is None)]
+    layers = summarise(spans)
     counters = trace["counters"]
-    requests = len(traced["latency_ms"])
-    graphs = traced["passes"] * graphs_per_pass   # passes always complete
+    requests = len(loops[1]["records"])
+    graphs = checked[1][2]
 
     def per_request_ms(layer):
         return layers.get(layer, {}).get("self_s", 0.0) * 1e3 / requests
 
-    request_incl_ms = layers["serve.net.request"]["incl_s"] * 1e3 / requests
-    client_ms = statistics.fmean(traced["latency_ms"])
+    handler = layers["serve.net.handler"]
+    client_ms = statistics.fmean(r[1] * 1e3 for r in loops[1]["records"])
     metrics = {
         "serve.net.request_ms": per_request_ms("serve.net.request"),
         "serve.wire.decode_ms": per_request_ms("serve.wire.decode"),
@@ -614,15 +626,16 @@ def serving_layers(work: Serving, seed: int, seconds: float, workdir: Path):
         "serve.engine.forward_ms": per_request_ms("serve.engine.forward"),
         "serve.engine.graphs_per_forward":
             counters.get("forward.graphs", 0.0) / max(counters.get("forward.calls", 0.0), 1.0),
-        "serve.net.transport_ms": client_ms - request_incl_ms,
-        "trace.unattributed_share": 1.0 - request_incl_ms / client_ms,
-        "trace.overhead_ratio": plain["graphs_per_s"] / traced["graphs_per_s"],
+        "serve.net.transport_ms": client_ms - handler["incl_s"] * 1e3 / requests,
+        # do_POST's own time outside every wrapped call: handler work that
+        # no layer names.
+        "trace.unattributed_share": handler["self_s"] / handler["incl_s"],
+        "trace.overhead_ratio": plain_rate / traced_rate,
     }
     checks = {"traced_requests": requests, "graphs": graphs,
-              "untraced_graphs_per_s": plain["graphs_per_s"],
-              "traced_graphs_per_s": traced["graphs_per_s"],
+              "untraced_graphs_per_s": plain_rate, "traced_graphs_per_s": traced_rate,
               "inclusive_ms_per_request": {k: v["incl_s"] * 1e3 / requests for k, v in layers.items()}}
-    return True, attempted + 2, 0, metrics, checks
+    return True, attempted, 0, metrics, checks
 
 
 # ----------------------------------------------------------------------

@@ -199,15 +199,42 @@ def _wrap_head_on_init(tracer: Tracer, cls) -> None:
     cls.__init__ = traced_init
 
 
+class _Overlay:
+    """``target`` with some attributes replaced; every other one reads through."""
+
+    def __init__(self, target, **overrides):
+        self.__dict__.update(overrides)
+        self._target = target
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
 def install_serving(tracer: Tracer) -> None:
-    """Wrap the layers one ``POST /predict`` passes through."""
+    """Wrap the layers one ``POST /predict`` passes through.
+
+    ``do_POST`` is the request path, the ``serve.net.handler`` span.  Its
+    own I/O (the body read, the ``json.loads`` of it and ``_respond``) is
+    the ``serve.net.request`` layer.  What remains as the handler's self
+    time is glue that no layer names.
+    """
     from repro.encoders.models import GraphClassifier, SeedGraphClassifier
     from repro.graph.data import GraphBatch
     from repro.serve import net
     from repro.serve.artifact import FeatureSchema
     from repro.serve.futures import PendingResult
 
-    tracer.patch(net._Handler, "do_POST", "serve.net.request")
+    tracer.patch(net._Handler, "do_POST", "serve.net.handler")
+    tracer.patch(net._Handler, "_respond", "serve.net.request")
+    net.json = _Overlay(net.json, loads=tracer.wrap("serve.net.request", net.json.loads))
+    setup = net._Handler.setup
+
+    def traced_setup(handler):
+        setup(handler)
+        rfile = handler.rfile
+        handler.rfile = _Overlay(rfile, read=tracer.wrap("serve.net.request", rfile.read))
+
+    net._Handler.setup = traced_setup
     tracer.patch(net, "graph_from_json", "serve.wire.decode")
     tracer.patch(net, "result_to_json", "serve.wire.encode")
     tracer.patch(FeatureSchema, "validate_graph", "serve.artifact.validate")
