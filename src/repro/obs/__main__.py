@@ -51,23 +51,43 @@ def _load_stats(path: str) -> dict:
     raise SystemExit(f"{path}: not a repro-obs profile dump (missing 'ops')")
 
 
-def _run_profiled(args) -> dict:
+def _run_profiled(args) -> tuple[dict, int]:
+    """Run the target under profile_mode: its op stats and its exit code.
+
+    ``python -m`` entry points end in ``raise SystemExit(main())``; the
+    exit is caught here so the report still prints, and its code is
+    returned for ``main`` to pass on.
+    """
     import runpy
 
     from repro.obs.profile import profile_mode, profile_snapshot
 
     old_argv = sys.argv
     sys.argv = [args.script or args.module] + list(args.args)
+    code = 0
     try:
         with profile_mode():
-            if args.script is not None:
-                runpy.run_path(args.script, run_name="__main__")
-            else:
-                runpy.run_module(args.module, run_name="__main__", alter_sys=False)
+            try:
+                if args.script is not None:
+                    runpy.run_path(args.script, run_name="__main__")
+                else:
+                    runpy.run_module(args.module, run_name="__main__", alter_sys=False)
+            except SystemExit as exit_:
+                code = _exit_code(exit_.code)
             # Snapshot before patches come off so nothing trickles in after.
-            return profile_snapshot()
+            return profile_snapshot(), code
     finally:
         sys.argv = old_argv
+
+
+def _exit_code(code) -> int:
+    """The process exit status ``SystemExit(code)`` stands for."""
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return code
+    print(code, file=sys.stderr)  # what the interpreter does with a message
+    return 1
 
 
 def main(argv=None) -> int:
@@ -93,8 +113,9 @@ def main(argv=None) -> int:
     if args.script is not None and args.module is not None:
         raise SystemExit("report: --exec and --module are mutually exclusive")
 
+    code = 0
     if args.script is not None or args.module is not None:
-        stats = _run_profiled(args)
+        stats, code = _run_profiled(args)
     elif args.path is not None:
         stats = _load_stats(args.path)
     else:
@@ -110,8 +131,7 @@ def main(argv=None) -> int:
         print(format_report(stats, top=args.top))
     except BrokenPipeError:  # e.g. `... report | head`; the table is best-effort
         sys.stderr.close()
-        return 0
-    return 0
+    return code
 
 
 if __name__ == "__main__":

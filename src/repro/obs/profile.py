@@ -209,8 +209,6 @@ registry.register_collector(_profile_collector)
 def format_report(stats: dict, top: int = 15) -> str:
     """Top-``top`` kernel table, sorted by cumulative wall time."""
     rows = sorted(stats.items(), key=lambda kv: kv[1]["seconds"], reverse=True)[:top]
-    if not rows:
-        return "no profiled ops recorded (run inside profile_mode())"
     total_s = sum(entry["seconds"] for entry in stats.values())
     lines = [
         f"{'op':<24} {'calls':>10} {'time':>12} {'%':>6} {'MB out':>10} {'us/call':>10}",
@@ -224,6 +222,8 @@ def format_report(stats: dict, top: int = 15) -> str:
             f"{op:<24} {calls:>10d} {seconds * 1e3:>10.3f}ms {share:>5.1f}% "
             f"{entry['bytes'] / 1e6:>9.2f} {per_call:>10.2f}"
         )
+    if not rows:
+        lines.append("no profiled ops recorded")
     lines.append("-" * 78)
     lines.append(
         f"{'total (inclusive)':<24} {sum(e['calls'] for e in stats.values()):>10d} "

@@ -11,8 +11,8 @@ Usage::
 
 Spans nest via a thread-local stack: each records its parent span id and
 the current **trace id** — the request-scoped correlation key the serving
-stack propagates from ``InferenceEngine.submit`` through the batcher pack
-and the (process-pool) worker forward to the ``X-Trace-Id`` HTTP response
+stack propagates from ``InferenceEngine.submit`` through the engine queue's
+pack and the (process-pool) worker forward to the ``X-Trace-Id`` HTTP response
 header.  Binding is explicit (:func:`trace_context`) or automatic (a root
 span with no bound trace id mints one).
 

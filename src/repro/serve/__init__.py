@@ -28,7 +28,7 @@ Quickstart::
 """
 
 from repro.serve.artifact import ARTIFACT_FORMAT_VERSION, FeatureSchema, ModelSpec, ModelArtifact
-from repro.serve.batcher import BatchBudget, MicroBatcher, plan_microbatches
+from repro.serve.batcher import BatchBudget, plan_microbatches
 from repro.serve.engine import InferenceEngine, Prediction
 from repro.serve.faults import FAULTS, FaultInjector, configure_faults, injected_faults, parse_faults
 from repro.serve.futures import DeadlineExceeded, EngineStopped, PendingResult, QueueFull
@@ -51,7 +51,6 @@ __all__ = [
     "ModelSpec",
     "ModelArtifact",
     "BatchBudget",
-    "MicroBatcher",
     "plan_microbatches",
     "InferenceEngine",
     "Prediction",

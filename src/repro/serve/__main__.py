@@ -37,13 +37,12 @@ import sys
 import threading
 
 from repro.serve.artifact import ModelArtifact
-from repro.serve.engine import InferenceEngine, _PendingPrediction
+from repro.serve.engine import InferenceEngine
+from repro.serve.futures import PendingResult
 from repro.serve.ood import EnergyCalibration
-# Re-exported for backwards compatibility: the wire format moved to
-# repro.serve.wire so the HTTP layer and pool share it.
 from repro.serve.wire import graph_from_json, result_to_json
 
-__all__ = ["build_parser", "graph_from_json", "result_to_json", "main"]
+__all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--flush-timeout", type=float, default=0.01,
-        help="stdin mode: seconds to wait for more requests before running a partial batch",
+        help="--http --workers K: seconds a worker process waits for more requests "
+        "before running a partial batch (the in-process engine never waits: it "
+        "serves whatever is queued as soon as it is idle)",
     )
     parser.add_argument("--temperature", type=float, default=1.0, help="energy-score temperature T")
     parser.add_argument(
@@ -150,7 +151,6 @@ def main(argv=None) -> int:
         max_graphs=args.max_graphs,
         max_nodes=max_nodes,
         dtype=None if args.dtype == "artifact" else args.dtype,
-        flush_timeout=args.flush_timeout,
         temperature=args.temperature,
     )
     if args.calibrate:
@@ -202,11 +202,11 @@ def main(argv=None) -> int:
             if not line:
                 continue
             try:
-                handle = engine.submit(graph_from_json(json.loads(line), schema=engine.schema))
+                handle = engine.submit(graph_from_json(json.loads(line)))
             except Exception as err:
                 # One malformed or schema-invalid line answers with an
                 # error response in stream position; the server lives on.
-                handle = _PendingPrediction()
+                handle = PendingResult()
                 handle._resolve(None, err)
             handles.put(handle)
     finally:
@@ -243,8 +243,7 @@ def _serve_http(args, artifact, engine, max_nodes, stop: threading.Event | None 
     else:
         backend = EngineBackend(engine, queue_depth=args.queue_depth or 256)
     server = serve_http(
-        backend, schema=artifact.schema, host=args.host, port=args.port,
-        access_log=args.access_log,
+        backend, host=args.host, port=args.port, access_log=args.access_log,
     )
     print(
         f"serving {args.artifact} on {server.url} "

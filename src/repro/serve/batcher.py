@@ -1,15 +1,11 @@
 """Micro-batch planning: coalesce variable-size graph requests under budgets.
 
-Two layers:
-
-* :func:`plan_microbatches` — pure arrival-order packing of a known request
-  list under a :class:`BatchBudget` (``max_graphs`` / ``max_nodes``), used
-  by the synchronous :meth:`~repro.serve.engine.InferenceEngine.predict`.
-* :class:`MicroBatcher` — the stateful accumulator behind the engine's
-  worker-thread queue front-end: requests arrive one at a time, batches
-  close when a budget fills or ``flush_timeout`` elapses since the first
-  pending request.  Time is injected, so the policy is unit-testable
-  without sleeping.
+:func:`plan_microbatches` packs a known request list in arrival order under
+a :class:`BatchBudget` (``max_graphs`` / ``max_nodes``).  It is the one
+packing policy of :class:`~repro.serve.engine.InferenceEngine`: the
+synchronous ``predict`` packs its argument list with it, and the queue
+front-end packs every request that was queued when its worker came back
+for more.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BatchBudget", "plan_microbatches", "MicroBatcher", "default_max_nodes", "FLOAT64_MAX_NODES"]
+__all__ = ["BatchBudget", "plan_microbatches", "default_max_nodes", "FLOAT64_MAX_NODES"]
 
 #: Measured cache-residency sweet spot of the packed forward at float64:
 #: ``benchmarks/BENCH_inference.json`` shows the unbounded 64x256-node
@@ -92,117 +88,3 @@ def plan_microbatches(node_counts, budget: BatchBudget) -> list[list[int]]:
     if current:
         batches.append(current)
     return batches
-
-
-class MicroBatcher:
-    """Arrival-order accumulator for the queue front-end.
-
-    ``add(item, num_nodes, now)`` returns the list of batches that became
-    runnable (usually empty or one; two when an oversized request both
-    flushes the pending batch and fills its own).  ``deadline`` is the
-    absolute time by which the pending batch must flush; ``flush`` empties
-    it unconditionally.
-
-    All times are caller-injected instants on one **monotonic** clock
-    (``time.monotonic()`` in production): a wall-clock step — NTP
-    adjustment, suspend/resume — must never stall a flush window or
-    instantly expire one.  The batcher itself never reads a clock, which
-    is also what makes the policy unit-testable without sleeping.
-
-    Per-request deadlines ride along: ``add(..., deadline=...)`` records
-    the absolute instant after which the request must not be served, and
-    :meth:`expire` sweeps out overdue entries so the caller can answer
-    them with a timeout instead of serving them late.  ``next_wake``
-    folds both signals — flush deadline and earliest request deadline —
-    into the single instant the serving loop should sleep until.
-    """
-
-    def __init__(self, budget: BatchBudget, flush_timeout: float = 0.01):
-        if flush_timeout <= 0:
-            raise ValueError(f"flush_timeout must be > 0, got {flush_timeout}")
-        self.budget = budget
-        self.flush_timeout = flush_timeout
-        self._pending: list = []
-        self._node_counts: list[int] = []
-        self._deadlines: list[float | None] = []
-        self._nodes = 0
-        self._deadline: float | None = None
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def deadline(self) -> float | None:
-        """Absolute flush time of the pending batch (None when empty)."""
-        return self._deadline
-
-    def next_wake(self, now: float) -> float | None:
-        """Earliest instant the caller must act: flush or expire a request.
-
-        The minimum of the batch flush deadline and every pending
-        request's own deadline (None when the batch is empty).  Waking at
-        a request deadline lets the loop answer it with a timeout the
-        moment it expires rather than after the flush window.
-        """
-        if not self._pending:
-            return None
-        wake = self._deadline
-        for deadline in self._deadlines:
-            if deadline is not None and (wake is None or deadline < wake):
-                wake = deadline
-        return wake
-
-    def add(self, item, num_nodes: int, now: float, deadline: float | None = None) -> list[list]:
-        """Admit one request; return batches that are now full."""
-        ready: list[list] = []
-        if self._pending and not self.budget.admits(len(self._pending), self._nodes, num_nodes):
-            ready.append(self.flush())
-        self._pending.append(item)
-        self._node_counts.append(int(num_nodes))
-        self._deadlines.append(None if deadline is None else float(deadline))
-        self._nodes += int(num_nodes)
-        if self._deadline is None:
-            self._deadline = now + self.flush_timeout
-        if not self.budget.admits(len(self._pending), self._nodes, 1):
-            # max_graphs reached, or max_nodes already met/exceeded: no
-            # further request fits, so run the batch without waiting.
-            ready.append(self.flush())
-        return ready
-
-    def expire(self, now: float) -> list:
-        """Remove and return every pending item whose deadline has passed.
-
-        Expired requests stop counting against the node budget, so a
-        batch that was closed only by a now-dead oversized request can
-        keep admitting live ones.  An emptied batch resets its flush
-        deadline — the window belongs to requests, not to ghosts.
-        """
-        expired: list = []
-        if not self._pending:
-            return expired
-        keep_items, keep_nodes, keep_deadlines = [], [], []
-        for item, nodes, deadline in zip(self._pending, self._node_counts, self._deadlines):
-            if deadline is not None and now >= deadline:
-                expired.append(item)
-            else:
-                keep_items.append(item)
-                keep_nodes.append(nodes)
-                keep_deadlines.append(deadline)
-        if expired:
-            self._pending = keep_items
-            self._node_counts = keep_nodes
-            self._deadlines = keep_deadlines
-            self._nodes = sum(keep_nodes)
-            if not self._pending:
-                self._deadline = None
-        return expired
-
-    def flush(self) -> list:
-        """Empty the pending batch and return its items (possibly none)."""
-        batch = self._pending
-        self._pending = []
-        self._node_counts = []
-        self._deadlines = []
-        self._nodes = 0
-        self._deadline = None
-        return batch

@@ -22,8 +22,12 @@ and answers prediction requests:
   fits a flagging threshold on held-in validation graphs.
 
 Front-ends: :meth:`InferenceEngine.predict` is the synchronous batch API;
-:meth:`start`/:meth:`submit`/:meth:`stop` expose a worker-thread queue that
-coalesces concurrently arriving requests under a ``flush_timeout`` budget.
+:meth:`start`/:meth:`submit`/:meth:`stop` expose a worker-thread queue whose
+loop is **work-conserving**: it blocks for one request, takes every request
+already queued without waiting for more, and packs them with the same
+:func:`~repro.serve.batcher.plan_microbatches` as ``predict``.  A batch
+therefore holds exactly the requests that queued during the previous
+forward — an idle engine answers at once and a loaded one still packs.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.autograd.tensor import as_compute_dtype, compute_dtype, inference_mod
 from repro.graph.data import Graph, GraphBatch
 from repro.nn.layers import try_stack_seed_modules
 from repro.serve.artifact import FeatureSchema, ModelArtifact
-from repro.serve.batcher import BatchBudget, MicroBatcher, default_max_nodes, plan_microbatches
+from repro.serve.batcher import BatchBudget, default_max_nodes, plan_microbatches
 from repro.obs.registry import FLAGS, LATENCY_MS_BUCKETS, registry
 from repro.obs.trace import current_trace_id, span
 from repro.serve.faults import FAULTS
@@ -82,10 +86,6 @@ def _batch_span(live):
         pending.trace_id for _g, pending, _d in live if pending.trace_id is not None
     )
     return span("engine.batch", graphs=len(live), trace_ids=trace_ids)
-
-#: Backwards-compatible alias — the handle type moved to
-#: :mod:`repro.serve.futures` so the worker pool and HTTP layer share it.
-_PendingPrediction = PendingResult
 
 
 class _TopologyInterner:
@@ -183,9 +183,6 @@ class InferenceEngine:
         output tolerance — see docs/ARCHITECTURE.md), or ``None``
         (default: the artifact's stored dtype, float64 for in-memory
         models).
-    flush_timeout:
-        Queue front-end only: seconds after the first pending request
-        before a partially filled batch runs anyway.
     temperature:
         Energy-score temperature.
     calibration:
@@ -198,11 +195,11 @@ class InferenceEngine:
         and sparse structures per pack.  Disable only to measure the
         rebuild cost (``benchmarks/bench_inference.py``).
     clock:
-        Time source for flush windows and request deadlines.  Must be
-        **monotonic** — the default is :func:`time.monotonic`, never
-        wall-clock ``time.time()``, so an NTP step or suspend/resume can
-        neither stall a flush window nor instantly expire every pending
-        deadline.  Injectable for deterministic tests.
+        Time source for request deadlines.  Must be **monotonic** — the
+        default is :func:`time.monotonic`, never wall-clock
+        ``time.time()``, so an NTP step or suspend/resume cannot
+        instantly expire every pending deadline.  Injectable for
+        deterministic tests.
     """
 
     def __init__(
@@ -214,7 +211,6 @@ class InferenceEngine:
         max_graphs: int = 64,
         max_nodes: int | None | str = "auto",
         dtype=None,
-        flush_timeout: float = 0.01,
         temperature: float = 1.0,
         calibration: EnergyCalibration | None = None,
         reuse_topology: bool = True,
@@ -238,12 +234,6 @@ class InferenceEngine:
                 raise ValueError(f"max_nodes must be an int, None or 'auto', got {max_nodes!r}")
             max_nodes = default_max_nodes(self.dtype)
         self.budget = BatchBudget(max_graphs=max_graphs, max_nodes=max_nodes)
-        if flush_timeout <= 0:
-            # Validated here, not first inside the worker thread: a bad
-            # value raised in _serve_loop would kill the worker silently
-            # and leave every submit() waiting forever.
-            raise ValueError(f"flush_timeout must be > 0, got {flush_timeout}")
-        self.flush_timeout = flush_timeout
         self.temperature = temperature
         self.calibration = calibration
         # Seed ensembles prefer one stacked forward; unstackable rosters
@@ -413,9 +403,9 @@ class InferenceEngine:
     ) -> PendingResult:
         """Enqueue one request; returns a handle with ``.result(timeout)``.
 
-        The worker coalesces concurrently queued requests into one packed
-        forward (budget- or timeout-bound), so N threads submitting at
-        once pay roughly one forward, not N.
+        Requests that queue while the worker runs a forward are packed
+        into its next one, so N threads submitting at once pay roughly one
+        forward, not N.
 
         ``deadline`` is an absolute instant on the engine clock
         (``engine.clock()`` now, i.e. ``time.monotonic()`` by default).
@@ -425,7 +415,7 @@ class InferenceEngine:
         requests behind it.
 
         ``trace_id`` tags the request for tracing/metrics: it rides the
-        handle through the batcher into the worker forward's span and back
+        handle through the queue into the worker forward's span and back
         out (the HTTP layer echoes it as ``X-Trace-Id``).  Defaults to the
         submitting thread's bound trace id (:func:`repro.obs.trace_context`),
         if any.
@@ -542,55 +532,44 @@ class InferenceEngine:
         """Worker-thread entry: run the loop; on death, strand no handle.
 
         If the loop body itself fails (an engine bug outside the guarded
-        per-batch forward), every outstanding handle — pending in the
-        batcher *and* still queued — is resolved with ``EngineStopped``
-        and future ``submit()`` calls fail fast, instead of the
-        pre-hardening behaviour where ``.result()`` blocked forever.
+        per-batch forward), every outstanding handle — taken off the queue
+        *and* still queued — is resolved with ``EngineStopped`` and future
+        ``submit()`` calls fail fast, instead of the pre-hardening
+        behaviour where ``.result()`` blocked forever.
         """
-        batcher = MicroBatcher(self.budget, flush_timeout=self.flush_timeout)
+        taken: list = []
         try:
-            self._serve_loop_inner(batcher)
+            self._serve_loop_inner(taken)
         except BaseException as err:
             with self._submit_lock:
                 self._loop_error = err
                 dead_queue, self._queue = self._queue, None
             error = EngineStopped("engine serve loop died before the request was served")
             error.__cause__ = err
-            for _graph, pending, _deadline in batcher.flush():
+            # Handles the dying pass already answered keep their answer:
+            # a handle resolves once.
+            for _graph, pending, _deadline in taken:
                 pending._resolve(None, error)
             if dead_queue is not None:
                 self._drain_queue(dead_queue, error)
 
-    def _run_or_fail(self, items) -> None:
-        """Run one batch; if the *unguarded* part of ``_run_pending`` raises
-        (an engine bug — the forward itself is guarded), resolve the batch's
-        handles with the error before letting the loop die: once flushed out
-        of the batcher these items are in neither the batcher nor the queue,
-        so the ``_serve_loop`` cleanup would never see them."""
-        try:
-            self._run_pending(items)
-        except BaseException as err:
-            for _graph, pending, _deadline in items:
-                pending._resolve(None, err)
-            raise
+    def _serve_loop_inner(self, taken: list) -> None:
+        """Block for one request, take every queued one, pack and run them.
 
-    def _serve_loop_inner(self, batcher: MicroBatcher) -> None:
+        ``taken`` holds a pass's items until all of them have run, so
+        ``_serve_loop`` can answer them if the pass dies.
+        """
         while True:
-            now = self.clock()
-            wake = batcher.next_wake(now)
-            timeout = None if wake is None else max(0.0, wake - now)
-            try:
-                item = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                now = self.clock()
-                for _graph, pending, _deadline in batcher.expire(now):
-                    pending._resolve(None, DeadlineExceeded("request expired before it was served"))
-                if batcher.deadline is not None and now >= batcher.deadline:
-                    self._run_or_fail(batcher.flush())
-                continue
+            item = self._queue.get()
+            while item is not _STOP:
+                taken.append(item)
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+            node_counts = [graph.num_nodes for graph, _pending, _deadline in taken]
+            for pack in plan_microbatches(node_counts, self.budget):
+                self._run_pending([taken[i] for i in pack])
+            taken.clear()
             if item is _STOP:
-                self._run_or_fail(batcher.flush())
                 return
-            graph, _pending, deadline = item
-            for ready in batcher.add(item, graph.num_nodes, self.clock(), deadline=deadline):
-                self._run_or_fail(ready)

@@ -4,12 +4,14 @@
 :class:`ServingServer` — a :class:`ThreadingMixIn` ``http.server`` whose
 handler threads submit into a *backend* and block until the answer is
 ready.  Two backends implement the same three-method surface
-(``submit(graph, deadline) -> PendingResult`` / ``stop()`` / ``clock``):
+(``submit(graph, deadline, trace_id) -> PendingResult`` / ``stop()`` /
+``clock``), and ``submit`` is where a request graph is checked against
+the artifact's schema — once; its ``ValueError`` answers 400:
 
 * :class:`EngineBackend` — the in-process
   :class:`~repro.serve.engine.InferenceEngine` queue front-end
-  (``--workers 0``): handler threads coalesce through the engine's
-  micro-batcher, one GIL.
+  (``--workers 0``): requests from all handler threads queue into one
+  engine loop, which packs whatever queued during its last forward.
 * :class:`~repro.serve.pool.WorkerPool` (``--workers K``): K processes
   over one shared-memory weight bank.
 
@@ -28,10 +30,8 @@ CLI accepts::
 Every ``/predict`` response carries an ``X-Trace-Id`` header — the
 client's, when it sent one, else freshly minted — and the id is
 propagated through ``backend.submit(..., trace_id=...)`` into the
-serving spans (backends without the parameter are detected once and
-served the legacy two-argument call).  ``access_log=True`` additionally
-emits one structured JSON line per predict request (trace id, status,
-latency, energy).
+serving spans.  ``access_log=True`` additionally emits one structured
+JSON line per predict request (trace id, status, latency, energy).
 
 Production semantics, mapped onto HTTP status codes (the exception
 vocabulary of :mod:`repro.serve.futures`):
@@ -68,7 +68,6 @@ backend (which flushes its queues) and closes the socket.
 
 from __future__ import annotations
 
-import inspect
 import json
 import sys
 import threading
@@ -356,7 +355,7 @@ class _Handler(BaseHTTPRequestHandler):
             payloads, single = self._request_graphs(request)
             deadline_ms = request.get("deadline_ms") if isinstance(request, dict) else None
             with trace_context(trace_id):
-                results, status = self._serve(payloads, deadline_ms)
+                results, status = self._serve(payloads, deadline_ms, trace_id)
         except ValueError as err:
             stats.record_bad_request()
             self._respond(400, {"error": str(err)}, headers)
@@ -380,8 +379,8 @@ class _Handler(BaseHTTPRequestHandler):
             return graphs, False
         return [request], True
 
-    def _serve(self, payloads: list, deadline_ms) -> tuple[list[dict], int]:
-        """Parse, admit and await every graph; per-graph error objects.
+    def _serve(self, payloads: list, deadline_ms, trace_id: str) -> tuple[list[dict], int]:
+        """Decode, admit and await every graph; per-graph error objects.
 
         The response status is the first error's status (200 when all
         succeed) — single-graph requests therefore surface their error as
@@ -403,8 +402,8 @@ class _Handler(BaseHTTPRequestHandler):
         for pos, payload in enumerate(payloads):
             stats.record_received()
             try:
-                graph = graph_from_json(payload, schema=server.schema)
-                handle = backend.submit(graph, deadline=deadline, **server._submit_kwargs())
+                graph = graph_from_json(payload)
+                handle = backend.submit(graph, deadline=deadline, trace_id=trace_id)
             except BaseException as err:
                 status = _error_status(err)
                 self._record_failure(status)
@@ -458,7 +457,6 @@ class ServingServer(ThreadingMixIn, HTTPServer):
     def __init__(
         self,
         backend,
-        schema=None,
         address: tuple[str, int] = ("127.0.0.1", 0),
         stats: ServingStats | None = None,
         result_timeout: float = DEFAULT_RESULT_TIMEOUT,
@@ -468,10 +466,6 @@ class ServingServer(ThreadingMixIn, HTTPServer):
     ):
         super().__init__(address, _Handler)
         self.backend = backend
-        # Validating against the schema in the handler (400) is clearer
-        # than letting the backend reject the submit (it raises the same
-        # ValueError, so None simply defers to the backend).
-        self.schema = schema
         self.stats = stats if stats is not None else ServingStats(clock=backend.clock)
         self.result_timeout = result_timeout
         self.draining = False
@@ -482,9 +476,6 @@ class ServingServer(ThreadingMixIn, HTTPServer):
         if breaker == "default":
             breaker = CircuitBreaker(clock=backend.clock)
         self.breaker = breaker
-        # Capability probes, taken once: older/stub backends keep the
-        # plain ``submit(graph, deadline)`` surface and get no trace ids.
-        self._submit_traces = "trace_id" in inspect.signature(backend.submit).parameters
 
     # ------------------------------------------------------------------
     def backend_health(self) -> dict:
@@ -522,14 +513,6 @@ class ServingServer(ThreadingMixIn, HTTPServer):
         yield ("repro_serving_breaker_shed_total", "counter",
                "Requests shed while the breaker was open",
                [({}, float(snap["shed_total"]))])
-
-    def _submit_kwargs(self) -> dict:
-        if not self._submit_traces:
-            return {}
-        from repro.obs.trace import current_trace_id
-
-        trace_id = current_trace_id()
-        return {} if trace_id is None else {"trace_id": trace_id}
 
     def _worker_stats(self):
         """Aggregated worker-pool telemetry, when the backend publishes it."""
@@ -596,7 +579,6 @@ class ServingServer(ThreadingMixIn, HTTPServer):
 
 def serve_http(
     backend,
-    schema=None,
     host: str = "127.0.0.1",
     port: int = 0,
     stats: ServingStats | None = None,
@@ -612,7 +594,7 @@ def serve_http(
     read it back from ``server.port``.
     """
     server = ServingServer(
-        backend, schema=schema, address=(host, port), stats=stats,
+        backend, address=(host, port), stats=stats,
         result_timeout=result_timeout, access_log=access_log,
         access_log_stream=access_log_stream, breaker=breaker,
     )

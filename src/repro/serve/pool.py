@@ -52,6 +52,7 @@ import random
 import threading
 import time
 import weakref
+from multiprocessing import connection
 
 import numpy as np
 
@@ -66,8 +67,8 @@ from repro.serve.supervisor import RespawnPolicy, WorkerSupervisor
 
 __all__ = ["SharedWeights", "WorkerPool", "process_memory"]
 
-#: Minimum seconds between a worker's stats publications — keeps the side
-#: queue to a few messages per second per worker at any request rate.
+#: Minimum seconds between a worker's stats publications — keeps them to a
+#: few messages per second per worker at any request rate.
 STATS_PUBLISH_INTERVAL = 0.2
 
 _ALIGN = 64  # align every array in the bank (cache-line / SIMD friendly)
@@ -270,7 +271,7 @@ def _batch_span(live):
     return span("pool.batch", graphs=len(live), trace_ids=trace_ids)
 
 
-def _serve_items(engine, items, response_q, clock, stats: ServingStats) -> None:
+def _serve_items(engine, items, answers, clock, stats: ServingStats) -> None:
     """Serve one coalesced batch; answer every item exactly once."""
     from repro.serve.wire import result_to_json
 
@@ -279,7 +280,7 @@ def _serve_items(engine, items, response_q, clock, stats: ServingStats) -> None:
     for req_id, graph, deadline, trace_id, enqueued in items:
         stats.record_received()
         if deadline is not None and now >= deadline:
-            response_q.put((req_id, "expired", None))
+            answers.send((req_id, "expired", None))
             stats.record_expired()
         else:
             live.append((req_id, graph, trace_id, enqueued))
@@ -292,7 +293,7 @@ def _serve_items(engine, items, response_q, clock, stats: ServingStats) -> None:
         # One poisoned batch answers its own requests with the error and
         # leaves the worker alive for everything queued behind it.
         for req_id, _graph, _t, _e in live:
-            response_q.put((req_id, "error", f"{type(err).__name__}: {err}"))
+            answers.send((req_id, "error", f"{type(err).__name__}: {err}"))
             stats.record_error()
         return
     done = clock()
@@ -303,7 +304,7 @@ def _serve_items(engine, items, response_q, clock, stats: ServingStats) -> None:
             # payload so the front-end (and clients) can correlate the
             # response with spans recorded in this worker process.
             payload["trace_id"] = trace_id
-        response_q.put((req_id, "ok", payload))
+        answers.send((req_id, "ok", payload))
         latency = done - enqueued if enqueued is not None else 0.0
         stats.record_served(
             latency,
@@ -312,16 +313,16 @@ def _serve_items(engine, items, response_q, clock, stats: ServingStats) -> None:
         )
 
 
-def _publish_stats(stats_q, stats: ServingStats) -> None:
-    """Best-effort snapshot publication; a full/broken queue never kills serving."""
+def _publish_stats(answers, stats: ServingStats) -> None:
+    """Best-effort snapshot publication; a closed pipe never kills serving."""
     try:
-        stats_q.put_nowait((os.getpid(), stats.snapshot()))
-    except Exception:
+        answers.send((os.getpid(), "stats", stats.snapshot()))
+    except OSError:
         pass
 
 
-def _worker_main(manifest: dict, engine_kwargs: dict, request_q, response_q,
-                 stats_q, faults_cfg=None) -> None:
+def _worker_main(manifest: dict, engine_kwargs: dict, request_q, answers,
+                 faults_cfg=None) -> None:
     """Worker entry point: attach shared weights, serve until sentinel.
 
     ``request_q`` is this worker's **private** slot queue — the parent
@@ -333,15 +334,21 @@ def _worker_main(manifest: dict, engine_kwargs: dict, request_q, response_q,
     so forked workers neither miss a configured chaos plan nor inherit
     one the pool did not ask for.
 
-    Each worker keeps a process-local :class:`ServingStats` sink and
-    publishes its snapshot over ``stats_q`` — throttled to one message per
+    ``answers`` is the write end of this worker's own pipe to the parent.
+    Every message is a ``(key, status, payload)`` triple, sent
+    synchronously: a request's answer keyed by its id, or (status
+    ``"stats"``) a snapshot of the process-local :class:`ServingStats`
+    sink keyed by pid — throttled to one per
     :data:`STATS_PUBLISH_INTERVAL` while serving, plus one final snapshot
     on exit — so the parent can aggregate worker-side counters into the
-    front-end's ``/stats`` and ``/metrics`` views.
+    front-end's ``/stats`` and ``/metrics`` views.  No feeder thread and
+    no lock shared with siblings: a worker killed mid-send can only
+    truncate its own pipe.
     """
     if faults_cfg is not None:
         FAULTS.configure(*faults_cfg)
     calibration = engine_kwargs.pop("calibration", None)
+    flush_timeout = engine_kwargs.pop("flush_timeout")
     shared = SharedWeights.attach(manifest)
     stats = ServingStats(clock=time.monotonic)
     last_publish = 0.0
@@ -350,7 +357,6 @@ def _worker_main(manifest: dict, engine_kwargs: dict, request_q, response_q,
         if calibration is not None:
             engine.calibration = EnergyCalibration.from_dict(calibration)
         max_graphs = engine.budget.max_graphs
-        flush_timeout = engine.flush_timeout
         stopping = False
         while not stopping:
             item = request_q.get()
@@ -382,15 +388,16 @@ def _worker_main(manifest: dict, engine_kwargs: dict, request_q, response_q,
                     # the exact window where requests are stranded and
                     # the supervisor + retry path must recover them.
                     os._exit(FAULT_EXIT_CODE)
-            _serve_items(engine, items, response_q, time.monotonic, stats)
+            _serve_items(engine, items, answers, time.monotonic, stats)
             now = time.monotonic()
             if now - last_publish >= STATS_PUBLISH_INTERVAL:
                 last_publish = now
-                _publish_stats(stats_q, stats)
+                _publish_stats(answers, stats)
     finally:
-        # Final snapshot first, then unmap: FIFO means the parent's stats
-        # collector sees the complete per-worker totals before join.
-        _publish_stats(stats_q, stats)
+        # Final snapshot first, then unmap: the parent reads the pipe to
+        # EOF, so it holds the complete per-worker totals once stop() joins.
+        _publish_stats(answers, stats)
+        answers.close()
         shared.close()
 
 
@@ -430,7 +437,11 @@ class WorkerPool:
 
     Parameters mirror :class:`~repro.serve.engine.InferenceEngine` where
     they configure the per-worker engines (``max_graphs`` / ``max_nodes``
-    / ``flush_timeout`` / ``dtype`` / ``temperature`` / ``calibration``).
+    / ``dtype`` / ``temperature`` / ``calibration``).  ``flush_timeout``
+    is the worker loop's own coalescing window: a worker that pulled one
+    request keeps pulling until ``max_graphs`` are in hand or
+    ``flush_timeout`` seconds have passed.  (The in-process engine has no
+    window; its loop serves as soon as it is idle.)
 
     ``queue_depth`` bounds the outstanding-request count — the admission
     control knob: over it, :meth:`submit` raises
@@ -479,6 +490,8 @@ class WorkerPool:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if retry_limit < 0:
             raise ValueError(f"retry_limit must be >= 0, got {retry_limit}")
+        if flush_timeout <= 0:
+            raise ValueError(f"flush_timeout must be > 0, got {flush_timeout}")
         self.schema = artifact.schema
         self.num_workers = int(num_workers)
         self.clock = clock
@@ -508,12 +521,14 @@ class WorkerPool:
         # worker killed mid-``get`` can only poison its own queue — which
         # is discarded and replaced when the supervisor respawns the slot.
         self._slots = [_PoolSlot(i, self._ctx.Queue()) for i in range(self.num_workers)]
-        self._response_q = self._ctx.Queue()
-        self._stats_q = self._ctx.Queue()
+        # The read ends of the live workers' answer pipes (one per worker,
+        # see _worker_main), plus a pipe that wakes the dispatcher when
+        # that set changes.
+        self._readers: set = set()
+        self._wake_reader, self._wake_writer = self._ctx.Pipe(duplex=False)
         self._worker_snapshots: dict[int, dict] = {}
         self._supervisor: WorkerSupervisor | None = None
         self._dispatcher: threading.Thread | None = None
-        self._stats_collector: threading.Thread | None = None
         self._handles: dict[int, _Inflight] = {}
         self._retry_timers: dict[threading.Timer, _Inflight] = {}
         self._retry_rng = random.Random(self._faults_seed ^ 0x5EED)
@@ -538,14 +553,20 @@ class WorkerPool:
     def _spawn_worker(self, slot_index: int):
         """Supervisor spawn factory: fork a worker on the slot's current queue."""
         slot = self._slots[slot_index]
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(self._shared.manifest, dict(self._engine_kwargs), slot.queue,
-                  self._response_q, self._stats_q,
-                  (self._faults_spec, self._faults_seed + slot_index)),
+                  writer, (self._faults_spec, self._faults_seed + slot_index)),
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only write end: its death reads as EOF
+        # here, even halfway through a message.
+        writer.close()
+        with self._lock:
+            self._readers.add(reader)
+        self._wake_writer.send_bytes(b"")
         return proc
 
     def start(self) -> "WorkerPool":
@@ -565,8 +586,6 @@ class WorkerPool:
         ).start()
         self._dispatcher = threading.Thread(target=self._dispatch_loop, daemon=True)
         self._dispatcher.start()
-        self._stats_collector = threading.Thread(target=self._stats_loop, daemon=True)
-        self._stats_collector.start()
         return self
 
     # ------------------------------------------------------------------
@@ -638,27 +657,45 @@ class WorkerPool:
         return rec
 
     def _dispatch_loop(self) -> None:
+        """Route worker messages; return once the pool is done and every
+        answer pipe has reached EOF (a dead worker's pipe is dropped —
+        the supervisor's death callback retries what that worker held)."""
         while True:
-            try:
-                msg = self._response_q.get(timeout=0.2)
-            except queue.Empty:
-                self._reap_expired()
-                if self._failed is not None:
-                    return
-                continue
-            if msg is None:
-                return
-            req_id, status, payload = msg
             with self._lock:
-                rec = self._pop_rec_locked(req_id)
-            if rec is None:
-                continue  # reaped, retried under a new id, or already failed
-            if status == "ok":
-                rec.handle._resolve(payload)
-            elif status == "expired":
-                rec.handle._resolve(None, DeadlineExceeded("request expired before a worker served it"))
-            else:
-                rec.handle._resolve(None, RuntimeError(f"worker error: {payload}"))
+                readers = list(self._readers)
+                done = self._closed or self._failed is not None
+            if done and not readers:
+                return
+            ready = connection.wait([self._wake_reader, *readers], timeout=0.2)
+            if not ready:
+                self._reap_expired()
+            for conn in ready:
+                try:
+                    msg = conn.recv_bytes() if conn is self._wake_reader else conn.recv()
+                except (EOFError, OSError):
+                    with self._lock:
+                        self._readers.discard(conn)
+                    conn.close()
+                    continue
+                if conn is not self._wake_reader:
+                    self._deliver(*msg)
+
+    def _deliver(self, key, status: str, payload) -> None:
+        """Resolve the handle one worker message answers, or file its stats."""
+        if status == "stats":
+            with self._lock:
+                self._worker_snapshots[key] = payload
+            return
+        with self._lock:
+            rec = self._pop_rec_locked(key)
+        if rec is None:
+            return  # reaped, retried under a new id, or already failed
+        if status == "ok":
+            rec.handle._resolve(payload)
+        elif status == "expired":
+            rec.handle._resolve(None, DeadlineExceeded("request expired before a worker served it"))
+        else:
+            rec.handle._resolve(None, RuntimeError(f"worker error: {payload}"))
 
     def _reap_expired(self) -> None:
         """Fail requests stranded past deadline where no worker will see them."""
@@ -795,28 +832,11 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Stats + metrics
     # ------------------------------------------------------------------
-    def _stats_loop(self) -> None:
-        """Fold worker stats snapshots into ``_worker_snapshots`` until sentinel."""
-        while True:
-            try:
-                msg = self._stats_q.get(timeout=0.2)
-            except queue.Empty:
-                if self._failed is not None:
-                    return
-                continue
-            except (OSError, ValueError, EOFError):
-                return
-            if msg is None:
-                return
-            pid, snap = msg
-            with self._lock:
-                self._worker_snapshots[pid] = snap
-
     def stats_snapshot(self) -> dict:
         """Aggregated + per-worker serving counters (for ``GET /stats``).
 
         Workers publish their local :class:`~repro.serve.stats.ServingStats`
-        snapshots over a side queue (throttled, plus once at exit), so this
+        snapshots over their answer pipes (throttled, plus once at exit), so this
         is eventually consistent — at most ~one publish interval stale per
         worker under load.  The ``supervisor`` block carries the fault-
         tolerance view: health state, live workers, restart totals,
@@ -919,29 +939,22 @@ class WorkerPool:
                     proc.join(timeout=1.0)
             if self._supervisor is not None:
                 self._supervisor.stop()
-            # Workers flushed their responses before exiting; FIFO order
-            # guarantees the dispatcher sees them all before the sentinel.
-            self._response_q.put(None)
+            # Every worker sent its answers and final stats before exiting;
+            # the dispatcher reads each pipe to EOF, then returns.
+            self._wake_writer.send_bytes(b"")
             if self._dispatcher is not None:
                 self._dispatcher.join(timeout=join_timeout)
-            # Same for the stats side queue: every worker published a final
-            # snapshot before exit, so the collector folds complete totals
-            # in before its sentinel arrives.
-            self._stats_q.put(None)
-            if self._stats_collector is not None:
-                self._stats_collector.join(timeout=join_timeout)
         with self._lock:
             stranded = [self._pop_rec_locked(req_id) for req_id in list(self._handles)]
+            readers, self._readers = self._readers, set()
         for rec in stranded:
             if rec is not None:
                 rec.handle._resolve(None, stop_error)
         for slot in self._slots:
             slot.queue.close()
             slot.queue.cancel_join_thread()
-        self._response_q.close()
-        self._response_q.cancel_join_thread()
-        self._stats_q.close()
-        self._stats_q.cancel_join_thread()
+        for conn in (*readers, self._wake_reader, self._wake_writer):
+            conn.close()
         self._shared.close(unlink=True)
 
     def __enter__(self) -> "WorkerPool":

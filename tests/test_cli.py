@@ -124,7 +124,7 @@ class TestServe:
         requests = json.loads(requests_path.read_text())
         stream = io.StringIO("".join(json.dumps(r) + "\n" for r in requests))
         monkeypatch.setattr("sys.stdin", stream)
-        code = serve_main([str(artifact_path), "--stdin", "--flush-timeout", "0.01"])
+        code = serve_main([str(artifact_path), "--stdin"])
         assert code == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == len(requests)
@@ -139,7 +139,7 @@ class TestServe:
         good = json.dumps(json.loads(requests_path.read_text())[0])
         stream = io.StringIO("not json\n" + json.dumps({"edge_index": [[], []]}) + "\n" + good + "\n")
         monkeypatch.setattr("sys.stdin", stream)
-        code = serve_main([str(artifact_path), "--stdin", "--flush-timeout", "0.01"])
+        code = serve_main([str(artifact_path), "--stdin"])
         assert code == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == 3
@@ -161,7 +161,7 @@ class TestServe:
         bad_edges = json.dumps({"x": [[0.0] * 4] * 2, "edge_index": [[0], [9]]})
         stream = io.StringIO("\n".join([good, bad_ragged, good, bad_edges]) + "\n")
         monkeypatch.setattr("sys.stdin", stream)
-        code = serve_main([str(artifact_path), "--stdin", "--flush-timeout", "0.01"])
+        code = serve_main([str(artifact_path), "--stdin"])
         assert code == 0
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert len(lines) == 4
@@ -171,7 +171,7 @@ class TestServe:
         assert "error" in lines[3]
         assert lines[0]["output"] == lines[2]["output"]  # same request, same answer
 
-    def test_http_mode_serves_and_drains_on_sigterm(self, artifact_path, requests_path):
+    def test_http_mode_serves_and_drains_on_sigterm(self, artifact_path, requests_path, monkeypatch):
         """--http end to end as a user would run it: spin the CLI in a
         thread, query over TCP, SIGTERM-equivalent drain, clean exit."""
         import threading
@@ -179,7 +179,14 @@ class TestServe:
         import urllib.request
 
         from repro.serve import __main__ as serve_cli
+        from repro.serve.artifact import FeatureSchema
 
+        validated = []
+        validate = FeatureSchema.validate_graph
+        monkeypatch.setattr(
+            FeatureSchema, "validate_graph",
+            lambda schema, graph: validated.append(graph) or validate(schema, graph),
+        )
         captured = {}
         original_serve_http = serve_cli._serve_http
         codes = []
@@ -207,7 +214,7 @@ class TestServe:
 
             def run():
                 codes.append(serve_cli.main([
-                    str(artifact_path), "--http", "--port", "0", "--flush-timeout", "0.005",
+                    str(artifact_path), "--http", "--port", "0",
                 ]))
 
             thread = threading.Thread(target=run, daemon=True)
@@ -223,6 +230,7 @@ class TestServe:
             )
             body = json.loads(urllib.request.urlopen(req, timeout=30.0).read())
             assert body["prediction"] in (0, 1)
+            assert len(validated) == 1  # decoded by the handler, validated once by the engine
             health = json.loads(urllib.request.urlopen(server.url + "/healthz", timeout=30.0).read())
             assert health == {"status": "ok"}
             stop.set()  # what the SIGTERM handler does

@@ -26,7 +26,6 @@ from repro.serve import (
     InferenceEngine,
     PendingResult,
 )
-from repro.serve.batcher import BatchBudget, MicroBatcher
 
 FEATURE_DIM, OUT_DIM = 4, 3
 SCHEMA = FeatureSchema(feature_dim=FEATURE_DIM, out_dim=OUT_DIM, task_type="multiclass", num_classes=OUT_DIM)
@@ -102,40 +101,11 @@ class TestPendingResult:
         assert seen == [handle]
 
 
-class TestMicroBatcherDeadlines:
-    """The injected-time deadline machinery the serve loop builds on."""
-
-    def test_expire_removes_overdue_and_keeps_live(self):
-        batcher = MicroBatcher(BatchBudget(max_graphs=8), flush_timeout=10.0)
-        batcher.add("a", 3, now=0.0, deadline=5.0)
-        batcher.add("b", 4, now=0.0, deadline=50.0)
-        batcher.add("c", 2, now=0.0)  # no deadline: never expires
-        assert batcher.expire(now=1.0) == []
-        assert batcher.expire(now=6.0) == ["a"]
-        assert len(batcher) == 2
-        assert batcher._nodes == 6  # a's nodes no longer count against the budget
-
-    def test_expire_everything_resets_flush_deadline(self):
-        batcher = MicroBatcher(BatchBudget(max_graphs=8), flush_timeout=1.0)
-        batcher.add("a", 1, now=0.0, deadline=2.0)
-        assert batcher.deadline == pytest.approx(1.0)
-        assert batcher.expire(now=3.0) == ["a"]
-        assert batcher.deadline is None and len(batcher) == 0
-
-    def test_next_wake_is_min_of_flush_and_request_deadlines(self):
-        batcher = MicroBatcher(BatchBudget(max_graphs=8), flush_timeout=10.0)
-        assert batcher.next_wake(now=0.0) is None
-        batcher.add("a", 1, now=0.0)                  # flush deadline 10.0
-        assert batcher.next_wake(now=0.0) == pytest.approx(10.0)
-        batcher.add("b", 1, now=0.0, deadline=4.0)    # earlier request deadline
-        assert batcher.next_wake(now=0.0) == pytest.approx(4.0)
-
-
 class TestPoisonedBatch:
     """One request whose forward explodes must not take the engine down."""
 
     def test_waiters_get_the_error_and_loop_survives(self, rng):
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01)
+        engine = make_engine(rng, max_graphs=1)
         poisoned = threading.Event()
         real_forward = engine._forward
 
@@ -179,7 +149,7 @@ class TestServeLoopDeath:
     """
 
     def _dead_engine(self, rng):
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01)
+        engine = make_engine(rng, max_graphs=1)
         engine._run_pending = lambda items: (_ for _ in ()).throw(
             AttributeError("engine bug outside the guarded forward")
         )
@@ -226,7 +196,7 @@ class TestServeLoopDeath:
 
     def test_requests_queued_behind_the_death_resolve(self, rng):
         """Items sitting in the queue when the loop dies get EngineStopped."""
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01)
+        engine = make_engine(rng, max_graphs=1)
         graphs = make_graphs(rng, 6)
         release = threading.Event()
 
@@ -252,7 +222,7 @@ class TestServeLoopDeath:
 class TestDeadlines:
     def test_already_expired_request_is_shed_not_served(self, rng):
         clock = FakeClock(now=100.0)
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01, clock=clock)
+        engine = make_engine(rng, max_graphs=1, clock=clock)
         served = []
         real_forward = engine._forward
         engine._forward = lambda batch: served.append(1) or real_forward(batch)
@@ -267,7 +237,7 @@ class TestDeadlines:
 
     def test_future_deadline_serves_normally(self, rng):
         clock = FakeClock(now=100.0)
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01, clock=clock)
+        engine = make_engine(rng, max_graphs=1, clock=clock)
         engine.start()
         try:
             handle = engine.submit(make_graphs(rng, 1)[0], deadline=1e9)
@@ -275,32 +245,46 @@ class TestDeadlines:
         finally:
             engine.stop()
 
-    def test_deadline_expires_while_waiting_in_batcher(self, rng):
-        """A queued request dies the moment its deadline passes.
-
-        The batch budget is never filled and the (fake-clock) flush window
-        never elapses, so only the expiry sweep can resolve this handle.
-        """
+    def test_deadline_expires_while_queued_behind_a_forward(self, rng):
+        """A request whose deadline passes while it waits behind a running
+        forward is shed when its pack starts, never served late."""
         clock = FakeClock(now=100.0)
-        engine = make_engine(rng, max_graphs=1000, flush_timeout=5.0, clock=clock)
+        engine = make_engine(rng, clock=clock)
+        graphs = make_graphs(rng, 2)
+        entered, release = threading.Event(), threading.Event()
+        packs = []
+        real_forward = engine._forward
+
+        def held_forward(batch):
+            packs.append(batch.num_graphs)
+            entered.set()
+            release.wait(10.0)
+            return real_forward(batch)
+
+        engine._forward = held_forward
         engine.start()
         try:
-            handle = engine.submit(make_graphs(rng, 1)[0], deadline=101.0)
-            assert not handle.done()
-            clock.advance(2.0)  # past the request deadline, before the window
+            first = engine.submit(graphs[0])
+            assert entered.wait(10.0)  # the first forward is running
+            late = engine.submit(graphs[1], deadline=101.0)
+            clock.advance(2.0)  # past the deadline while it waits in the queue
+            release.set()
+            assert first.result(timeout=10.0).probs is not None
             with pytest.raises(DeadlineExceeded):
-                handle.result(timeout=10.0)
+                late.result(timeout=10.0)
         finally:
+            release.set()
             engine.stop()
+        assert packs == [1]
 
     def test_mixed_batch_serves_live_and_sheds_expired(self, rng):
         clock = FakeClock(now=100.0)
-        engine = make_engine(rng, max_graphs=2, flush_timeout=5.0, clock=clock)
+        engine = make_engine(rng, max_graphs=2, clock=clock)
         graphs = make_graphs(rng, 2)
         engine.start()
         try:
             dead = engine.submit(graphs[0], deadline=50.0)   # already expired
-            live = engine.submit(graphs[1])                  # fills the batch
+            live = engine.submit(graphs[1])
             assert live.result(timeout=10.0).probs is not None
             with pytest.raises(DeadlineExceeded):
                 dead.result(timeout=10.0)
@@ -310,7 +294,7 @@ class TestDeadlines:
 
 class TestDrain:
     def test_stop_resolves_every_handle_exactly_once(self, rng):
-        engine = make_engine(rng, max_graphs=1000, flush_timeout=30.0)
+        engine = make_engine(rng, max_graphs=1000)
         graphs = make_graphs(rng, 5)
         engine.start()
         handles = [engine.submit(g) for g in graphs]
@@ -327,7 +311,7 @@ class TestDrain:
         """Submitters hammering the engine while it stops: every handle
         either serves or fails with EngineStopped; none hang, none double-
         resolve, and no submit() call itself hangs."""
-        engine = make_engine(rng, max_graphs=4, flush_timeout=0.002)
+        engine = make_engine(rng, max_graphs=4)
         graphs = make_graphs(rng, 4)
         handles, errors = [], []
         lock = threading.Lock()
@@ -369,7 +353,7 @@ class TestDrain:
             engine.submit(graphs[0])
 
     def test_restart_after_stop_serves_again(self, rng):
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01)
+        engine = make_engine(rng, max_graphs=1)
         (graph,) = make_graphs(rng, 1)
         engine.start()
         assert engine.submit(graph).result(timeout=10.0) is not None
@@ -384,7 +368,7 @@ class TestDrain:
         """``restart()`` is the recovery verb for a killed loop: after the
         loop dies (submit fails fast with EngineStopped), one call brings
         the queue front-end back over the same models."""
-        engine = make_engine(rng, max_graphs=1, flush_timeout=0.01)
+        engine = make_engine(rng, max_graphs=1)
         graphs = make_graphs(rng, 2)
         engine._run_pending = lambda items: (_ for _ in ()).throw(
             AttributeError("engine bug outside the guarded forward")

@@ -149,6 +149,17 @@ class TestReporting:
         # Patches came off after the CLI run.
         assert not hasattr(Tensor.__mul__, "_obs_profiled")
 
+    # Other tests import repro.run first; runpy warns that it re-executes it.
+    @pytest.mark.filterwarnings("ignore:'repro.run' found in sys.modules:RuntimeWarning")
+    def test_report_cli_module_reports_through_the_targets_system_exit(self, capsys):
+        """``python -m`` targets end in SystemExit: the table still prints
+        and main returns the target's exit code."""
+        assert obs_main(["report", "--module", "repro.run", "--", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "datasets:" in out and "total (inclusive)" in out
+        assert obs_main(["report", "--module", "repro.run"]) == 2  # usage error
+        assert "total (inclusive)" in capsys.readouterr().out
+
     def test_report_cli_rejects_missing_source(self):
         with pytest.raises(SystemExit):
             obs_main(["report"])

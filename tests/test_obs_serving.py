@@ -114,15 +114,16 @@ OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0, "ood": F
 
 
 class StubBackend:
-    """Legacy two-argument submit surface: no trace_id parameter."""
+    """Scriptable backend that validates and records like the real ones."""
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
         self.clock = time.monotonic
         self.submitted = []
 
-    def submit(self, graph, deadline=None):
-        self.submitted.append((graph, deadline))
+    def submit(self, graph, deadline=None, trace_id=None):
+        SCHEMA.validate_graph(graph)
+        self.submitted.append((graph, deadline, trace_id))
         outcome = self.outcomes.pop(0)
         handle = PendingResult()
         if isinstance(outcome, dict):
@@ -141,7 +142,7 @@ def stub_server(request):
 
     def start(outcomes, **server_kwargs):
         backend = StubBackend(outcomes)
-        server = serve_http(backend, schema=SCHEMA, **server_kwargs)
+        server = serve_http(backend, **server_kwargs)
         servers.append(server)
         return backend, server
 
@@ -176,12 +177,14 @@ class TestTraceIdHeader:
         assert re.fullmatch(r"[0-9a-f]{16}", headers["X-Trace-Id"])
 
     def test_client_supplied_trace_id_echoed_verbatim(self, stub_server, rng):
-        _backend, server = stub_server([OK])
+        backend, server = stub_server([OK])
         _status, headers, _body = http(
             server.url + "/predict", make_graph_payload(rng),
             headers={"X-Trace-Id": "client-chose-this"},
         )
         assert headers["X-Trace-Id"] == "client-chose-this"
+        (_graph, _deadline, trace_id), = backend.submitted
+        assert trace_id == "client-chose-this"  # handed to the backend too
 
     def test_error_responses_carry_the_header_too(self, stub_server):
         _backend, server = stub_server([])
@@ -190,15 +193,6 @@ class TestTraceIdHeader:
             headers={"X-Trace-Id": "badreq"},
         )
         assert status == 400 and headers["X-Trace-Id"] == "badreq"
-
-    def test_legacy_backend_without_trace_parameter_still_serves(self, stub_server, rng):
-        """The capability probe must route around StubBackend's two-argument
-        submit instead of TypeErroring on an unexpected keyword."""
-        backend, server = stub_server([OK])
-        status, _headers, body = http(server.url + "/predict", make_graph_payload(rng))
-        assert status == 200 and body["prediction"] == 1
-        assert len(backend.submitted) == 1
-        assert not server._submit_traces
 
 
 class TestMetricsEndpoint:
@@ -335,7 +329,7 @@ class TestWorkerPoolObservability:
 
     def test_http_front_end_surfaces_worker_stats_and_metrics(self, artifact, rng):
         pool = WorkerPool(artifact, num_workers=1, flush_timeout=0.005).start()
-        server = serve_http(pool, schema=SCHEMA)
+        server = serve_http(pool)
         try:
             status, headers, body = http(
                 server.url + "/predict", make_graph_payload(rng),
@@ -345,7 +339,7 @@ class TestWorkerPoolObservability:
             assert headers["X-Trace-Id"] == "pool-e2e-trace-id"
             # The worker stamped the propagated id onto the payload.
             assert body["trace_id"] == "pool-e2e-trace-id"
-            # Worker snapshots arrive over the side queue; poll briefly.
+            # Worker snapshots arrive over the answer pipe; poll briefly.
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 _status, _headers, stats = http(server.url + "/stats")
@@ -368,9 +362,8 @@ class TestWorkerPoolObservability:
 
         model = build_model("gin", FEATURE_DIM, OUT_DIM, np.random.default_rng(3),
                             hidden_dim=8, num_layers=2)
-        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=8,
-                                             flush_timeout=0.005)
-        server = serve_http(EngineBackend(engine, queue_depth=16), schema=SCHEMA)
+        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=8)
+        server = serve_http(EngineBackend(engine, queue_depth=16))
         try:
             _status, _headers, stats = http(server.url + "/stats")
             assert "workers" not in stats

@@ -1,7 +1,6 @@
 """Inference engine: micro-batching, seed ensembles, OOD scoring, queue API."""
 
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -16,9 +15,9 @@ from repro.serve import (
     EnergyCalibration,
     FeatureSchema,
     InferenceEngine,
-    MicroBatcher,
     ModelArtifact,
     ModelSpec,
+    PendingResult,
     energy_score,
     fit_energy_threshold,
     plan_microbatches,
@@ -72,32 +71,6 @@ class TestBatchPlanning:
             BatchBudget(max_graphs=0)
         with pytest.raises(ValueError):
             BatchBudget(max_graphs=1, max_nodes=0)
-
-
-class TestMicroBatcher:
-    def test_flushes_on_graph_budget(self):
-        batcher = MicroBatcher(BatchBudget(max_graphs=2), flush_timeout=10.0)
-        assert batcher.add("a", 1, now=0.0) == []
-        ready = batcher.add("b", 1, now=0.1)
-        assert ready == [["a", "b"]]
-        assert len(batcher) == 0 and batcher.deadline is None
-
-    def test_flushes_pending_when_nodes_exceed(self):
-        batcher = MicroBatcher(BatchBudget(max_graphs=8, max_nodes=10), flush_timeout=10.0)
-        batcher.add("a", 6, now=0.0)
-        ready = batcher.add("b", 7, now=0.1)  # 6 + 7 > 10: "a" flushes first
-        assert ready == [["a"]]
-        assert len(batcher) == 1
-
-    def test_deadline_set_by_first_request(self):
-        batcher = MicroBatcher(BatchBudget(max_graphs=8), flush_timeout=0.5)
-        batcher.add("a", 1, now=100.0)
-        batcher.add("b", 1, now=100.4)
-        assert batcher.deadline == pytest.approx(100.5)
-
-    def test_invalid_timeout(self):
-        with pytest.raises(ValueError):
-            MicroBatcher(BatchBudget(), flush_timeout=0.0)
 
 
 class TestEnergyScore:
@@ -302,7 +275,7 @@ class TestSeedEnsembles:
 
 class TestQueueFrontEnd:
     def test_submit_matches_sync_predict(self, rng):
-        engine, _ = make_engine(rng, max_graphs=4, flush_timeout=0.02)
+        engine, _ = make_engine(rng, max_graphs=4)
         graphs = make_graphs(rng, 8)
         sync = engine.predict(graphs)
         engine.start()
@@ -315,7 +288,7 @@ class TestQueueFrontEnd:
             np.testing.assert_allclose(s.output, q.output, rtol=0, atol=1e-10)
 
     def test_concurrent_submitters(self, rng):
-        engine, _ = make_engine(rng, max_graphs=8, flush_timeout=0.05)
+        engine, _ = make_engine(rng, max_graphs=8)
         graphs = make_graphs(rng, 8)
         sync = engine.predict(graphs)
         engine.start()
@@ -335,26 +308,50 @@ class TestQueueFrontEnd:
         for s, q in zip(sync, outputs):
             np.testing.assert_allclose(s.output, q.output, rtol=0, atol=1e-10)
 
-    def test_flush_timeout_releases_partial_batch(self, rng):
-        engine, _ = make_engine(rng, max_graphs=1000, flush_timeout=0.05)
+    def test_lone_submit_resolves_on_a_frozen_clock(self, rng):
+        """An idle engine serves a lone request at once: no budget to
+        fill and no window that time must close."""
+        engine, _ = make_engine(rng, max_graphs=1000, clock=lambda: 100.0)
         (graph,) = make_graphs(rng, 1)
         engine.start()
         try:
-            start = time.monotonic()
-            handle = engine.submit(graph)
-            result = handle.result(timeout=10.0)
-            elapsed = time.monotonic() - start
+            assert engine.submit(graph).result(timeout=5.0).probs is not None
         finally:
             engine.stop()
-        assert result is not None
-        assert elapsed < 5.0  # released by the timeout, not by a full batch
+
+    def test_requests_queued_during_a_forward_run_as_one_pack(self, rng):
+        engine, _ = make_engine(rng)
+        graphs = make_graphs(rng, 6)
+        entered, release = threading.Event(), threading.Event()
+        packs = []
+        real_forward = engine._forward
+
+        def held_forward(batch):
+            packs.append(batch.num_graphs)
+            entered.set()
+            release.wait(10.0)
+            return real_forward(batch)
+
+        engine._forward = held_forward
+        engine.start()
+        try:
+            first = engine.submit(graphs[0])
+            assert entered.wait(10.0)  # the first forward is running
+            queued = [engine.submit(g) for g in graphs[1:]]
+            release.set()
+            for handle in [first, *queued]:
+                assert handle.result(timeout=10.0).probs is not None
+        finally:
+            release.set()
+            engine.stop()
+        assert packs == [1, len(graphs) - 1]
 
     def test_stop_flushes_pending(self, rng):
-        engine, _ = make_engine(rng, max_graphs=1000, flush_timeout=30.0)
+        engine, _ = make_engine(rng, max_graphs=1000)
         graphs = make_graphs(rng, 3)
         engine.start()
         handles = [engine.submit(g) for g in graphs]
-        engine.stop()  # long timeout: only stop() can have flushed these
+        engine.stop()  # every handle is answered by the time stop() returns
         for handle in handles:
             assert handle.result(timeout=0.1) is not None
 
@@ -363,17 +360,8 @@ class TestQueueFrontEnd:
         with pytest.raises(RuntimeError, match="start"):
             engine.submit(make_graphs(rng, 1)[0])
 
-    def test_invalid_flush_timeout_rejected_at_construction(self, rng):
-        """Must fail fast — inside the worker it would strand every submit()."""
-        with pytest.raises(ValueError, match="flush_timeout"):
-            make_engine(rng, flush_timeout=0.0)
-        with pytest.raises(ValueError, match="flush_timeout"):
-            make_engine(rng, flush_timeout=-1.0)
-
     def test_result_timeout(self, rng):
-        from repro.serve.engine import _PendingPrediction
-
-        pending = _PendingPrediction()
+        pending = PendingResult()
         with pytest.raises(TimeoutError):
             pending.result(timeout=0.01)
 

@@ -165,7 +165,7 @@ class TestInjectionPoints:
             pool.stop()
 
     def test_queue_reject_sheds_engine_backend_submissions(self, artifact, rng):
-        engine = InferenceEngine(artifact, flush_timeout=0.005)
+        engine = InferenceEngine(artifact)
         backend = EngineBackend(engine)
         try:
             with injected_faults("queue_reject@p=1"):
@@ -175,7 +175,7 @@ class TestInjectionPoints:
             backend.stop()
 
     def test_slow_batch_stalls_the_engine_loop(self, artifact, rng):
-        engine = InferenceEngine(artifact, flush_timeout=0.002).start()
+        engine = InferenceEngine(artifact).start()
         try:
             graph = make_graphs(rng, 1)[0]
             engine.submit(graph).result(timeout=30.0)  # warm (compile/caches)

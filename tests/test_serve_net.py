@@ -147,7 +147,10 @@ class TestWireValidation:
 
 
 class StubBackend:
-    """Scriptable backend: each submit pops the next programmed outcome."""
+    """Scriptable backend: each submit pops the next programmed outcome.
+
+    Validates against the schema first, as the real backends do.
+    """
 
     def __init__(self, outcomes):
         self.outcomes = list(outcomes)
@@ -155,7 +158,8 @@ class StubBackend:
         self.stopped = False
         self.submitted = []
 
-    def submit(self, graph, deadline=None):
+    def submit(self, graph, deadline=None, trace_id=None):
+        SCHEMA.validate_graph(graph)
         self.submitted.append((graph, deadline))
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, BaseException):
@@ -178,9 +182,9 @@ OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0, "ood": F
 def stub_server(request):
     servers = []
 
-    def start(outcomes, schema=SCHEMA):
+    def start(outcomes):
         backend = StubBackend(outcomes)
-        server = serve_http(backend, schema=schema)
+        server = serve_http(backend)
         servers.append(server)
         return backend, server
 
@@ -339,9 +343,9 @@ class TestEndToEndEngineBackend:
     @pytest.fixture
     def served_engine(self, rng):
         model = build_model("gin", FEATURE_DIM, OUT_DIM, np.random.default_rng(3), hidden_dim=8, num_layers=2)
-        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=8, flush_timeout=0.005)
+        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=8)
         backend = EngineBackend(engine, queue_depth=64)
-        server = serve_http(backend, schema=SCHEMA)
+        server = serve_http(backend)
         yield engine, server
         server.drain()
 
@@ -353,6 +357,13 @@ class TestEndToEndEngineBackend:
         direct = engine.predict([graph_from_json(payload)])[0]
         np.testing.assert_allclose(body["output"], direct.output, rtol=0, atol=1e-10)
         assert body["prediction"] == direct.label
+
+    def test_schema_mismatch_is_400_from_the_backend(self, served_engine):
+        """The handler only decodes; the engine's submit is the one schema
+        check, and its ValueError answers 400."""
+        _engine, server = served_engine
+        status, body = http(server.url + "/predict", {"x": [[1.0, 2.0]]})  # too narrow
+        assert status == 400 and "node features" in body["error"]
 
     def test_batch_request(self, served_engine, rng):
         _engine, server = served_engine
@@ -380,7 +391,11 @@ class TestEndToEndEngineBackend:
     def test_engine_backend_admission_control(self, rng):
         """queue_depth inflight requests, then QueueFull — released after."""
         model = build_model("gin", FEATURE_DIM, OUT_DIM, np.random.default_rng(3), hidden_dim=8, num_layers=2)
-        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=1000, flush_timeout=60.0)
+        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=1000)
+        release = threading.Event()
+        real_forward = engine._forward
+        # Hold the forward so both admitted requests stay in flight.
+        engine._forward = lambda batch: release.wait(10.0) and real_forward(batch)
         backend = EngineBackend(engine, queue_depth=2)
         graph = graph_from_json(make_graph_payload(rng))
         try:
@@ -390,7 +405,8 @@ class TestEndToEndEngineBackend:
                 backend.submit(graph)
             assert not h1.done() and not h2.done()
         finally:
-            backend.stop()  # flushes both
+            release.set()
+            backend.stop()  # serves both
         assert h1.result(timeout=1.0) is not None
         # Resolution released the inflight slots.
         assert backend._inflight == 0
@@ -512,7 +528,7 @@ class TestBreakerOverHttp:
         503 + a Retry-After header before ever reaching the backend."""
         backend = StubBackend([lambda: RuntimeError("backend on fire")] * 4)
         server = serve_http(
-            backend, schema=SCHEMA,
+            backend,
             breaker=CircuitBreaker(window=8, min_requests=4, error_threshold=0.5,
                                    open_duration=60.0),
         )
@@ -542,7 +558,7 @@ class TestBreakerOverHttp:
         """400s (client's fault) and 429s (admission working) are neutral."""
         backend = StubBackend([QueueFull("shed")] * 6)
         server = serve_http(
-            backend, schema=SCHEMA,
+            backend,
             breaker=CircuitBreaker(window=8, min_requests=2, error_threshold=0.5,
                                    open_duration=60.0),
         )
@@ -573,7 +589,7 @@ class TestHealthReporting:
     def test_degraded_is_200_with_detail(self):
         backend = HealthStub([], {"status": "degraded",
                                   "detail": "1/2 workers live; respawning slots [1]"})
-        server = serve_http(backend, schema=SCHEMA)
+        server = serve_http(backend)
         try:
             status, body = http(server.url + "/healthz")
             assert status == 200  # degraded still serves: do NOT eject from LB
@@ -585,7 +601,7 @@ class TestHealthReporting:
     def test_unhealthy_is_503_with_detail(self):
         backend = HealthStub([], {"status": "unhealthy",
                                   "detail": "worker pool is down"})
-        server = serve_http(backend, schema=SCHEMA)
+        server = serve_http(backend)
         try:
             status, body = http(server.url + "/healthz")
             assert status == 503
@@ -598,7 +614,7 @@ class TestHealthReporting:
             def health(self):
                 raise RuntimeError("probe exploded")
 
-        server = serve_http(BrokenProbe([]), schema=SCHEMA)
+        server = serve_http(BrokenProbe([]))
         try:
             status, body = http(server.url + "/healthz")
             assert status == 503 and "probe" in body["detail"]
@@ -607,7 +623,7 @@ class TestHealthReporting:
 
     def test_stats_carries_health_and_breaker_blocks(self):
         backend = HealthStub([], {"status": "ok"})
-        server = serve_http(backend, schema=SCHEMA)
+        server = serve_http(backend)
         try:
             _, stats = http(server.url + "/stats")
             assert stats["health"] == {"status": "ok"}

@@ -385,3 +385,5 @@ class TestWorkerPool:
             WorkerPool(artifact, num_workers=0)
         with pytest.raises(ValueError, match="queue_depth"):
             WorkerPool(artifact, num_workers=1, queue_depth=0)
+        with pytest.raises(ValueError, match="flush_timeout"):
+            WorkerPool(artifact, num_workers=1, flush_timeout=0.0)
