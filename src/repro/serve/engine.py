@@ -28,10 +28,13 @@ already queued without waiting for more, and packs them with the same
 :func:`~repro.serve.batcher.plan_microbatches` as ``predict``.  A batch
 therefore holds exactly the requests that queued during the previous
 forward — an idle engine answers at once and a loaded one still packs.
+Submits made inside :meth:`InferenceEngine.grouped` reach the loop
+together, so a multi-graph HTTP request is never split across passes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import queue
 import threading
 import time
@@ -261,6 +264,7 @@ class InferenceEngine:
         # after the stop sentinel (or after the dying loop's final drain)
         # and strand its waiter forever.
         self._submit_lock = threading.Lock()
+        self._group_lock = threading.Lock()  # see grouped()
 
     @classmethod
     def from_models(cls, models, schema: FeatureSchema, **kwargs) -> "InferenceEngine":
@@ -434,6 +438,17 @@ class InferenceEngine:
             self._queue.put((graph, pending, deadline))
         return pending
 
+    @contextlib.contextmanager
+    def grouped(self):
+        """Make the submits inside the block reach one pass of the serve loop.
+
+        The loop takes a pass's requests under the same lock, so a loop
+        that wakes on a group's first request waits for the rest instead
+        of packing part of it.  Keep the block to the submits.
+        """
+        with self._group_lock:
+            yield
+
     def restart(self) -> "InferenceEngine":
         """Stop (flushing anything pending) and start a fresh serve loop.
 
@@ -561,12 +576,13 @@ class InferenceEngine:
         """
         while True:
             item = self._queue.get()
-            while item is not _STOP:
-                taken.append(item)
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
+            with self._group_lock:  # let a group being submitted finish
+                while item is not _STOP:
+                    taken.append(item)
+                    try:
+                        item = self._queue.get_nowait()
+                    except queue.Empty:
+                        break
             node_counts = [graph.num_nodes for graph, _pending, _deadline in taken]
             for pack in plan_microbatches(node_counts, self.budget):
                 self._run_pending([taken[i] for i in pack])

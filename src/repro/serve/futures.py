@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["PendingResult", "DeadlineExceeded", "EngineStopped", "QueueFull"]
+__all__ = ["PendingResult", "DeadlineExceeded", "EngineStopped", "QueueFull", "submit_each"]
 
 
 class DeadlineExceeded(RuntimeError):
@@ -100,3 +100,21 @@ class PendingResult:
         if self._error is not None:
             raise self._error
         return self._result
+
+
+def submit_each(submit, graphs, deadline=None, trace_id=None) -> list[PendingResult]:
+    """``submit`` every graph; a graph it refuses gets a handle failed with the refusal.
+
+    The shared body of the backends' ``submit_many``: one refused graph (a
+    schema ``ValueError``, a ``QueueFull`` shed) fails only its own handle,
+    so a multi-graph request keeps one outcome per graph.
+    """
+    handles = []
+    for graph in graphs:
+        try:
+            handle = submit(graph, deadline=deadline, trace_id=trace_id)
+        except Exception as err:
+            handle = PendingResult()
+            handle._resolve(None, err)
+        handles.append(handle)
+    return handles

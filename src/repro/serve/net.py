@@ -3,15 +3,19 @@
 ``python -m repro.serve model.npz --http`` starts a
 :class:`ServingServer` — a :class:`ThreadingMixIn` ``http.server`` whose
 handler threads submit into a *backend* and block until the answer is
-ready.  Two backends implement the same three-method surface
-(``submit(graph, deadline, trace_id) -> PendingResult`` / ``stop()`` /
-``clock``), and ``submit`` is where a request graph is checked against
-the artifact's schema — once; its ``ValueError`` answers 400:
+ready.  Two backends implement the same surface
+(``submit(graph, deadline, trace_id) -> PendingResult`` /
+``submit_many(graphs, deadline, trace_id) -> list[PendingResult]`` /
+``stop()`` / ``clock``), and ``submit`` is where a request graph is
+checked against the artifact's schema — once; its ``ValueError`` answers
+400.  The handler decodes all graphs of a request first and hands them
+over in one ``submit_many``:
 
 * :class:`EngineBackend` — the in-process
   :class:`~repro.serve.engine.InferenceEngine` queue front-end
   (``--workers 0``): requests from all handler threads queue into one
-  engine loop, which packs whatever queued during its last forward.
+  engine loop, which packs whatever queued during its last forward; a
+  request's graphs queue as one group, so they share a pass.
 * :class:`~repro.serve.pool.WorkerPool` (``--workers K``): K processes
   over one shared-memory weight bank.
 
@@ -79,7 +83,9 @@ from socketserver import ThreadingMixIn
 from repro.obs.registry import render_prometheus
 from repro.obs.trace import new_trace_id, trace_context
 from repro.serve.faults import FAULTS
-from repro.serve.futures import DeadlineExceeded, EngineStopped, PendingResult, QueueFull
+from repro.serve.futures import (
+    DeadlineExceeded, EngineStopped, PendingResult, QueueFull, submit_each,
+)
 from repro.serve.stats import ServingStats
 from repro.serve.wire import graph_from_json, result_to_json
 
@@ -229,6 +235,12 @@ class EngineBackend:
             raise
         handle.add_done_callback(self._release)
         return handle
+
+    def submit_many(self, graphs, deadline: float | None = None,
+                    trace_id: str | None = None) -> list[PendingResult]:
+        """Submit one request's graphs as a group: they share a serve-loop pass."""
+        with self.engine.grouped():
+            return submit_each(self.submit, graphs, deadline, trace_id)
 
     def _release(self, _handle) -> None:
         with self._lock:
@@ -380,11 +392,12 @@ class _Handler(BaseHTTPRequestHandler):
         return [request], True
 
     def _serve(self, payloads: list, deadline_ms, trace_id: str) -> tuple[list[dict], int]:
-        """Decode, admit and await every graph; per-graph error objects.
+        """Decode every graph, submit them as one group, await each; per-graph error objects.
 
-        The response status is the first error's status (200 when all
-        succeed) — single-graph requests therefore surface their error as
-        the HTTP status, batch requests keep per-position error objects.
+        The response status is the status of the first graph, in request
+        order, that failed (200 when all succeed) — single-graph requests
+        therefore surface their error as the HTTP status, batch requests
+        keep per-position error objects.
         """
         server = self.server
         stats = server.stats
@@ -396,23 +409,21 @@ class _Handler(BaseHTTPRequestHandler):
             if deadline_ms <= 0:
                 raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
             deadline = clock() + deadline_ms / 1e3
-        admitted = []   # (position, started, handle)
         results: list[dict | None] = [None] * len(payloads)
-        status_out = 200
+        failed = []    # positions of the graphs that failed
+        decoded = []   # (position, graph)
         for pos, payload in enumerate(payloads):
             stats.record_received()
             try:
-                graph = graph_from_json(payload)
-                handle = backend.submit(graph, deadline=deadline, trace_id=trace_id)
-            except BaseException as err:
-                status = _error_status(err)
-                self._record_failure(status)
-                results[pos] = {"error": str(err), "status": status}
-                if status_out == 200:
-                    status_out = status
-                continue
-            admitted.append((pos, clock(), handle))
-        for pos, started, handle in admitted:
+                decoded.append((pos, graph_from_json(payload)))
+            except Exception as err:
+                results[pos] = self._failure(err)
+                failed.append(pos)
+        handles = backend.submit_many(
+            [graph for _pos, graph in decoded], deadline=deadline, trace_id=trace_id
+        )
+        started = clock()
+        for (pos, _graph), handle in zip(decoded, handles):
             if deadline is not None:
                 # Grace covers the backend's own expiry pass reporting
                 # DeadlineExceeded; only a wedged backend hits the cap.
@@ -422,11 +433,8 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 raw = handle.result(timeout=timeout)
             except BaseException as err:
-                status = _error_status(err)
-                self._record_failure(status)
-                results[pos] = {"error": str(err), "status": status}
-                if status_out == 200:
-                    status_out = status
+                results[pos] = self._failure(err)
+                failed.append(pos)
                 continue
             payload = raw if isinstance(raw, dict) else result_to_json(raw)
             stats.record_served(
@@ -434,7 +442,13 @@ class _Handler(BaseHTTPRequestHandler):
             )
             self.server._breaker_record(200)
             results[pos] = payload
-        return results, status_out
+        return results, results[min(failed)]["status"] if failed else 200
+
+    def _failure(self, err: BaseException) -> dict:
+        """Record one graph's failure; its per-position error object."""
+        status = _error_status(err)
+        self._record_failure(status)
+        return {"error": str(err), "status": status}
 
     def _record_failure(self, status: int) -> None:
         stats = self.server.stats

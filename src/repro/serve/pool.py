@@ -60,7 +60,9 @@ from repro.obs.registry import FLAGS
 from repro.obs.trace import span
 from repro.serve.artifact import FeatureSchema, ModelArtifact, ModelSpec
 from repro.serve.faults import FAULT_EXIT_CODE, FAULTS
-from repro.serve.futures import DeadlineExceeded, EngineStopped, PendingResult, QueueFull
+from repro.serve.futures import (
+    DeadlineExceeded, EngineStopped, PendingResult, QueueFull, submit_each,
+)
 from repro.serve.ood import EnergyCalibration
 from repro.serve.stats import ServingStats, aggregate_snapshots
 from repro.serve.supervisor import RespawnPolicy, WorkerSupervisor
@@ -621,6 +623,11 @@ class WorkerPool:
             req_id = self._enqueue_locked(rec)
         self._put_request(req_id, rec)
         return handle
+
+    def submit_many(self, graphs, deadline: float | None = None,
+                    trace_id: str | None = None) -> list[PendingResult]:
+        """:meth:`submit` each graph of one request; a refused graph fails only its handle."""
+        return submit_each(self.submit, graphs, deadline, trace_id)
 
     def _enqueue_locked(self, rec: _Inflight) -> int:
         """Assign a fresh id + the least-loaded live slot; register the record."""

@@ -41,6 +41,7 @@ from repro.serve import (
     ServingStats,
     WorkerPool,
 )
+from repro.serve.futures import submit_each
 from repro.serve.net import EngineBackend, serve_http
 from repro.serve.stats import aggregate_snapshots
 
@@ -131,6 +132,9 @@ class StubBackend:
         else:
             handle._resolve(None, outcome())
         return handle
+
+    def submit_many(self, graphs, deadline=None, trace_id=None):
+        return submit_each(self.submit, graphs, deadline, trace_id)
 
     def stop(self):
         pass

@@ -1,6 +1,7 @@
 """Inference engine: micro-batching, seed ensembles, OOD scoring, queue API."""
 
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -345,6 +346,31 @@ class TestQueueFrontEnd:
             release.set()
             engine.stop()
         assert packs == [1, len(graphs) - 1]
+
+    def test_grouped_submits_run_as_one_pack(self, rng):
+        """A loop that wakes on a group's first request waits for the rest."""
+        engine, _ = make_engine(rng)
+        graphs = make_graphs(rng, 5)
+        packs = []
+        real_forward = engine._forward
+
+        def recorded_forward(batch):
+            packs.append(batch.num_graphs)
+            return real_forward(batch)
+
+        engine._forward = recorded_forward
+        engine.start()
+        try:
+            handles = []
+            with engine.grouped():
+                for graph in graphs:
+                    handles.append(engine.submit(graph))
+                    time.sleep(0.02)  # an ungrouped loop serves what is queued
+            for handle in handles:
+                assert handle.result(timeout=10.0).probs is not None
+        finally:
+            engine.stop()
+        assert packs == [len(graphs)]
 
     def test_stop_flushes_pending(self, rng):
         engine, _ = make_engine(rng, max_graphs=1000)

@@ -50,6 +50,7 @@ from repro.serve import (
     ServingStats,
     graph_from_json,
 )
+from repro.serve.futures import submit_each
 from repro.serve.net import CircuitBreaker, EngineBackend, serve_http
 from repro.encoders import build_model
 
@@ -170,6 +171,9 @@ class StubBackend:
         else:
             handle._resolve(None, outcome())
         return handle
+
+    def submit_many(self, graphs, deadline=None, trace_id=None):
+        return submit_each(self.submit, graphs, deadline, trace_id)
 
     def stop(self):
         self.stopped = True
@@ -372,6 +376,30 @@ class TestEndToEndEngineBackend:
         assert status == 200
         assert len(body["results"]) == 4
         assert all(r["prediction"] in range(OUT_DIM) for r in body["results"])
+
+    def test_batch_request_runs_as_one_forward(self, served_engine, rng, monkeypatch):
+        """A request's graphs reach the engine loop as one group, so they
+        share a forward however slowly they are submitted."""
+        engine, server = served_engine
+        packs = []
+        real_forward = engine._forward
+
+        def recorded_forward(batch):
+            packs.append(batch.num_graphs)
+            return real_forward(batch)
+
+        engine._forward = recorded_forward
+        validate = FeatureSchema.validate_graph
+
+        def slow_validate(schema, graph):
+            time.sleep(0.01)  # an ungrouped loop serves the first graphs meanwhile
+            return validate(schema, graph)
+
+        monkeypatch.setattr(FeatureSchema, "validate_graph", slow_validate)
+        graphs = [make_graph_payload(rng, nodes=5 + i) for i in range(6)]
+        status, body = http(server.url + "/predict", {"graphs": graphs})
+        assert status == 200 and len(body["results"]) == 6
+        assert packs == [6]
 
     def test_stats_track_served_traffic(self, served_engine, rng):
         _engine, server = served_engine
