@@ -21,7 +21,17 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, as_tensor, concatenate, is_grad_enabled, maximum, stack, where
+from repro.autograd.tensor import (
+    Tensor,
+    _matmul_adjoints,
+    _unbroadcast,
+    as_tensor,
+    concatenate,
+    is_grad_enabled,
+    maximum,
+    stack,
+    where,
+)
 from repro.obs.registry import FLAGS as _OBS_FLAGS
 from repro.obs.registry import registry as _obs_registry
 
@@ -47,6 +57,7 @@ __all__ = [
     "maximum",
     "weighted_gram",
     "masked_frobenius",
+    "linear",
     "seed_linear",
     "seed_gather",
     "seed_segment_sum",
@@ -548,6 +559,33 @@ def masked_frobenius(matrix, mask) -> Tensor:
     if not (is_grad_enabled() and (m.requires_grad or m._parents)):
         return Tensor._wrap(out_data)
     return Tensor._make(out_data, [(m, lambda g: g * mk * masked)])
+
+
+def linear(x, weight, bias=None) -> Tensor:
+    """Affine map ``x @ weight + bias`` as one tape node (taped ``nn.Linear``).
+
+    The bias is added into the matmul output in place, as in
+    :func:`seed_linear`, so the forward allocates one array where the
+    two-node ``x @ weight + bias`` chain allocates two.  Output and
+    gradients are bitwise those of that chain: the same matmul, the same
+    elementwise add, and the same adjoints (``_matmul_adjoints`` plus the
+    broadcast-sum of the bias).
+    """
+    xt, wt = as_tensor(x), as_tensor(weight)
+    out_data = xt.data @ wt.data
+    bt = None
+    if bias is not None:
+        bt = as_tensor(bias)
+        out_data += bt.data
+    tracked = [t for t in (xt, wt, bt) if t is not None and (t.requires_grad or t._parents)]
+    if not (is_grad_enabled() and tracked):
+        return Tensor._wrap(out_data)
+    grad_x, grad_w = _matmul_adjoints(xt.data, wt.data)
+    parents = [(xt, grad_x), (wt, grad_w)]
+    if bt is not None:
+        bias_shape = bt.shape
+        parents.append((bt, lambda g: _unbroadcast(g, bias_shape)))
+    return Tensor._make(out_data, parents)
 
 
 # Per forward-call samples for the seed-batched GEMM engine ("shared"

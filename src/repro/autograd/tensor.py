@@ -4,7 +4,7 @@ The engine is a classic define-by-run tape: every operation on tensors with
 ``requires_grad=True`` records its parents together with a closure that maps
 the output gradient to a gradient contribution for that parent.
 :meth:`Tensor.backward` walks the recorded graph in reverse topological
-order and accumulates gradients.
+order and accumulates gradients on its leaves.
 
 Only the operations the reproduction actually needs are implemented; each
 one handles numpy broadcasting by summing gradient contributions over the
@@ -129,6 +129,29 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _matmul_adjoints(a_data: np.ndarray, b_data: np.ndarray):
+    """The ``(grad_a, grad_b)`` closures of ``a @ b``.
+
+    Shared by ``Tensor.__matmul__`` and the single-node
+    :func:`repro.autograd.functional.linear`, so both back-propagate
+    through the same expressions.
+    """
+
+    def grad_a(g):
+        if b_data.ndim == 1:
+            return np.outer(g, b_data) if a_data.ndim == 2 else g * b_data
+        ga = g @ np.swapaxes(b_data, -1, -2)
+        return _unbroadcast(ga, a_data.shape)
+
+    def grad_b(g):
+        if a_data.ndim == 1:
+            return np.outer(a_data, g) if b_data.ndim == 2 else g * a_data
+        gb = np.swapaxes(a_data, -1, -2) @ g
+        return _unbroadcast(gb, b_data.shape)
+
+    return grad_a, grad_b
+
+
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     """Coerce ``value`` (Tensor, ndarray, scalar, list) to a :class:`Tensor`."""
     if isinstance(value, Tensor):
@@ -145,8 +168,10 @@ class Tensor:
         Anything ``np.asarray`` accepts.  Floating point data is kept in
         float64 for numerically stable finite-difference checks.
     requires_grad:
-        Whether gradients should be accumulated into :attr:`grad` during
-        :meth:`backward`.
+        Whether :meth:`backward` should propagate gradients to this
+        tensor.  Gradients accumulate into :attr:`grad` on leaves only —
+        tensors with no recorded parents, such as parameters and user
+        inputs; operation results keep ``grad=None``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "name")
@@ -323,16 +348,17 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Intermediate gradients live only in ``grads`` and are dropped as
+        # soon as their node has fed its parents; leaves keep theirs.
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(order):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = node_grad.copy()
-                else:
-                    node.grad = node.grad + node_grad
+            if not node._parents:
+                if node.requires_grad:
+                    node.grad = node_grad.copy() if node.grad is None else node.grad + node_grad
+                continue
             for parent, fn in node._parents:
                 contribution = fn(node_grad)
                 if contribution is None:
@@ -421,20 +447,7 @@ class Tensor:
         out_data = self.data @ other.data
         if not self._needs_tape(other):
             return Tensor._wrap(out_data)
-        a_data, b_data = self.data, other.data
-
-        def grad_a(g):
-            if b_data.ndim == 1:
-                return np.outer(g, b_data) if a_data.ndim == 2 else g * b_data
-            ga = g @ np.swapaxes(b_data, -1, -2)
-            return _unbroadcast(ga, a_data.shape)
-
-        def grad_b(g):
-            if a_data.ndim == 1:
-                return np.outer(a_data, g) if b_data.ndim == 2 else g * a_data
-            gb = np.swapaxes(a_data, -1, -2) @ g
-            return _unbroadcast(gb, b_data.shape)
-
+        grad_a, grad_b = _matmul_adjoints(self.data, other.data)
         return self._make(out_data, [(self, grad_a), (other, grad_b)])
 
     # ------------------------------------------------------------------

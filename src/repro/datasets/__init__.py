@@ -23,7 +23,7 @@ from repro.datasets.mnist75sp import make_mnist75sp
 from repro.datasets.social import make_collab, make_proteins, make_dd
 from repro.datasets.molecules import MoleculeGenerator, FUNCTIONAL_GROUPS
 from repro.datasets.ogb_suite import make_ogb_dataset, OGB_DATASET_NAMES
-from repro.datasets.registry import load_dataset, DATASET_NAMES
+from repro.datasets.registry import load_dataset, dataset_info, DATASET_NAMES
 
 __all__ = [
     "DatasetInfo",
@@ -42,5 +42,6 @@ __all__ = [
     "make_ogb_dataset",
     "OGB_DATASET_NAMES",
     "load_dataset",
+    "dataset_info",
     "DATASET_NAMES",
 ]

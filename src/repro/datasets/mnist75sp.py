@@ -26,13 +26,23 @@ from repro.graph.utils import undirected_edge_index
 from repro.datasets.base import DatasetInfo, DatasetSplits
 from repro.datasets.transforms import add_gaussian_noise, add_color_noise
 
-__all__ = ["make_mnist75sp", "render_digit", "image_to_superpixel_graph", "DIGIT_STROKES"]
+__all__ = ["make_mnist75sp", "render_digit", "image_to_superpixel_graph", "DIGIT_STROKES", "MNIST75SP_INFO"]
 
 _CANVAS = 28
 _MAX_SUPERPIXELS = 75
 _KNN = 6
 _NOISE_SIGMA = 0.4
 _COLOR_CHANNELS = slice(0, 3)
+
+MNIST75SP_INFO = DatasetInfo(
+    name="MNIST-75SP",
+    task_type="multiclass",
+    num_tasks=1,
+    num_classes=10,
+    metric="accuracy",
+    split_method="feature",
+    feature_dim=5,
+)
 
 # Canonical pen strokes per digit, as polylines in the unit square
 # (x right, y down).  Coarse but distinctive silhouettes.
@@ -158,15 +168,6 @@ def make_mnist75sp(
       channels (grayscale noise).
     * ``Test(color)`` — independent N(0, 0.4) noise per colour channel.
     """
-    info = DatasetInfo(
-        name="MNIST-75SP",
-        task_type="multiclass",
-        num_tasks=1,
-        num_classes=10,
-        metric="accuracy",
-        split_method="feature",
-        feature_dim=5,
-    )
     train = _sample_digits(num_train, rng)
     valid = _sample_digits(num_valid, rng)
     clean_test = _sample_digits(num_test, rng)
@@ -175,7 +176,7 @@ def make_mnist75sp(
     test_noise = add_gaussian_noise(clean_test, _NOISE_SIGMA, noise_rng, channels=_COLOR_CHANNELS)
     test_color = add_color_noise(clean_test, _NOISE_SIGMA, color_rng, channels=_COLOR_CHANNELS)
     return DatasetSplits(
-        info=info,
+        info=MNIST75SP_INFO,
         train=train,
         valid=valid,
         tests={"Test(noise)": test_noise, "Test(color)": test_color},

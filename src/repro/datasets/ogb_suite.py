@@ -15,7 +15,7 @@ from repro.datasets.base import DatasetInfo, DatasetSplits
 from repro.datasets.molecules import MoleculeGenerator, MoleculeConfig, FEATURE_DIM
 from repro.datasets.splits import scaffold_split
 
-__all__ = ["make_ogb_dataset", "OGB_DATASET_NAMES", "OGB_CONFIGS"]
+__all__ = ["make_ogb_dataset", "OGB_DATASET_NAMES", "OGB_CONFIGS", "OGB_INFOS"]
 
 # name -> (num_tasks, task_type, metric, default_num_graphs, config overrides)
 OGB_CONFIGS: dict[str, dict] = {
@@ -40,6 +40,18 @@ OGB_CONFIGS: dict[str, dict] = {
 }
 
 OGB_DATASET_NAMES = tuple(OGB_CONFIGS)
+
+OGB_INFOS = {
+    key: DatasetInfo(
+        name=key,
+        task_type=spec["task_type"],
+        num_tasks=spec["num_tasks"],
+        metric=spec["metric"],
+        split_method="scaffold",
+        feature_dim=FEATURE_DIM,
+    )
+    for key, spec in OGB_CONFIGS.items()
+}
 
 
 def make_ogb_dataset(
@@ -69,12 +81,4 @@ def make_ogb_dataset(
     )
     graphs = generator.generate(num_graphs or spec["num_graphs"], rng)
     train, valid, test = scaffold_split(graphs)
-    info = DatasetInfo(
-        name=key,
-        task_type=spec["task_type"],
-        num_tasks=spec["num_tasks"],
-        metric=spec["metric"],
-        split_method="scaffold",
-        feature_dim=FEATURE_DIM,
-    )
-    return DatasetSplits(info=info, train=train, valid=valid, tests={"Test(scaffold)": test})
+    return DatasetSplits(info=OGB_INFOS[key], train=train, valid=valid, tests={"Test(scaffold)": test})

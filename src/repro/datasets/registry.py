@@ -3,29 +3,46 @@
 ``load_dataset(name, seed, scale)`` is the single entry point used by the
 examples and benchmark harnesses.  ``scale`` multiplies the default graph
 counts (1.0 = the numpy-substrate defaults; the paper's full counts are
-roughly 10x for most datasets).
+roughly 10x for most datasets).  ``dataset_info(name)`` returns the same
+task metadata without generating a single graph.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import DatasetSplits
-from repro.datasets.triangles import make_triangles
-from repro.datasets.mnist75sp import make_mnist75sp
-from repro.datasets.social import make_collab, make_proteins, make_dd
-from repro.datasets.ogb_suite import make_ogb_dataset, OGB_DATASET_NAMES
+from repro.datasets.base import DatasetInfo, DatasetSplits
+from repro.datasets.triangles import TRIANGLES_INFO, make_triangles
+from repro.datasets.mnist75sp import MNIST75SP_INFO, make_mnist75sp
+from repro.datasets.social import COLLAB_INFO, DD_INFOS, PROTEINS25_INFO, make_collab, make_dd, make_proteins
+from repro.datasets.ogb_suite import OGB_INFOS, make_ogb_dataset, OGB_DATASET_NAMES
 
-__all__ = ["load_dataset", "DATASET_NAMES"]
+__all__ = ["load_dataset", "dataset_info", "DATASET_NAMES"]
 
-DATASET_NAMES = (
-    "triangles",
-    "mnist75sp",
-    "collab35",
-    "proteins25",
-    "dd200",
-    "dd300",
-) + OGB_DATASET_NAMES
+# Every maker's info depends only on the dataset name.
+_INFOS: dict[str, DatasetInfo] = {
+    "triangles": TRIANGLES_INFO,
+    "mnist75sp": MNIST75SP_INFO,
+    "collab35": COLLAB_INFO,
+    "proteins25": PROTEINS25_INFO,
+    "dd200": DD_INFOS[200],
+    "dd300": DD_INFOS[300],
+    **OGB_INFOS,
+}
+
+DATASET_NAMES = tuple(_INFOS)
+
+
+def dataset_info(name: str) -> DatasetInfo:
+    """Task metadata of a dataset by (case-insensitive) name.
+
+    Equal to ``load_dataset(name, ...).info`` for every seed and scale,
+    but generates no graphs.
+    """
+    try:
+        return _INFOS[name.lower()]
+    except KeyError:
+        raise ValueError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}") from None
 
 
 def _scaled(value: int, scale: float, minimum: int = 10) -> int:

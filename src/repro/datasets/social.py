@@ -28,9 +28,45 @@ from repro.graph.data import Graph
 from repro.graph.utils import undirected_edge_index, degrees
 from repro.datasets.base import DatasetInfo, DatasetSplits
 
-__all__ = ["make_collab", "make_proteins", "make_dd", "sample_collab_graph", "sample_protein_graph"]
+__all__ = [
+    "make_collab",
+    "make_proteins",
+    "make_dd",
+    "sample_collab_graph",
+    "sample_protein_graph",
+    "COLLAB_INFO",
+    "PROTEINS25_INFO",
+    "DD_INFOS",
+]
 
 _COLLAB_DEGREE_BINS = 8  # one-hot floor(log2(degree + 1)) capped
+
+COLLAB_INFO = DatasetInfo(
+    name="COLLAB35",
+    task_type="multiclass",
+    num_tasks=1,
+    num_classes=3,
+    metric="accuracy",
+    split_method="size",
+    feature_dim=_COLLAB_DEGREE_BINS,
+)
+
+
+def _protein_info(name: str) -> DatasetInfo:
+    return DatasetInfo(
+        name=name,
+        task_type="multiclass",
+        num_tasks=1,
+        num_classes=2,
+        metric="accuracy",
+        split_method="size",
+        feature_dim=3,
+    )
+
+
+PROTEINS25_INFO = _protein_info("PROTEINS25")
+#: D&D variant (largest training graph size) -> its task metadata.
+DD_INFOS = {variant: _protein_info(f"D&D{variant}") for variant in (200, 300)}
 
 
 # ----------------------------------------------------------------------
@@ -134,16 +170,6 @@ def make_collab(
     Paper: 500 train / 4500 test, test sizes up to 492 (capped here for
     the numpy substrate; pass a larger ``test_nodes`` to extend).
     """
-    info = DatasetInfo(
-        name="COLLAB35",
-        task_type="multiclass",
-        num_tasks=1,
-        num_classes=3,
-        metric="accuracy",
-        split_method="size",
-        feature_dim=_COLLAB_DEGREE_BINS,
-    )
-
     def sample(num: int, node_range, biased: bool) -> list[Graph]:
         graphs = []
         for _ in range(num):
@@ -156,7 +182,7 @@ def make_collab(
     train = sample(num_train, train_nodes, biased=True)
     valid = sample(num_valid, train_nodes, biased=True)
     test = sample(num_test, test_nodes, biased=False)
-    return DatasetSplits(info=info, train=train, valid=valid, tests={"Test(large)": test})
+    return DatasetSplits(info=COLLAB_INFO, train=train, valid=valid, tests={"Test(large)": test})
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +245,7 @@ def sample_protein_graph(is_enzyme: bool, num_nodes: int, rng: np.random.Generat
 
 
 def _make_protein_dataset(
-    name: str,
+    info: DatasetInfo,
     rng: np.random.Generator,
     num_train: int,
     num_valid: int,
@@ -228,16 +254,6 @@ def _make_protein_dataset(
     test_nodes: tuple[int, int],
     size_bias: float,
 ) -> DatasetSplits:
-    info = DatasetInfo(
-        name=name,
-        task_type="multiclass",
-        num_tasks=1,
-        num_classes=2,
-        metric="accuracy",
-        split_method="size",
-        feature_dim=3,
-    )
-
     def sample(num: int, node_range, biased: bool) -> list[Graph]:
         graphs = []
         for _ in range(num):
@@ -265,7 +281,7 @@ def make_proteins(
 ) -> DatasetSplits:
     """PROTEINS25: train on 4-25 node proteins, test on larger (paper: up to 620)."""
     return _make_protein_dataset(
-        "PROTEINS25", rng, num_train, num_valid, num_test, train_nodes, test_nodes, size_bias
+        PROTEINS25_INFO, rng, num_train, num_valid, num_test, train_nodes, test_nodes, size_bias
     )
 
 
@@ -283,10 +299,10 @@ def make_dd(
     ``variant=300`` trains on 30-300 and tests on 301-600 (paper tests up
     to 5748 nodes; capped for the numpy substrate).
     """
-    if variant not in (200, 300):
+    if variant not in DD_INFOS:
         raise ValueError(f"variant must be 200 or 300, got {variant}")
     train_nodes = (30, variant)
     test_nodes = (variant + 1, 600)
     return _make_protein_dataset(
-        f"D&D{variant}", rng, num_train, num_valid, num_test, train_nodes, test_nodes, size_bias
+        DD_INFOS[variant], rng, num_train, num_valid, num_test, train_nodes, test_nodes, size_bias
     )

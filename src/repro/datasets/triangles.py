@@ -22,11 +22,21 @@ from repro.graph.utils import count_triangles
 from repro.datasets.base import DatasetInfo, DatasetSplits
 from repro.datasets.transforms import one_hot_degree_features
 
-__all__ = ["make_triangles", "sample_triangle_graph", "TRIANGLES_MAX_DEGREE"]
+__all__ = ["make_triangles", "sample_triangle_graph", "TRIANGLES_MAX_DEGREE", "TRIANGLES_INFO"]
 
 TRIANGLES_MAX_DEGREE = 14  # degree one-hot cap shared by train and test
 _NUM_CLASSES = 10
 _TARGET_TRIANGLES = 5.0  # tune ER density so E[#triangles] sits mid-range
+
+TRIANGLES_INFO = DatasetInfo(
+    name="TRIANGLES",
+    task_type="multiclass",
+    num_tasks=1,
+    num_classes=_NUM_CLASSES,
+    metric="accuracy",
+    split_method="size",
+    feature_dim=TRIANGLES_MAX_DEGREE + 1,
+)
 
 
 def _edge_probability(num_nodes: int) -> float:
@@ -102,16 +112,7 @@ def make_triangles(
     Train and validation share the small-graph distribution; the OOD test
     split contains strictly larger graphs.
     """
-    info = DatasetInfo(
-        name="TRIANGLES",
-        task_type="multiclass",
-        num_tasks=1,
-        num_classes=_NUM_CLASSES,
-        metric="accuracy",
-        split_method="size",
-        feature_dim=TRIANGLES_MAX_DEGREE + 1,
-    )
     train = _sample_split(num_train, train_nodes, rng)
     valid = _sample_split(num_valid, train_nodes, rng)
     test_large = _sample_split(num_test, test_nodes, rng)
-    return DatasetSplits(info=info, train=train, valid=valid, tests={"Test(large)": test_large})
+    return DatasetSplits(info=TRIANGLES_INFO, train=train, valid=valid, tests={"Test(large)": test_large})

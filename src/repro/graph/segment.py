@@ -56,7 +56,6 @@ __all__ = [
     "message_pass_operator",
     "eager_message_pass",
     "fused_message_pass_enabled",
-    "message_pass_cache_info",
     "clear_message_pass_cache",
     "NORM_KINDS",
 ]
@@ -91,25 +90,6 @@ def _cache_info() -> dict:
         info = dict(_OPERATOR_CACHE_STATS)
         info["size"] = len(_OPERATOR_CACHE)
         return info
-
-
-def message_pass_cache_info() -> dict:
-    """Deprecated thin shim over :func:`repro.obs.cache_info`.
-
-    .. deprecated::
-        Use ``repro.obs.cache_info()["message_pass"]`` — the unified
-        accessor covering every operator cache.  This shim returns the
-        identical dict and will be removed once external callers migrate.
-    """
-    import warnings
-
-    warnings.warn(
-        "message_pass_cache_info() is deprecated; use "
-        "repro.obs.cache_info()['message_pass']",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _cache_info()
 
 
 def clear_message_pass_cache() -> None:

@@ -125,10 +125,7 @@ class Linear(Module):
             if self.bias is not None:
                 out += self.bias.data
             return Tensor._wrap(out)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
     def __repr__(self):
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
@@ -181,20 +178,29 @@ def _bn_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
             out[sl] += beta
     else:
         xhat = centered / std
-        out = xhat * gamma + beta
+        out = xhat * gamma
+        out += beta
     return out, mean, var, centered, std, xhat
 
 
 def _bn_backward_x(
     g: np.ndarray, gamma: np.ndarray, centered: np.ndarray, std: np.ndarray, axis: int = 0
 ) -> np.ndarray:
-    """Input gradient of training-mode batch norm (population statistics)."""
+    """Input gradient of training-mode batch norm (population statistics).
+
+    One buffer shaped like ``g`` carries the whole computation: it holds
+    ``g * gamma`` (the gradient of ``xhat``) until ``g_var`` is read off
+    it, then is divided by ``std``, accumulates the variance term and
+    loses its mean in place.  Each step is the elementwise operation the
+    out-of-place expression performs, so results are bitwise the same.
+    """
     n = g.shape[axis]
-    g_xhat = g * gamma
-    g_centered = g_xhat / std
-    g_var = (g_xhat * centered).sum(axis=axis, keepdims=True) * (-0.5) / (std * std * std)
-    g_centered += centered * ((2.0 / n) * g_var)
-    return g_centered - g_centered.mean(axis=axis, keepdims=True)
+    grad = g * gamma
+    g_var = (grad * centered).sum(axis=axis, keepdims=True) * (-0.5) / (std * std * std)
+    grad /= std
+    grad += centered * ((2.0 / n) * g_var)
+    grad -= grad.mean(axis=axis, keepdims=True)
+    return grad
 
 
 class BatchNorm1d(Module):

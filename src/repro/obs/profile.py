@@ -112,6 +112,7 @@ def _patch_targets():
         (functional.MessagePassOperator, "matmul", "msgpass.matmul"),
         (functional.MessagePassOperator, "t_matmul", "msgpass.t_matmul"),
         (functional, "scatter_add_rows", "scatter.add_rows"),
+        (functional, "linear", "linear"),
         (functional, "seed_linear", "seed.linear"),
         (fusion.FusedExpr, "eval", "fused.eval"),
     ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 
 from repro.bench import ExperimentProtocol, run_method_multi_seed, method_spec, BATCHED_SEED_METHODS
-from repro.datasets import load_dataset, DATASET_NAMES
+from repro.datasets import dataset_info, load_dataset, DATASET_NAMES
 from repro.encoders import available_models
 
 
@@ -87,14 +87,14 @@ def main(argv=None) -> int:
             f"--batched-seeds supports {', '.join(BATCHED_SEED_METHODS)}, not {args.method!r}"
         )
 
-    sample = load_dataset(args.dataset, seed=0, scale=args.scale)
+    info = dataset_info(args.dataset)
     protocol = ExperimentProtocol(
         epochs=args.epochs,
         batch_size=args.batch_size,
         lr=args.lr,
         hidden_dim=args.hidden_dim,
         num_layers=args.num_layers,
-        eval_every=2 if sample.info.split_method == "scaffold" else 0,
+        eval_every=2 if info.split_method == "scaffold" else 0,
     )
     factory = lambda seed: load_dataset(args.dataset, seed=seed, scale=args.scale)
     result = run_method_multi_seed(
@@ -110,9 +110,9 @@ def main(argv=None) -> int:
         artifact = ModelArtifact.from_models(
             result.models,
             method_spec(args.method, protocol),
-            FeatureSchema.from_info(sample.info),
+            FeatureSchema.from_info(info),
             seeds=result.seeds,
-            metadata={"dataset": sample.info.name, "epochs": args.epochs},
+            metadata={"dataset": info.name, "epochs": args.epochs},
         )
         if args.artifact_dtype != "float64":
             artifact = artifact.astype(args.artifact_dtype)
@@ -123,8 +123,7 @@ def main(argv=None) -> int:
         )
 
     mode = " [batched]" if args.batched_seeds else ""
-    print(f"dataset: {sample.info.name}  metric: {sample.info.metric}  "
-          f"shift: {sample.info.split_method}")
+    print(f"dataset: {info.name}  metric: {info.metric}  shift: {info.split_method}")
     print(f"method : {args.method}  ({args.seeds} seeds, {args.epochs} epochs{mode})")
     print(f"train  : {result.train_mean:.3f} ± {result.train_std:.3f}")
     for split in result.test_mean:

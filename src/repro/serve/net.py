@@ -329,6 +329,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"no such endpoint: {self.path}"})
 
     def do_POST(self) -> None:
+        started = time.perf_counter()
+        # Read the body before any answer: on a keep-alive connection an
+        # unread body would be parsed as the next request line.
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length >= 0:
+            body = self.rfile.read(length)
+        else:
+            body = None  # unframed: answer, then hang up
+            self.close_connection = True
         if self.path != "/predict":
             self._respond(404, {"error": f"no such endpoint: {self.path}"})
             return
@@ -339,7 +351,6 @@ class _Handler(BaseHTTPRequestHandler):
         # can correlate its request with spans and access-log lines.
         trace_id = self.headers.get("X-Trace-Id") or new_trace_id()
         headers = {"X-Trace-Id": trace_id}
-        started = time.perf_counter()
         if server.draining:
             self._respond(503, {"error": "server is draining"}, headers)
             return
@@ -356,8 +367,7 @@ class _Handler(BaseHTTPRequestHandler):
                 server._access_log(trace_id, 503, started, graphs=0)
                 return
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            request = json.loads(self.rfile.read(length))
+            request = json.loads(body)
         except (ValueError, TypeError):
             stats.record_bad_request()
             self._respond(400, {"error": "request body is not valid JSON"}, headers)

@@ -68,6 +68,24 @@ class TestBackward:
         assert c.grad is None
         np.testing.assert_allclose(x.grad, 5.0)
 
+    def test_grad_is_kept_only_on_leaves(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        product = x @ w
+        shifted = product + b
+        activated = shifted.relu()
+        loss = activated.sum()
+        loss.backward()
+        for intermediate in (product, shifted, activated, loss):
+            assert intermediate.requires_grad
+            assert intermediate.grad is None
+        mask = (x.data @ w.data + b.data > 0).astype(np.float64)
+        np.testing.assert_allclose(b.grad, mask.sum(axis=0))
+        np.testing.assert_allclose(w.grad, x.data.T @ mask)
+        np.testing.assert_allclose(x.grad, mask @ w.data.T)
+
 
 class TestGradMode:
     def test_no_grad_blocks_tape(self):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.run
 from repro.run import build_parser, main
 
 
@@ -50,6 +51,24 @@ class TestMain:
         out = capsys.readouterr().out
         assert "train" in out
         assert "Test(large)" in out
+
+    def test_builds_the_dataset_once(self, monkeypatch, capsys):
+        calls = []
+        load = repro.run.load_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(repro.run, "load_dataset", counted)
+        code = main([
+            "--dataset", "ogbg-molbace", "--method", "gin",
+            "--seeds", "1", "--epochs", "1", "--scale", "0.15",
+            "--hidden-dim", "8", "--num-layers", "2",
+        ])
+        assert code == 0
+        assert len(calls) == 1
+        assert "dataset: ogbg-molbace  metric: rocauc  shift: scaffold" in capsys.readouterr().out
 
 
 class TestServe:

@@ -15,7 +15,7 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
-from repro.nn.layers import make_activation
+from repro.nn.layers import _bn_backward_x, _bn_train_forward, make_activation
 
 
 @pytest.fixture
@@ -44,6 +44,30 @@ class TestLinear:
         layer = Linear(100, 100, rng)
         bound = np.sqrt(6.0 / 200)
         assert np.abs(layer.weight.data).max() <= bound + 1e-12
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_one_tape_node_bitwise_equal_to_the_two_node_chain(self, rng, bias):
+        layer = Linear(6, 5, rng, bias=bias)
+        if bias:
+            layer.bias.data = rng.normal(size=5)
+        x_data = rng.normal(size=(9, 6))
+        upstream = rng.normal(size=(9, 5))
+
+        x = Tensor(x_data, requires_grad=True)
+        out = layer(x)
+        assert {id(p) for p, _fn in out._parents} == {id(x)} | {id(p) for p in layer.parameters()}
+        out.backward(upstream)
+        grads = [x.grad] + [p.grad for p in layer.parameters()]
+
+        layer.zero_grad()
+        x_ref = Tensor(x_data, requires_grad=True)
+        ref = x_ref @ layer.weight
+        if bias:
+            ref = ref + layer.bias
+        ref.backward(upstream)
+        np.testing.assert_array_equal(out.data, ref.data)
+        for got, want in zip(grads, [x_ref.grad] + [p.grad for p in layer.parameters()]):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBatchNorm:
@@ -79,6 +103,35 @@ class TestBatchNorm:
         out.sum().backward()
         assert bn.gamma.grad is not None
         assert bn.beta.grad is not None
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_in_place_kernels_bitwise_equal_to_out_of_place_expressions(self, rng, axis):
+        def forward_reference(x, gamma, beta, eps):
+            mean = x.mean(axis=axis, keepdims=True)
+            centered = x - mean
+            var = (centered * centered).mean(axis=axis, keepdims=True)
+            std = np.sqrt(var + eps)
+            xhat = centered / std
+            return xhat * gamma + beta
+
+        def backward_x_reference(g, gamma, centered, std):
+            n = g.shape[axis]
+            g_xhat = g * gamma
+            g_centered = g_xhat / std
+            g_var = (g_xhat * centered).sum(axis=axis, keepdims=True) * (-0.5) / (std * std * std)
+            g_centered += centered * ((2.0 / n) * g_var)
+            return g_centered - g_centered.mean(axis=axis, keepdims=True)
+
+        shape, param_shape = ((37, 6), (6,)) if axis == 0 else ((3, 37, 6), (3, 1, 6))
+        x = rng.normal(1.0, 3.0, size=shape)
+        gamma, beta = rng.normal(size=param_shape), rng.normal(size=param_shape)
+        g = rng.normal(size=shape)
+        out, _mean, _var, centered, std, _xhat = _bn_train_forward(x, gamma, beta, 1e-5, axis=axis)
+        np.testing.assert_array_equal(out, forward_reference(x, gamma, beta, 1e-5))
+        np.testing.assert_array_equal(
+            _bn_backward_x(g, gamma, centered, std, axis=axis),
+            backward_x_reference(g, gamma, centered, std),
+        )
 
 
 class TestLayerNorm:

@@ -15,8 +15,7 @@ End-to-end coverage for the observability integration of ISSUE 9:
 * worker pools publish per-worker stats snapshots that aggregate into
   ``/stats`` and ``/metrics``;
 * the cache-counter unification — one ``hits/misses/rebuilds/size``
-  shape for every operator cache, with the legacy accessor shimmed
-  behind a :class:`DeprecationWarning`.
+  shape for every operator cache.
 """
 
 import io
@@ -382,10 +381,3 @@ class TestCacheUnification:
         for stats in info.values():
             assert tuple(stats) == CACHE_STAT_KEYS
             assert all(isinstance(v, int) and v >= 0 for v in stats.values())
-
-    def test_legacy_accessor_warns_and_matches(self):
-        from repro.graph import segment
-
-        with pytest.warns(DeprecationWarning, match="cache_info"):
-            legacy = segment.message_pass_cache_info()
-        assert legacy == cache_info()["message_pass"]

@@ -31,6 +31,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +581,33 @@ class TestBreakerOverHttp:
             assert stats["breaker"]["opens_total"] == 1
             assert stats["breaker"]["shed_total"] >= 1
         finally:
+            _stop_server(server)
+
+    def test_shed_post_leaves_the_keep_alive_connection_usable(self, rng):
+        """The breaker's early 503 still consumes the request body, so the
+        next request on the same connection is parsed from its own bytes."""
+        backend = StubBackend([lambda: RuntimeError("backend on fire")] * 4)
+        server = serve_http(
+            backend,
+            breaker=CircuitBreaker(window=8, min_requests=4, error_threshold=0.5,
+                                   open_duration=60.0),
+        )
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=30.0)
+        try:
+            payload = make_graph_payload(rng)
+            for _ in range(4):
+                assert http(server.url + "/predict", payload)[0] == 500
+            conn.request("POST", "/predict", body=json.dumps(payload).encode(),
+                         headers={"Content-Type": "application/json"})
+            shed = conn.getresponse()
+            assert shed.status == 503
+            shed.read()
+            conn.request("GET", "/stats")
+            stats = conn.getresponse()
+            assert stats.status == 200
+            assert json.loads(stats.read())["breaker"]["state"] == "open"
+        finally:
+            conn.close()
             _stop_server(server)
 
     def test_client_errors_do_not_trip_the_breaker(self, rng):

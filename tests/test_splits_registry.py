@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets import (
     load_dataset,
+    dataset_info,
     DATASET_NAMES,
     make_ogb_dataset,
     OGB_DATASET_NAMES,
@@ -169,3 +170,12 @@ class TestRegistry:
 
     def test_names_cover_14_datasets(self):
         assert len(DATASET_NAMES) == 15  # 6 synthetic/TU + 9 OGB
+
+    @pytest.mark.parametrize("name", DATASET_NAMES)
+    def test_dataset_info_matches_the_built_dataset(self, name):
+        assert dataset_info(name) == load_dataset(name, seed=0, scale=0.2).info
+
+    def test_dataset_info_is_case_insensitive_and_rejects_unknown_names(self):
+        assert dataset_info("DD300") is dataset_info("dd300")
+        with pytest.raises(ValueError, match="unknown dataset"):
+            dataset_info("imagenet")
