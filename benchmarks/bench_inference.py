@@ -7,7 +7,7 @@ Two measurements back the inference subsystem's acceptance targets
   recording (the training configuration: parameters require grad, every
   op allocates a tape node and closures) vs. inside
   ``repro.autograd.inference_mode`` (the serving fast path:
-  ``Tensor._wrap`` results, fused eval layers, no tape anywhere).
+  ``Tensor._wrap`` results, in-place eval epilogues, no tape anywhere).
   Acceptance: tape-free >= 2x faster at a ~256-node graph.
 * **microbatch** — serving throughput *without* the subsystem
   (one-at-a-time serving: one default-mode, i.e. taped, forward per
@@ -124,13 +124,13 @@ def measure_microbatch(repeats: int = 5, num_requests: int = NUM_REQUESTS, num_n
 
     ``one_at_a_time`` is the pre-subsystem baseline: one default-mode
     (taped) forward per request graph.  ``microbatched`` is the engine at
-    batch budget 64 (tape-free packed forwards, fused elementwise
+    batch budget 64 (tape-free packed forwards, in-place elementwise
     epilogues, default dtype-derived node cap); ``microbatched_f32`` is
     the same engine in the float32 compute mode (cast weights, float32
     activations end to end, doubled auto node cap — the fast serving
-    configuration whose >= 1.5x-vs-packed-float64 floor is the fusion
-    PR's acceptance target); ``engine_single`` (engine at
-    ``max_graphs=1``) and ``full_pack`` (``max_nodes=None``) decompose
+    configuration, held to a >= 1.5x-vs-packed-float64 floor);
+    ``engine_single`` (engine at ``max_graphs=1``) and ``full_pack``
+    (``max_nodes=None``) decompose
     where the packing win comes from; ``cold_topology``
     (``reuse_topology=False`` plus a message-pass operator and scatter
     plan cache clear before every predict) re-derives all
@@ -240,8 +240,8 @@ def test_serving_throughput(benchmark, mode):
 
 
 def test_inference_speedup_targets():
-    """Acceptance: tape-free >= 2x, micro-batched >= 1.5x, float32+fused
-    >= 1.5x the float64 packed path, all at the issue shape.
+    """Acceptance: tape-free >= 2x, micro-batched >= 1.5x, float32
+    >= 1.5x the float64 packed path, all at the acceptance shape.
 
     The micro-batch floor was 3x under the old sequentially-blocked
     timing, which always measured the taped baseline first — at the
@@ -265,7 +265,7 @@ def test_inference_speedup_targets():
     timings, _, serve_ratio = measure_microbatch(repeats=3)
     assert serve_ratio >= 1.5, f"micro-batched serving only {serve_ratio:.2f}x faster"
     f32_ratio = timings["microbatched"] / timings["microbatched_f32"]
-    assert f32_ratio >= 1.5, f"float32 fused serving only {f32_ratio:.2f}x the packed float64 path"
+    assert f32_ratio >= 1.5, f"float32 serving only {f32_ratio:.2f}x the packed float64 path"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         f"micro-batched engine: {throughput['microbatched']:7.1f} graphs/s    speedup: {serve_ratio:.2f}x"
     )
     print(
-        f"    float32 + fused engine: {throughput['microbatched_f32']:7.1f} graphs/s    "
+        f"    float32 engine: {throughput['microbatched_f32']:7.1f} graphs/s    "
         f"vs float64 packed: {f32_ratio:.2f}x"
     )
     reuse_ratio = serve["cold_topology"] / serve["microbatched"]
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     print(
         f"  acceptance: tape-free >= 2x -> {'PASS' if forward_ratio >= 2.0 else 'FAIL'}, "
         f"micro-batch >= 1.5x -> {'PASS' if serve_ratio >= 1.5 else 'FAIL'}, "
-        f"float32 fused >= 1.5x packed -> {'PASS' if f32_ratio >= 1.5 else 'FAIL'}"
+        f"float32 >= 1.5x packed -> {'PASS' if f32_ratio >= 1.5 else 'FAIL'}"
     )
 
     payload = {
@@ -365,6 +365,8 @@ def main(argv=None) -> int:
             "replay_reuse_speedup": reuse_ratio,
             "speedup": serve_ratio,
             "target": 1.5,
+            # Historical key name, kept: tools/check_bench.py gates it
+            # against the committed baseline and treats a renamed key as absent.
             "f32_fused_speedup_vs_packed": f32_ratio,
             "f32_target": 1.5,
         },

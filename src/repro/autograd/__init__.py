@@ -25,7 +25,7 @@ from repro.autograd.tensor import (
     get_default_dtype,
     set_default_dtype,
 )
-from repro.autograd import functional, fusion
+from repro.autograd import functional
 
 __all__ = [
     "Tensor",
@@ -38,5 +38,4 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "functional",
-    "fusion",
 ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.autograd import fusion
 from repro.graph.data import Graph
 from repro.nn.layers import try_stack_seed_modules
 from repro.nn.losses import weighted_prediction_loss, seed_prediction_loss
@@ -356,19 +355,6 @@ class OODGNNTrainer:
         return learn_many(learners, np.stack(z_hats), fixed_weights=fixed)
 
     def _fit_many_batched(
-        self, stacked, models, seeds, train_graphs, valid_graphs, eval_every, rng,
-        batched_reweight: bool = True,
-    ) -> MultiSeedResult:
-        with fusion.chunked_elementwise():
-            # Chunked elementwise evaluation for the seed-stacked (K, n, h)
-            # forwards — bitwise identical, cache-resident at large stacks
-            # (see Trainer._fit_many_batched).
-            return self._fit_many_batched_inner(
-                stacked, models, seeds, train_graphs, valid_graphs, eval_every, rng,
-                batched_reweight,
-            )
-
-    def _fit_many_batched_inner(
         self, stacked, models, seeds, train_graphs, valid_graphs, eval_every, rng,
         batched_reweight: bool = True,
     ) -> MultiSeedResult:

@@ -38,17 +38,18 @@ from repro.encoders.pooling import (
     global_max_pool,
 )
 
-# Shared stateless ReLU for the fused conv epilogues below (activations
-# carry no parameters, so one instance serves every encoder).
+# Shared stateless ReLU for the conv epilogues below (activations carry
+# no parameters, so one instance serves every encoder).
 _RELU = ReLU()
 
 
 def _fused_conv_epilogue(norm, dropout, x):
     """Serving fast path for the post-conv chain of every encoder.
 
-    Runs eval batch-norm (when present) + ReLU (+ inactive dropout) as
-    one chunked elementwise kernel via :func:`fused_sequential_forward`
-    — bitwise equal to the op-by-op chain.  Tape-free callers only.
+    Runs eval batch-norm (when present) + ReLU (+ inactive dropout)
+    through :func:`fused_sequential_forward`: the first stage writes one
+    new array and the rest run in place on it, bitwise equal to the
+    op-by-op chain.  Tape-free callers only.
     """
     layers = ([norm] if norm is not None else []) + [_RELU]
     if dropout is not None:
@@ -398,13 +399,9 @@ class HierarchicalPoolEncoder(GraphEncoder):
         x = self.embed(Tensor(batch.x))
         edge_index = batch.edge_index
         node_batch = batch.batch
-        fused_epilogue = not is_grad_enabled()
         total = None
         for conv, pool in zip(self.convs, self.pools):
-            x = conv(x, edge_index, x.shape[0])
-            # Tape-free: stream the fresh conv output through the chunked
-            # ReLU epilogue (same kernel as the stacked encoders).
-            x = fused_sequential_forward([_RELU], x) if fused_epilogue else x.relu()
+            x = conv(x, edge_index, x.shape[0]).relu()
             x, edge_index, node_batch = pool(x, edge_index, node_batch, batch.num_graphs)
             level = F.concatenate(
                 [
@@ -458,11 +455,9 @@ class SeedHierarchicalPoolEncoder(GraphEncoder):
         x = self.embed(Tensor(batch.x))  # (K, total_nodes, h)
         edge_index = SeedEdgeIndex.from_shared(batch.edge_index, self.num_seeds, batch.num_nodes)
         node_batch = batch.batch
-        fused_epilogue = not is_grad_enabled()
         total = None
         for conv, pool in zip(self.convs, self.pools):
-            x = conv(x, edge_index, x.shape[1])
-            x = fused_sequential_forward([_RELU], x) if fused_epilogue else x.relu()
+            x = conv(x, edge_index, x.shape[1]).relu()
             x, edge_index, node_batch = pool(x, edge_index, node_batch, batch.num_graphs)
             level = F.concatenate(
                 [

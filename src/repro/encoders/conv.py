@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.autograd import functional as F
-from repro.autograd import fusion
 from repro.graph.segment import segment_sum, segment_mean, segment_max, message_pass_operator
 from repro.graph.utils import SeedEdgeIndex, degrees
 from repro.nn.module import Module, Parameter
@@ -81,12 +80,7 @@ class GINConv(Module):
             # tensor, not a taped full-size multiply by 0.0.
             aggregated = Tensor._wrap(np.zeros_like(x.data))
         if self.eps is not None:
-            # The GIN combine epilogue as one fused node: tape-free it is
-            # a single chunked kernel; taped it records one node whose
-            # backward replays the eager chain's adjoints (products and
-            # broadcast reductions in the same order), so both modes are
-            # bitwise equal to the unfused ``x * (1 + eps) + aggregated``.
-            combined = fusion.fuse(x).mul(self.eps + 1.0).add(aggregated).tensor()
+            combined = _eps_combine(x, self.eps, aggregated)
         else:
             combined = x + aggregated
         return self.mlp(combined)
@@ -170,7 +164,7 @@ class SeedGINConv(Module):
         if isinstance(edge_index, SeedEdgeIndex):
             aggregated = self._aggregate_seed_edges(x, edge_index)
             if self.eps is not None:
-                return self.mlp(_seed_eps_combine(x, self.eps, aggregated))
+                return self.mlp(_eps_combine(x, self.eps, aggregated))
             return self.mlp(x + aggregated)
         if edge_index.size:
             num_seeds, _, dim = x.shape
@@ -182,7 +176,7 @@ class SeedGINConv(Module):
         else:
             aggregated = Tensor._wrap(np.zeros_like(x.data))
         if self.eps is not None:
-            combined = _seed_eps_combine(x, self.eps, aggregated)
+            combined = _eps_combine(x, self.eps, aggregated)
         else:
             combined = x + aggregated
         return self.mlp(combined)
@@ -197,31 +191,28 @@ class SeedGINConv(Module):
         return F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
 
 
-def _seed_eps_combine(x: Tensor, eps: Tensor, aggregated: Tensor) -> Tensor:
-    """``x * (eps + 1) + aggregated`` with per-seed ``(K, 1)`` eps, fused.
+def _eps_combine(x: Tensor, eps: Tensor, aggregated: Tensor) -> Tensor:
+    """The GIN combine ``x * (eps + 1) + aggregated`` as one tape node.
 
-    One tape node instead of three, and the eps adjoint reduces the
-    ``(K, n, h)`` product over the sample axis first and the feature axis
-    second — the association the per-seed broadcast adjoint uses — so the
-    batched run stays bitwise equal to K sequential :class:`GINConv` runs.
-    The forward routes through the chunked elementwise executor when the
-    trainer enables it (or the tape is off) — bitwise equal either way,
-    cache-resident at large ``(K, n, h)`` stacks.
+    ``eps`` is ``(1,)`` for :class:`GINConv` and ``(K, 1)`` for
+    :class:`SeedGINConv`.  The sum is built in place on the product
+    buffer, the same two ufuncs as the three-node tensor chain.  The eps
+    adjoint reduces ``g * x`` over the sample axis first and the feature
+    axis second, the association of the per-seed broadcast adjoint, so
+    the taped combine is bitwise equal to that chain and the batched run
+    to K sequential :class:`GINConv` runs.
     """
-    xd, ed, ad = x.data, eps.data, aggregated.data
-    if fusion.training_chunking_enabled() or not is_grad_enabled():
-        out_data = fusion.fuse(xd).mul((ed + 1.0)[:, :, None]).add(ad).eval()
-    else:
-        out_data = xd * (ed + 1.0)[:, :, None] + ad
-    tracked = [t for t in (x, eps, aggregated) if t.requires_grad or t._parents]
-    if not (is_grad_enabled() and tracked):
-        return Tensor(out_data)
-    scale = (ed + 1.0)[:, :, None]
+    xd = x.data
+    scale = (eps.data + 1.0)[..., None]
+    out = xd * scale
+    out += aggregated.data
+    if not is_grad_enabled():
+        return Tensor._wrap(out)
     return Tensor._make(
-        out_data,
+        out,
         [
             (x, lambda g: g * scale),
-            (eps, lambda g: (g * xd).sum(axis=1).sum(axis=1, keepdims=True)),
+            (eps, lambda g: (g * xd).sum(axis=-2).sum(axis=-1, keepdims=True)),
             (aggregated, lambda g: g),
         ],
     )

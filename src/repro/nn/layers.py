@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled
 from repro.autograd import functional as F
-from repro.autograd import fusion
 from repro.nn import init
 from repro.nn.module import Module, Parameter, Sequential
 
@@ -153,33 +152,18 @@ def _bn_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
     Returns the output plus the intermediates the analytical backward
     needs; statistics keep their reduced axis so one implementation
     serves both layouts.  The arithmetic matches the op-by-op expression
-    ``(x - mean) / sqrt(var + eps) * gamma + beta`` exactly (same
-    elementwise operations in the same per-slice order), so fused,
-    per-op, and seed-stacked evaluations agree bitwise.
+    ``(x - mean) / sqrt(var + eps) * gamma + beta`` exactly: the output
+    is built in place on a ``xhat * gamma`` buffer, each step the same
+    elementwise operation as the out-of-place chain, so per-op and
+    seed-stacked evaluations agree bitwise.
     """
     mean = x.mean(axis=axis, keepdims=True)
     centered = x - mean
     var = (centered * centered).mean(axis=axis, keepdims=True)
     std = np.sqrt(var + eps)
-    if fusion.training_chunking_enabled():
-        # Chunked normalisation epilogue: one cache-resident pass writes
-        # both xhat (saved for the backward) and the output, instead of
-        # two full-size sweeps.  Same per-element ops -> bitwise equal.
-        xhat = np.empty_like(centered)
-        out = np.empty_like(centered)
-        rows = fusion.chunk_rows_for(centered.shape, centered.dtype.itemsize)
-        index = [slice(None)] * centered.ndim
-        chunk_axis = max(0, centered.ndim - 2)
-        for lo, hi in fusion.chunk_ranges(centered.shape[chunk_axis], rows):
-            index[chunk_axis] = slice(lo, hi)
-            sl = tuple(index)
-            np.true_divide(centered[sl], std if std.shape[chunk_axis] == 1 else std[sl], out=xhat[sl])
-            np.multiply(xhat[sl], gamma, out=out[sl])
-            out[sl] += beta
-    else:
-        xhat = centered / std
-        out = xhat * gamma
-        out += beta
+    xhat = centered / std
+    out = xhat * gamma
+    out += beta
     return out, mean, var, centered, std, xhat
 
 
@@ -225,31 +209,24 @@ class BatchNorm1d(Module):
         self.running_mean = np.zeros(num_features, dtype=np.float64)
         self.running_var = np.ones(num_features, dtype=np.float64)
 
-    def _append_eval_ops(self, expr: "fusion.FusedExpr") -> "fusion.FusedExpr":
-        """Extend a fused chain with this layer's eval normalisation.
+    def _eval_normalise(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Eval normalisation of raw ``data`` with the running statistics.
 
-        The op sequence (centre, divide by sqrt(var + eps), scale, shift)
-        is exactly the eval tensor chain's, so fusing it — alone or behind
-        a preceding bias add — cannot change results.
+        The centring writes ``out`` (a new array when ``None``) and the
+        divide by ``sqrt(var + eps)``, scale and shift run in place on it:
+        the eval tensor chain's ufuncs in its order, so bitwise equal.
         """
-        return (
-            expr.sub(self.running_mean)
-            .div(np.sqrt(self.running_var + self.eps))
-            .mul(self.gamma.data)
-            .add(self.beta.data)
-        )
+        out = np.subtract(data, self.running_mean, out=out)
+        out /= np.sqrt(self.running_var + self.eps)
+        out *= self.gamma.data
+        out += self.beta.data
+        return out
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
         if not (self.training and x.shape[0] > 1):
             if not is_grad_enabled():
-                # Tape-free eval fast path: the same op sequence (centre,
-                # divide by sqrt(var + eps), scale, shift) as one fused,
-                # row-chunked kernel — bitwise equal to the tensor chain
-                # below, one cache-resident pass instead of four full
-                # sweeps (the eval BN chain is memory-bound at
-                # packed-batch shapes).
-                return Tensor._wrap(self._append_eval_ops(fusion.fuse(x.data)).eval())
+                return Tensor._wrap(self._eval_normalise(x.data))
             mean = Tensor(self.running_mean)
             var = Tensor(self.running_var)
             normalised = (x - mean) / (var + self.eps).sqrt()
@@ -307,61 +284,46 @@ class Embedding(Module):
 
 
 def fused_sequential_forward(layers, x) -> Tensor:
-    """Tape-free fused walk over a chain of layers (the serving hot path).
+    """Tape-free walk over a chain of layers (the serving hot path).
 
-    Walks ``layers`` accumulating elementwise stages (bias adds, eval
-    batch-norm affines, ReLU) into one lazy :class:`~repro.autograd.fusion.FusedExpr`
-    per GEMM, so a ``Linear -> BatchNorm -> ReLU`` block runs as one
-    matmul plus a single chunked elementwise pass instead of ~six
-    full-size sweeps.  Layers outside the fusable set (other activations,
-    training-mode batch norm, active dropout) flush the pending chain and
-    run normally, so the walk is safe for any roster — and because every
-    fused stage applies exactly the ops the eager chain would, outputs
-    are bitwise identical (``tests/test_fusion.py``).
+    Every GEMM allocates its output, and the elementwise stages behind it
+    (bias add, eval batch norm, ReLU) run in place on that buffer, so a
+    ``Linear -> BatchNorm -> ReLU`` block allocates one array instead of
+    six.  The walk writes in place only into buffers it allocated itself:
+    the first elementwise stage after the input or a non-GEMM layer
+    writes a new array.  Layers outside that set (other activations,
+    training-mode batch norm, active dropout) run normally, so the walk
+    is safe for any roster.  Each stage applies the eager chain's ufunc
+    in its order, so outputs are bitwise identical to the taped layers.
 
-    Only call with the tape disabled; the taped path must record per-op
-    (or explicit fused-node) history instead.
+    Only call with the tape disabled.
     """
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    expr = None
-
-    def flush():
-        nonlocal data, expr
-        if expr is not None:
-            data = expr.eval()
-            expr = None
-
-    def pending():
-        nonlocal expr
-        if expr is None:
-            expr = fusion.fuse(data)
-        return expr
-
+    owned = False          # whether ``data`` was allocated by this walk
     for layer in layers:
         if isinstance(layer, Linear):
-            flush()
             data = data @ layer.weight.data
             if layer.bias is not None:
-                expr = fusion.fuse(data).add(layer.bias.data)
+                data += layer.bias.data
         elif isinstance(layer, SeedLinear):
-            flush()
             data = np.matmul(data, layer.weight.data)
             if layer.bias is not None:
-                expr = fusion.fuse(data).add(layer.bias.data[:, None, :])
+                data += layer.bias.data[:, None, :]
         elif isinstance(layer, BatchNorm1d) and not (layer.training and _rows(data, 0) > 1):
-            expr = layer._append_eval_ops(pending())
+            data = layer._eval_normalise(data, out=data if owned else None)
         elif isinstance(layer, SeedBatchNorm1d) and not (layer.training and _rows(data, 1) > 1):
-            expr = layer._append_eval_ops(pending())
+            data = layer._eval_normalise(data, out=data if owned else None)
         elif isinstance(layer, ReLU):
-            expr = pending().relu()
-        elif isinstance(layer, Identity):
-            continue
-        elif isinstance(layer, Dropout) and not (layer.training and layer.p > 0):
+            data = np.maximum(data, 0.0, out=data if owned else None)
+        elif isinstance(layer, Identity) or (
+            isinstance(layer, Dropout) and not (layer.training and layer.p > 0)
+        ):
             continue
         else:
-            flush()
             data = layer(Tensor._wrap(data)).data
-    flush()
+            owned = False
+            continue
+        owned = True
     return Tensor._wrap(data)
 
 
@@ -409,7 +371,7 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
-            # Serving fast path: GEMM + one fused epilogue per block.
+            # Serving fast path: GEMM + in-place epilogue per block.
             return fused_sequential_forward(self.net, as_tensor(x))
         return self.net(x)
 
@@ -580,22 +542,19 @@ class SeedBatchNorm1d(Module):
         out.running_var = np.stack([l.running_var for l in layers])
         return out
 
-    def _append_eval_ops(self, expr: "fusion.FusedExpr") -> "fusion.FusedExpr":
-        """Per-seed eval normalisation as fused-chain ops (see BatchNorm1d)."""
-        return (
-            expr.sub(self.running_mean[:, None, :])
-            .div(np.sqrt(self.running_var + self.eps)[:, None, :])
-            .mul(self.gamma.data[:, None, :])
-            .add(self.beta.data[:, None, :])
-        )
+    def _eval_normalise(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-seed eval normalisation of raw ``data`` (see BatchNorm1d)."""
+        out = np.subtract(data, self.running_mean[:, None, :], out=out)
+        out /= np.sqrt(self.running_var + self.eps)[:, None, :]
+        out *= self.gamma.data[:, None, :]
+        out += self.beta.data[:, None, :]
+        return out
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
         if not (self.training and x.shape[1] > 1):
             if not is_grad_enabled():
-                # Tape-free eval fast path: one fused chunked kernel,
-                # bitwise equal to the chain below (see BatchNorm1d).
-                return Tensor._wrap(self._append_eval_ops(fusion.fuse(x.data)).eval())
+                return Tensor._wrap(self._eval_normalise(x.data))
             mean = Tensor(self.running_mean)
             var = Tensor(self.running_var)
             normalised = (x - mean.unsqueeze(1)) / (var + self.eps).sqrt().unsqueeze(1)
@@ -646,7 +605,7 @@ class SeedMLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
-            # Serving fast path: batched GEMM + fused epilogue per block.
+            # Serving fast path: batched GEMM + in-place epilogue per block.
             return fused_sequential_forward(self.net, as_tensor(x))
         return self.net(x)
 

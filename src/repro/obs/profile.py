@@ -2,21 +2,23 @@
 
 :func:`profile_mode` is a context manager that instruments the tape's
 kernel entry points — :class:`~repro.autograd.tensor.Tensor` primitive
-ops, the fused message-passing operator's sparse matmuls, the chunked
-elementwise executor and the row-scatter kernel — by *patching them in
-place* for the duration of the context.  Outside the context the original
-functions are bound and the tape runs at full speed: profiling costs
-literally zero when off, which is what lets it share a process with the
-< 2% metrics-overhead budget (``benchmarks/BENCH_obs.json``).
+ops, the fused message-passing operator's sparse matmuls and the
+row-scatter kernel — by *patching them in place* for the duration of the
+context.  Outside the context the original functions are bound and the
+tape runs at full speed: profiling costs literally zero when off, which
+is what lets it share a process with the < 2% metrics-overhead budget
+(``benchmarks/BENCH_obs.json``).
 
 Each profiled call records wall time (:func:`time.perf_counter`,
 monotonic) and output bytes into a process-wide table, mirrored into
 :data:`repro.obs.registry` as ``repro_profile_op_*`` counters so a
 ``/metrics`` scrape of a profiled serving run carries the kernel
-breakdown.  Times are **inclusive**: an op implemented in terms of other
-profiled ops (``mean`` over ``sum``) counts its children's time too —
-the table answers "where does the wall clock go", not "what is each op's
-exclusive self time".
+breakdown.  Every op gets two times.  ``seconds`` is inclusive: an op
+implemented in terms of other profiled ops (``mean`` over ``sum``,
+``backward`` over the message-pass transpose matmul) counts its
+children's time too.  ``self_seconds`` subtracts the profiled calls
+nested inside it (tracked on a per-thread stack), so self times add up
+to the profiled wall time without double counting.
 
 Report the table with::
 
@@ -46,21 +48,25 @@ __all__ = [
     "format_report",
 ]
 
-_STATS: dict[str, list] = {}          # op -> [calls, seconds, bytes]
+_STATS: dict[str, list] = {}          # op -> [calls, seconds, self_seconds, bytes]
 _STATS_LOCK = threading.Lock()
 _PATCH_LOCK = threading.Lock()
 _patch_depth = 0
 _originals: list = []
+# Per-thread stack of open profiled calls; each frame accumulates the
+# inclusive time of the profiled calls nested directly inside it.
+_frames = threading.local()
 
 
-def _record(op: str, seconds: float, nbytes: int) -> None:
+def _record(op: str, seconds: float, self_seconds: float, nbytes: int) -> None:
     with _STATS_LOCK:
         entry = _STATS.get(op)
         if entry is None:
-            entry = _STATS[op] = [0, 0.0, 0]
+            entry = _STATS[op] = [0, 0.0, 0.0, 0]
         entry[0] += 1
         entry[1] += seconds
-        entry[2] += nbytes
+        entry[2] += self_seconds
+        entry[3] += nbytes
 
 
 def _out_bytes(result) -> int:
@@ -71,9 +77,19 @@ def _out_bytes(result) -> int:
 
 def _timed(fn, op: str):
     def wrapper(*args, **kwargs):
+        stack = getattr(_frames, "stack", None)
+        if stack is None:
+            stack = _frames.stack = []
+        stack.append(0.0)
         start = time.perf_counter()
-        result = fn(*args, **kwargs)
-        _record(op, time.perf_counter() - start, _out_bytes(result))
+        try:
+            result = fn(*args, **kwargs)
+        finally:
+            seconds = time.perf_counter() - start
+            nested = stack.pop()
+            if stack:
+                stack[-1] += seconds
+        _record(op, seconds, seconds - nested, _out_bytes(result))
         return result
 
     wrapper.__name__ = getattr(fn, "__name__", op)
@@ -85,7 +101,7 @@ def _timed(fn, op: str):
 def _patch_targets():
     """(owner, attribute, op-name) triples — resolved lazily so importing
     :mod:`repro.obs` never drags the autograd stack in."""
-    from repro.autograd import functional, fusion, tensor
+    from repro.autograd import functional, tensor
 
     tensor_ops = [
         ("__matmul__", "tensor.matmul"),
@@ -114,7 +130,6 @@ def _patch_targets():
         (functional, "scatter_add_rows", "scatter.add_rows"),
         (functional, "linear", "linear"),
         (functional, "seed_linear", "seed.linear"),
-        (fusion.FusedExpr, "eval", "fused.eval"),
     ]
     return targets
 
@@ -164,10 +179,10 @@ def profile_mode(reset: bool = True):
 
 
 def profile_snapshot() -> dict:
-    """``{op: {"calls", "seconds", "bytes"}}`` accumulated so far."""
+    """``{op: {"calls", "seconds", "self_seconds", "bytes"}}`` so far."""
     with _STATS_LOCK:
         return {
-            op: {"calls": entry[0], "seconds": entry[1], "bytes": entry[2]}
+            op: {"calls": entry[0], "seconds": entry[1], "self_seconds": entry[2], "bytes": entry[3]}
             for op, entry in _STATS.items()
         }
 
@@ -207,27 +222,41 @@ def _profile_collector():
 registry.register_collector(_profile_collector)
 
 
+def _self_seconds(entry: dict) -> float:
+    # Dumps written before self time was recorded carry inclusive only.
+    return entry.get("self_seconds", entry["seconds"])
+
+
 def format_report(stats: dict, top: int = 15) -> str:
-    """Top-``top`` kernel table, sorted by cumulative wall time."""
-    rows = sorted(stats.items(), key=lambda kv: kv[1]["seconds"], reverse=True)[:top]
-    total_s = sum(entry["seconds"] for entry in stats.values())
+    """Top-``top`` kernel table, sorted by self time.
+
+    The ``%`` column is each op's self time over the summed self time, so
+    it adds up to 100% across all ops, and ``us/call`` is self time per
+    call; ``inclusive`` also counts the profiled calls nested inside the op.
+    """
+    rows = sorted(stats.items(), key=lambda kv: _self_seconds(kv[1]), reverse=True)[:top]
+    self_total = sum(_self_seconds(entry) for entry in stats.values())
     lines = [
-        f"{'op':<24} {'calls':>10} {'time':>12} {'%':>6} {'MB out':>10} {'us/call':>10}",
-        "-" * 78,
+        f"{'op':<24} {'calls':>10} {'self':>12} {'%':>6} {'inclusive':>12} {'MB out':>10} {'us/call':>10}",
+        "-" * 91,
     ]
     for op, entry in rows:
-        seconds, calls = entry["seconds"], entry["calls"]
-        share = 100.0 * seconds / total_s if total_s else 0.0
-        per_call = seconds / calls * 1e6 if calls else 0.0
+        seconds, calls, own = entry["seconds"], entry["calls"], _self_seconds(entry)
+        share = 100.0 * own / self_total if self_total else 0.0
+        per_call = own / calls * 1e6 if calls else 0.0
         lines.append(
-            f"{op:<24} {calls:>10d} {seconds * 1e3:>10.3f}ms {share:>5.1f}% "
+            f"{op:<24} {calls:>10d} {own * 1e3:>10.3f}ms {share:>5.1f}% {seconds * 1e3:>10.3f}ms "
             f"{entry['bytes'] / 1e6:>9.2f} {per_call:>10.2f}"
         )
     if not rows:
         lines.append("no profiled ops recorded")
-    lines.append("-" * 78)
+    lines.append("-" * 91)
     lines.append(
-        f"{'total (inclusive)':<24} {sum(e['calls'] for e in stats.values()):>10d} "
-        f"{total_s * 1e3:>10.3f}ms"
+        f"{'total (self)':<24} {sum(e['calls'] for e in stats.values()):>10d} "
+        f"{self_total * 1e3:>10.3f}ms"
+    )
+    lines.append(
+        f"{'total (inclusive)':<24} {'':>10} {'':>12} {'':>6} "
+        f"{sum(e['seconds'] for e in stats.values()) * 1e3:>10.3f}ms"
     )
     return "\n".join(lines)

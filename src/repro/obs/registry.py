@@ -2,8 +2,8 @@
 
 One :class:`Registry` instance (:data:`repro.obs.registry`) is the sink
 every instrumented layer records into — the fused reweighting loops, the
-batched multi-seed trainer, the fused elementwise executor, the
-message-passing operator caches and the whole serving stack.  It is
+batched multi-seed trainer, the message-passing operator caches and the
+whole serving stack.  It is
 deliberately **stdlib-only** (no numpy) so importing it from the hottest
 modules costs nothing beyond the module itself.
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.autograd import fusion
 from repro.graph.data import Graph
 from repro.nn.layers import try_stack_seed_modules
 from repro.nn.losses import weighted_prediction_loss, seed_prediction_loss
@@ -244,18 +243,6 @@ class Trainer:
         )
 
     def _fit_many_batched(self, stacked, models, seeds, cfg, train_graphs, valid_graphs, rng) -> MultiSeedResult:
-        with fusion.chunked_elementwise():
-            return self._fit_many_batched_inner(
-                stacked, models, seeds, cfg, train_graphs, valid_graphs, rng
-            )
-
-    def _fit_many_batched_inner(self, stacked, models, seeds, cfg, train_graphs, valid_graphs, rng) -> MultiSeedResult:
-        # The whole batched job runs with chunked elementwise evaluation
-        # (see the wrapper above): the seed-stacked (K, n, h) forwards
-        # evaluate their batch-norm/GIN-combine elementwise stages in
-        # cache-resident row chunks — bitwise identical to the unchunked
-        # ops (tests/test_fusion.py), so the batched-vs-sequential parity
-        # guarantee is unaffected.
         params = stacked.parameters()
         optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         histories = [TrainingHistory() for _ in models]

@@ -178,8 +178,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "bench",
-        ("BENCH_reweight", "BENCH_multiseed", "BENCH_inference", "BENCH_fusion",
-         "BENCH_obs", "BENCH_faults"),
+        ("BENCH_reweight", "BENCH_multiseed", "BENCH_inference", "BENCH_obs", "BENCH_faults"),
     )
     def test_committed_baselines_self_compare(self, bench, capsys):
         """Every committed baseline passes the gate against itself."""

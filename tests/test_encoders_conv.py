@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
-from repro.encoders import GCNConv, GINConv, PNAConv, FactorGCNConv
+from repro.autograd import Tensor, inference_mode
+from repro.encoders import GCNConv, GINConv, PNAConv, FactorGCNConv, build_model
+from repro.graph.data import GraphBatch
+from repro.graph.generators import erdos_renyi
+from repro.graph.segment import segment_sum
 from repro.graph.utils import undirected_edge_index
 
 
@@ -89,6 +92,44 @@ class TestGINConv:
         conv = GINConv(2, 4, rng)
         out = conv(Tensor(rng.normal(size=(3, 2))), np.zeros((2, 0), dtype=np.int64), 3)
         assert out.shape == (3, 4)
+
+    def test_combine_node_matches_manual_chain(self, rng):
+        """Output and x/eps gradients equal ``x * (eps + 1) + segment_sum(...)``."""
+        graph = erdos_renyi(40, 0.1, rng)
+        x_data = rng.normal(size=(40, 6))
+        conv = GINConv(6, 8, np.random.default_rng(0))
+        conv.eps.data = np.array([0.3])
+
+        x = Tensor(x_data, requires_grad=True)
+        out = conv(x, graph.edge_index, graph.num_nodes)
+        out.sum().backward()
+        eps_grad = conv.eps.grad.copy()
+
+        conv.zero_grad()
+        x_manual = Tensor(x_data, requires_grad=True)
+        src, dst = graph.edge_index
+        aggregated = segment_sum(x_manual[src], dst, graph.num_nodes)
+        out_manual = conv.mlp(x_manual * (conv.eps + 1.0) + aggregated)
+        out_manual.sum().backward()
+
+        np.testing.assert_array_equal(out.data, out_manual.data)
+        np.testing.assert_array_equal(x.grad, x_manual.grad)
+        np.testing.assert_array_equal(eps_grad, conv.eps.grad)
+
+
+@pytest.mark.parametrize("name", ["gin", "gcn", "gin-virtual"])
+def test_tape_free_model_forward_matches_taped(name):
+    rng = np.random.default_rng(4)
+    graphs = []
+    for _ in range(3):
+        g = erdos_renyi(30, 0.1, rng)
+        g.x = rng.normal(size=(30, 5))
+        graphs.append(g)
+    batch = GraphBatch.from_graphs(graphs)
+    model = build_model(name, 5, 3, np.random.default_rng(0), hidden_dim=16, num_layers=2).eval()
+    taped = model(batch).data
+    with inference_mode():
+        np.testing.assert_array_equal(model(batch).data, taped)
 
 
 class TestPNAConv:

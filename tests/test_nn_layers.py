@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, inference_mode, no_grad
 from repro.nn import (
     Linear,
     MLP,
@@ -15,7 +15,13 @@ from repro.nn import (
     ReLU,
     Sequential,
 )
-from repro.nn.layers import _bn_backward_x, _bn_train_forward, make_activation
+from repro.nn.layers import (
+    SeedBatchNorm1d,
+    _bn_backward_x,
+    _bn_train_forward,
+    fused_sequential_forward,
+    make_activation,
+)
 
 
 @pytest.fixture
@@ -188,6 +194,71 @@ class TestMLP:
         mlp = MLP([2, 4, 1], rng)
         outs = mlp(Tensor(rng.normal(size=(200, 2)))).data
         assert (outs < 0).any()
+
+
+def _eval_mlp(seed=0):
+    """An eval-mode batch-norm MLP with non-trivial running statistics."""
+    mlp = MLP([6, 8, 4], np.random.default_rng(seed), batch_norm=True)
+    stats = np.random.default_rng(seed + 1)
+    for module in mlp.modules():
+        if isinstance(module, BatchNorm1d):
+            module.running_mean = stats.normal(size=module.num_features)
+            module.running_var = np.abs(stats.normal(size=module.num_features)) + 0.5
+    return mlp.eval()
+
+
+def _eval_seed_bn(rng):
+    bn = SeedBatchNorm1d(3, 5)
+    bn.running_mean = rng.normal(size=(3, 5))
+    bn.running_var = np.abs(rng.normal(size=(3, 5))) + 0.5
+    bn.gamma.data = rng.normal(size=(3, 5))
+    bn.beta.data = rng.normal(size=(3, 5))
+    return bn.eval()
+
+
+class TestTapeFreeWalk:
+    """The in-place tape-free paths are bitwise equal to the taped layers."""
+
+    def test_walk_matches_taped_mlp(self, rng):
+        mlp = _eval_mlp()
+        x = rng.normal(size=(17, 6))
+        taped = mlp(Tensor(x)).data
+        np.testing.assert_array_equal(fused_sequential_forward(mlp.net, Tensor(x)).data, taped)
+        with inference_mode():
+            np.testing.assert_array_equal(mlp(Tensor(x)).data, taped)
+
+    def test_training_batch_norm_in_walk_uses_batch_statistics(self, rng):
+        x = rng.normal(size=(11, 6))
+        reference = _eval_mlp().train().net(Tensor(x)).data  # taped chain, batch stats
+        with no_grad():
+            out = _eval_mlp().train()(Tensor(x)).data
+        np.testing.assert_allclose(out, reference, atol=1e-12)
+
+    def test_seed_batch_norm_eval_matches_taped_chain(self, rng):
+        bn = _eval_seed_bn(rng)
+        x = rng.normal(size=(3, 19, 5))
+        taped = bn(Tensor(x)).data
+        with inference_mode():
+            np.testing.assert_array_equal(bn(Tensor(x)).data, taped)
+
+    def test_tape_free_forwards_leave_their_input_unchanged(self, rng):
+        mlp = _eval_mlp()
+        bn, relu = mlp.net[1], mlp.net[2]
+        seed_bn = _eval_seed_bn(rng)
+        cases = [
+            (lambda t: fused_sequential_forward(mlp.net, t), (9, 6)),
+            (lambda t: fused_sequential_forward([bn, relu], t), (9, 8)),
+            (lambda t: fused_sequential_forward([relu], t), (9, 8)),
+            (bn, (9, 8)),
+            (seed_bn, (3, 9, 5)),
+        ]
+        with inference_mode():
+            for forward, shape in cases:
+                data = rng.normal(size=shape)
+                before = data.copy()
+                out = forward(Tensor(data)).data
+                np.testing.assert_array_equal(data, before)
+                assert not np.shares_memory(out, data)
 
 
 class TestActivationsAndContainers:

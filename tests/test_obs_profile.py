@@ -6,13 +6,14 @@ Covers :mod:`repro.obs.profile` and the ``python -m repro.obs`` CLI:
   the duration of the context* — outside it the originals are bound, so
   profiling-off costs literally zero;
 * a small forward/backward run inside the context lands per-op calls,
-  inclusive wall time and output bytes in the snapshot;
+  inclusive and self wall time and output bytes in the snapshot;
 * re-entrancy — nested contexts share one set of patches;
 * :func:`format_report` table shape, :func:`dump_profile` JSON and the
   ``repro.obs report`` / ``repro.obs metrics`` subcommands.
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,20 @@ class TestCapture:
         # Elementwise ops produce 8x4 float64 outputs: 256 bytes per call.
         assert stats["tensor.add"]["bytes"] >= 256
 
+    def test_self_time_excludes_nested_profiled_calls(self):
+        """``mean`` runs over ``sum``: its self time is below its inclusive
+        time, and self times add up to at most the profiled wall time."""
+        with profile_mode() as snapshot:
+            start = time.perf_counter()
+            t = Tensor(np.ones((64, 8)))
+            for _ in range(20):
+                t.mean()
+            wall = time.perf_counter() - start
+            stats = snapshot()
+        mean = stats["tensor.mean"]
+        assert 0.0 <= mean["self_seconds"] < mean["seconds"]
+        assert sum(entry["self_seconds"] for entry in stats.values()) <= wall
+
     def test_reset_on_entry_and_explicit_reset(self):
         with profile_mode():
             tensor_workload()
@@ -114,6 +129,17 @@ class TestReporting:
         assert "tensor.matmul" in report          # sorted by seconds
         assert "tensor.add" not in report.split("total")[0].splitlines()[2]
         assert "total (inclusive)" in report
+
+    def test_format_report_ranks_and_shares_by_self_time(self):
+        stats = {
+            "tensor.backward": {"calls": 1, "seconds": 3.0, "self_seconds": 0.5, "bytes": 0},
+            "msgpass.t_matmul": {"calls": 4, "seconds": 2.5, "self_seconds": 2.5, "bytes": 0},
+        }
+        rows = format_report(stats).splitlines()[2:4]
+        assert rows[0].startswith("msgpass.t_matmul")
+        assert rows[1].startswith("tensor.backward")
+        shares = [float(row.split("%")[0].split()[-1]) for row in rows]
+        assert shares == [pytest.approx(83.3, abs=0.1), pytest.approx(16.7, abs=0.1)]
 
     def test_format_report_empty(self):
         assert "no profiled ops" in format_report({})

@@ -1,11 +1,14 @@
 """OOD-GNN model and the Algorithm-1 trainer."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
 from repro.graph.generators import erdos_renyi
 from repro.graph.data import GraphBatch
+from repro.obs import FLAGS, clear_trace, disable_tracing, enable_tracing, profile_mode
 
 
 @pytest.fixture
@@ -142,3 +145,46 @@ class TestTrainer:
         history = trainer.fit(graphs)
         assert len(history.weight_snapshots) == 4  # 40 graphs / batch 10
         assert history.final_weights.shape == (40,)
+
+
+class TestInstrumentationInvariance:
+    """Metrics, tracing and profiling on vs all off: bitwise-equal parameters."""
+
+    @contextlib.contextmanager
+    def _instrumentation(self, on):
+        metrics, tracing = FLAGS.metrics, FLAGS.tracing
+        try:
+            FLAGS.metrics = on
+            if on:
+                enable_tracing()
+                with profile_mode():
+                    yield
+            else:
+                disable_tracing()
+                yield
+        finally:
+            FLAGS.metrics, FLAGS.tracing = metrics, tracing
+            clear_trace()
+
+    def _trained_params(self, instrumented, batched):
+        graphs = toy_dataset(np.random.default_rng(5), n=24)
+        cfg = tiny_config(epochs=2)
+        factory = lambda seed: OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
+        with self._instrumentation(instrumented):
+            if batched:
+                trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(1), config=cfg)
+                models = trainer.fit_many(graphs, seeds=(0, 1), model_factory=factory, batched=True).models
+            else:
+                models = [factory(0)]
+                OODGNNTrainer(models[0], "multiclass", np.random.default_rng(1), config=cfg).fit(graphs)
+        return [dict(model.named_parameters()) for model in models]
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["fit-k1", "fit-many-batched-k2"])
+    def test_trained_parameters_bitwise_equal(self, batched):
+        plain = self._trained_params(False, batched)
+        instrumented = self._trained_params(True, batched)
+        assert len(plain) == len(instrumented) == (2 if batched else 1)
+        for params, params_instrumented in zip(plain, instrumented):
+            assert params.keys() == params_instrumented.keys()
+            for name, param in params.items():
+                np.testing.assert_array_equal(param.data, params_instrumented[name].data, err_msg=name)
