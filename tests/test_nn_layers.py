@@ -219,11 +219,16 @@ def _eval_seed_bn(rng):
 class TestTapeFreeWalk:
     """The in-place tape-free paths are bitwise equal to the taped layers."""
 
-    def test_walk_matches_taped_mlp(self, rng):
+    def test_walk_called_directly_matches_taped_mlp(self, rng):
+        mlp = _eval_mlp(seed=4)
+        x = rng.normal(size=(9, 6))
+        taped = mlp(Tensor(x)).data
+        np.testing.assert_array_equal(fused_sequential_forward(mlp.net, Tensor(x)).data, taped)
+
+    def test_walk_under_inference_mode_matches_taped_mlp(self, rng):
         mlp = _eval_mlp()
         x = rng.normal(size=(17, 6))
         taped = mlp(Tensor(x)).data
-        np.testing.assert_array_equal(fused_sequential_forward(mlp.net, Tensor(x)).data, taped)
         with inference_mode():
             np.testing.assert_array_equal(mlp(Tensor(x)).data, taped)
 
