@@ -1,8 +1,8 @@
 """Ablation: the global-local weight estimator (Section 3.3).
 
-DESIGN.md calls out the global-local estimator as a design choice to
-ablate: OOD-GNN with K = 1 momentum memory groups (the paper's default)
-versus the local-only variant (K = 0, weights estimated from each
+The global-local estimator is the design choice this bench ablates:
+OOD-GNN with K = 1 momentum memory groups (the paper's default) versus
+the local-only variant (K = 0, weights estimated from each
 mini-batch in isolation).  The paper argues local-only weights lose
 consistency across batches, making the dependence harder to eliminate
 over the whole training set (and Figures 5-7 show larger global memory

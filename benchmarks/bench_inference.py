@@ -44,11 +44,9 @@ import numpy as np
 import pytest
 
 from repro.autograd import inference_mode
-from repro.autograd.functional import clear_scatter_cache
 from repro.encoders import build_model
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.graph.segment import clear_message_pass_cache
 from repro.serve import FeatureSchema, InferenceEngine
 
 NUM_NODES, EDGE_P = 256, 0.02
@@ -83,19 +81,17 @@ def _time_interleaved(fns, rounds: int):
     Sequential per-mode blocks are not comparable on hosts whose clock
     ramps over the process lifetime (modes timed later look faster);
     interleaving the candidates and keeping each one's best round removes
-    the position bias.  Each round runs every fn once *unmeasured* first:
-    the modes share the process-global topology caches (operator, scatter
-    plans; all bounded LRUs), so without the re-warm one mode's traffic
-    evicts another's entries and the timed call measures its neighbour's
-    cache pollution instead of its own steady state.
+    the position bias.  Each round runs every fn once *unmeasured* first,
+    so the timed call starts from its own warm allocator and CPU caches
+    rather than its neighbour's.
     """
     for fn in fns:
         fn()
-        fn()  # warm caches (BLAS, scatter operators)
+        fn()  # warm BLAS, the allocator and the CPU caches
     best = [float("inf")] * len(fns)
     for _ in range(rounds):
         for index, fn in enumerate(fns):
-            fn()  # re-warm this mode's cache entries
+            fn()  # re-warm this mode
             start = time.perf_counter()
             fn()
             best[index] = min(best[index], time.perf_counter() - start)
@@ -130,16 +126,7 @@ def measure_microbatch(repeats: int = 5, num_requests: int = NUM_REQUESTS, num_n
     activations end to end, doubled auto node cap — the fast serving
     configuration, held to a >= 1.5x-vs-packed-float64 floor);
     ``engine_single`` (engine at ``max_graphs=1``) and ``full_pack``
-    (``max_nodes=None``) decompose
-    where the packing win comes from; ``cold_topology``
-    (``reuse_topology=False`` plus a message-pass operator and scatter
-    plan cache clear before every predict) re-derives all
-    topology-derived state for every pack on every call — the gap to
-    ``microbatched`` is what identical-topology operator reuse buys a
-    steady-state serving loop.
-    (Plain ``reuse_topology=False`` alone understates that cost: fresh
-    pack buffers frequently land on recycled pointers and pass the
-    operator cache's content revalidation, i.e. accidental hits.)
+    (``max_nodes=None``) decompose where the packing win comes from.
 
     All modes are timed interleaved, best-of-``repeats`` rounds — see
     :func:`_time_interleaved` for why sequential blocks mislead here.
@@ -152,18 +139,10 @@ def measure_microbatch(repeats: int = 5, num_requests: int = NUM_REQUESTS, num_n
     batched_f32 = InferenceEngine.from_models(
         [make_model()], _SCHEMA, max_graphs=BATCH_BUDGET, dtype="float32"
     )
-    no_reuse = InferenceEngine.from_models(
-        [model], _SCHEMA, max_graphs=BATCH_BUDGET, reuse_topology=False
-    )
 
     def one_at_a_time():
         for g in graphs:
             model(GraphBatch.from_graphs([g]))
-
-    def cold_topology():
-        clear_message_pass_cache()
-        clear_scatter_cache()
-        no_reuse.predict(graphs)
 
     modes = {
         "one_at_a_time": one_at_a_time,
@@ -171,7 +150,6 @@ def measure_microbatch(repeats: int = 5, num_requests: int = NUM_REQUESTS, num_n
         "microbatched_f32": lambda: batched_f32.predict(graphs),
         "engine_single": lambda: engine_single.predict(graphs),
         "full_pack": lambda: full_pack.predict(graphs),
-        "cold_topology": cold_topology,
     }
     timings = dict(zip(modes, _time_interleaved(list(modes.values()), repeats)))
     throughput = {mode: num_requests / seconds for mode, seconds in timings.items()}
@@ -321,15 +299,9 @@ def main(argv=None) -> int:
         f"    float32 engine: {throughput['microbatched_f32']:7.1f} graphs/s    "
         f"vs float64 packed: {f32_ratio:.2f}x"
     )
-    reuse_ratio = serve["cold_topology"] / serve["microbatched"]
     print(
         f"    [decomposition] engine one-at-a-time: {throughput['engine_single']:7.1f} graphs/s    "
         f"unbounded full pack: {throughput['full_pack']:7.1f} graphs/s"
-    )
-    print(
-        f"    cold topology (rebuild operators per predict): "
-        f"{throughput['cold_topology']:7.1f} graphs/s    "
-        f"replay operator-reuse gain: {reuse_ratio:.2f}x"
     )
     print(
         f"  acceptance: tape-free >= 2x -> {'PASS' if forward_ratio >= 2.0 else 'FAIL'}, "
@@ -361,8 +333,6 @@ def main(argv=None) -> int:
             "microbatched_f32_graphs_per_s": throughput["microbatched_f32"],
             "engine_single_graphs_per_s": throughput["engine_single"],
             "full_pack_graphs_per_s": throughput["full_pack"],
-            "cold_topology_graphs_per_s": throughput["cold_topology"],
-            "replay_reuse_speedup": reuse_ratio,
             "speedup": serve_ratio,
             "target": 1.5,
             # Historical key name, kept: tools/check_bench.py gates it

@@ -18,8 +18,8 @@ Measures the subsystem behind every fixed-weight conv aggregate
   zipf-like rank distribution (hub-heavy fan-in, the scatter baseline's
   worst cache case) and **regular** fan-out (every node has the same
   out-degree).  The one-time operator build cost is recorded as
-  ``build_ms`` (amortised by the buffer-keyed cache; see the serving
-  replay metric in ``bench_inference.py``).
+  ``build_ms``: a batch pays it once per norm and dtype, and every conv
+  layer of its forward and backward shares the result.
 
 Outputs are bitwise-checked against the eager three-pass chain before
 timing — a speedup from a wrong answer is not a speedup.
@@ -45,11 +45,7 @@ import pytest
 
 from repro.autograd import functional as F, inference_mode
 from repro.autograd.tensor import Tensor
-from repro.graph.segment import (
-    clear_message_pass_cache,
-    eager_message_pass,
-    message_pass_operator,
-)
+from repro.graph.segment import eager_message_pass, message_pass_operator
 
 NODES, HIDDEN, DEGREE, SEEDS = 4096, 64, 8, 8
 DTYPES = ("float64", "float32")
@@ -86,8 +82,8 @@ def measure(kind, num_nodes=NODES, hidden=HIDDEN, degree=DEGREE, repeats=10,
     """Eager-vs-fused timings for one GCN aggregate; bitwise-checked.
 
     Returns ``(build_seconds, timings, speedup)`` where ``build_seconds``
-    is the one-time cold operator construction (normalisation + CSR
-    assembly, amortised across forwards by the operator cache).
+    is the one-time operator construction (normalisation + CSR assembly)
+    that each batch pays once and shares across its conv layers.
     """
     rng = np.random.default_rng(0)
     edges = make_edges(kind, num_nodes, degree, rng)
@@ -96,7 +92,6 @@ def measure(kind, num_nodes=NODES, hidden=HIDDEN, degree=DEGREE, repeats=10,
     x = Tensor._wrap(rng.normal(size=shape).astype(dtype))
     flat = x if seeds is None else x.reshape(num_seeds * num_nodes, hidden)
 
-    clear_message_pass_cache()
     start = time.perf_counter()
     operator = message_pass_operator(
         edges, num_nodes, norm="gcn", dtype=np.dtype(dtype), num_seeds=num_seeds

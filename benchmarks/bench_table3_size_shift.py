@@ -38,7 +38,7 @@ def test_table3_dataset(benchmark, protocol, name):
     # OOD-GNN competitive with the baseline field.  COLLAB is exempt from
     # the ordering gate: the paper's own margin there is 0.2 points over
     # SAGPool — far inside seed noise at this scale — so the measured
-    # ordering is recorded in EXPERIMENTS.md rather than asserted.
+    # ordering is printed in the table rather than asserted.
     if name != "collab35":
         baseline_median = np.median([v for m, v in ood.items() if m != "ood-gnn"])
         assert ood["ood-gnn"] >= baseline_median - 0.08

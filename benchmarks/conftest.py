@@ -9,9 +9,10 @@ Scale knobs (environment variables):
   scaled-down defaults; the paper's datasets are ~10x larger).
 
 Every bench prints the same rows/series as the corresponding paper table
-or figure; absolute values differ from the paper (different substrate, see
-DESIGN.md) but the qualitative ordering claims are what EXPERIMENTS.md
-records.
+or figure.  Absolute values differ from the paper: the datasets are
+generated at a smaller scale and the engine is numpy.  The qualitative
+ordering claims are what matter; the paper-claim ledger in ROADMAP.md
+tracks where they hold.
 """
 
 from __future__ import annotations

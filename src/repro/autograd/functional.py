@@ -40,8 +40,6 @@ __all__ = [
     "log_softmax",
     "logsumexp",
     "scatter_add_rows",
-    "clear_scatter_cache",
-    "scatter_cache_info",
     "MessagePassOperator",
     "message_pass",
     "eager_message_pass",
@@ -112,48 +110,6 @@ except ImportError:  # pragma: no cover - exercised only without scipy
     _csc_matvecs = None
     _csr_matvecs = None
 
-# Tiny memo for scatter operators: within one mini-batch the same dst/src
-# index arrays drive every conv layer's scatter, so the CSC construction is
-# paid once per batch instead of once per layer.  Keyed on the view's
-# underlying buffer (data pointer, shape, strides) rather than object
-# identity: ``src, dst = edge_index`` creates *new* view objects per layer
-# and per forward, but they alias the same stable buffer — identity keying
-# missed on every one of them (the dominant cost of the tape-free serving
-# forward).  Each entry keeps a strong reference to its index array (so the
-# buffer cannot be freed out from under a cached key) plus a snapshot copy
-# of the indices; a hit revalidates against the snapshot, so mutating a
-# cached index buffer in place (e.g. rewriting ``edge_index`` between
-# forwards) is a cache miss, never a stale operator.  The equality check is
-# a contiguous int compare — ~2 orders of magnitude cheaper than the CSC
-# build it guards.  Access is lock-guarded: the serving engine's worker
-# thread runs forwards concurrently with main-thread predict/training, and
-# an unguarded insert racing the eviction's dict iteration would throw
-# mid-forward.
-_SCATTER_CACHE: dict = {}
-_SCATTER_CACHE_MAX = 8
-_SCATTER_CACHE_LOCK = threading.Lock()
-_SCATTER_CACHE_STATS = {"hits": 0, "misses": 0, "rebuilds": 0}
-
-
-def scatter_cache_info() -> dict:
-    """Scatter-cache stats in the unified ``hits/misses/rebuilds/size`` shape.
-
-    A *rebuild* is a pointer hit whose snapshot revalidation failed (the
-    keyed index buffer was mutated in place); a *miss* never saw the key.
-    """
-    with _SCATTER_CACHE_LOCK:
-        info = dict(_SCATTER_CACHE_STATS)
-        info["size"] = len(_SCATTER_CACHE)
-    return info
-
-
-def clear_scatter_cache() -> None:
-    """Drop all cached scatter operators (benchmarks' cold-cache mode)."""
-    with _SCATTER_CACHE_LOCK:
-        _SCATTER_CACHE.clear()
-        for key in _SCATTER_CACHE_STATS:
-            _SCATTER_CACHE_STATS[key] = 0
-
 
 def _value_dtype(*arrays) -> np.dtype:
     """Float dtype scatter/segment outputs should use for these operands.
@@ -167,17 +123,6 @@ def _value_dtype(*arrays) -> np.dtype:
         if dtype is not None and dtype.kind == "f":
             return dtype
     return np.dtype(np.float64)
-
-
-def _scatter_key(ids: np.ndarray, num_rows: int, dtype: np.dtype):
-    return (
-        ids.__array_interface__["data"][0],
-        ids.shape[0],
-        ids.strides,
-        ids.dtype.str,
-        num_rows,
-        dtype.str,
-    )
 
 
 def _checked_ids(ids: np.ndarray, num_rows: int) -> np.ndarray:
@@ -199,47 +144,34 @@ def _checked_ids(ids: np.ndarray, num_rows: int) -> np.ndarray:
 
 
 def _scatter_matrix(ids: np.ndarray, num_rows: int, dtype=np.float64):
-    """One-entry-per-column ``(num_rows, len(ids))`` CSC scatter operator.
-
-    ``m @ values`` accumulates ``values`` rows into their ``ids`` buckets
-    in index order — the same semantics (and order) as ``np.add.at``.
-    The operator's data dtype matches the values it will scatter (the
-    ``csc_matvecs`` kernel requires exact dtype agreement), so float32
-    and float64 forwards each get their own cached operator.
-    """
-    dtype = np.dtype(dtype)
-    key = _scatter_key(ids, num_rows, dtype)
-    with _SCATTER_CACHE_LOCK:
-        entry = _SCATTER_CACHE.get(key)
-        if entry is not None and np.array_equal(entry[2], ids):
-            _SCATTER_CACHE_STATS["hits"] += 1
-            return entry[1]
-        _SCATTER_CACHE_STATS["rebuilds" if entry is not None else "misses"] += 1
+    """CSC ``(indptr, indices, data)`` of the ``(num_rows, len(ids))``
+    one-entry-per-column scatter: it sums rows into their ``ids`` buckets
+    in index order, like ``np.add.at``.  ``data`` has the dtype of the
+    values it will scatter, as ``csc_matvecs`` requires."""
     n = len(ids)
-    mat = _scipy_sparse.csc_matrix(
-        (np.ones(n, dtype=dtype), _checked_ids(ids, num_rows), np.arange(n + 1)),
-        shape=(num_rows, n),
-    )
-    with _SCATTER_CACHE_LOCK:
-        if entry is None and len(_SCATTER_CACHE) >= _SCATTER_CACHE_MAX:
-            _SCATTER_CACHE.pop(next(iter(_SCATTER_CACHE)))
-        _SCATTER_CACHE[key] = (ids, mat, ids.copy())
-    return mat
+    indices = np.asarray(_checked_ids(ids, num_rows), dtype=np.intp)
+    return np.arange(n + 1), indices, np.ones(n, dtype=dtype)
 
 
-def _scatter_into(mat, values: np.ndarray, out: np.ndarray) -> None:
-    """``out += mat @ values`` without the intermediate result array.
+def _scatter_into(plan, values: np.ndarray, out: np.ndarray) -> None:
+    """``out += S @ values`` in place for a :func:`_scatter_matrix` plan.
 
-    Uses scipy's ``csc_matvecs`` kernel directly when available (it
-    accumulates into ``out`` in place); falls back to the operator
-    product.  ``values`` and ``out`` must be C-contiguous 2-D arrays.
+    Uses scipy's ``csc_matvecs`` kernel directly when available (no
+    intermediate result array); falls back to the sparse product.
+    ``values`` and ``out`` must be C-contiguous 2-D arrays.
     """
+    indptr, indices, data = plan
     if _csc_matvecs is not None:
-        num_rows, n = mat.shape
-        _csc_matvecs(num_rows, n, values.shape[1], mat.indptr, mat.indices, mat.data,
+        _csc_matvecs(out.shape[0], len(indices), values.shape[1], indptr, indices, data,
                      values.ravel(), out.ravel())
     else:  # pragma: no cover - exercised only on scipy versions without the kernel
-        out += mat @ values
+        out += _scatter_csc(plan, out.shape[0]) @ values
+
+
+def _scatter_csc(plan, num_rows: int):
+    """The scipy matrix of a :func:`_scatter_matrix` plan (fallback paths)."""
+    indptr, indices, data = plan
+    return _scipy_sparse.csc_matrix((data, indices, indptr), shape=(num_rows, len(indices)))
 
 
 def scatter_add_rows(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -261,12 +193,12 @@ def scatter_add_rows(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np
         out += np.bincount(_checked_ids(ids, out.shape[0]), weights=values, minlength=out.shape[0])
         return out
     if _scipy_sparse is not None:
-        mat = _scatter_matrix(ids, out.shape[0], out.dtype)
+        plan = _scatter_matrix(ids, out.shape[0], out.dtype)
         if out.flags.c_contiguous and values.dtype == out.dtype:
             flat = np.ascontiguousarray(values.reshape(n, -1))
-            _scatter_into(mat, flat, out.reshape(out.shape[0], -1))
+            _scatter_into(plan, flat, out.reshape(out.shape[0], -1))
         else:
-            out += (mat @ values.reshape(n, -1)).reshape(out.shape)
+            out += (_scatter_csc(plan, out.shape[0]) @ values.reshape(n, -1)).reshape(out.shape)
         return out
     np.add.at(out, ids, values)
     return out
@@ -306,10 +238,12 @@ class MessagePassOperator:
     commutes bitwise and per-bucket edge order is preserved — so fused
     training gradients match the eager tape bit for bit.
 
-    Instances are immutable and safe to share across layers and threads;
-    :func:`repro.graph.segment.message_pass_operator` caches them per
-    (edge buffer, nodes, norm kind, dtype, seeds).  Without scipy the
-    operator degrades to the reference three-pass apply.
+    Instances are immutable and safe to share across layers and threads.
+    :func:`repro.graph.segment.message_pass_operator` builds them; a
+    batch's :class:`~repro.graph.data.Topology` (or
+    :class:`~repro.graph.utils.SeedEdgeIndex`) holds one per (norm kind,
+    dtype, seeds) for the batch's lifetime.  Without scipy the operator
+    degrades to the reference three-pass apply.
     """
 
     __slots__ = (
@@ -407,7 +341,7 @@ def _message_pass_reference(operator: MessagePassOperator, x: Tensor) -> Tensor:
 def message_pass(operator: MessagePassOperator, x) -> Tensor:
     """Differentiable ``A_norm @ x`` through a :class:`MessagePassOperator`.
 
-    One tape node; the backward closure is the cached transpose operator,
+    One tape node; the backward closure is the prebuilt transpose operator,
     so fused forwards and backwards are each a single sparse matmul.
     """
     x = as_tensor(x)

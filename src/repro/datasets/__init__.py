@@ -12,8 +12,9 @@ mechanism of each paper dataset is preserved:
 * OGBG-MOL* (9 datasets) — molecule-like graphs split by scaffold, with
   the scaffold <-> label correlation broken at test time.
 
-See DESIGN.md for the substitution rationale (the real datasets need
-downloads; this environment is offline).
+Every dataset is generated rather than downloaded: the real ones need
+network access, and what the OOD comparison measures is the shift
+mechanism, which each generator keeps.
 """
 
 from repro.datasets.base import DatasetInfo, DatasetSplits, dataset_statistics

@@ -11,8 +11,9 @@ rotated / scaled / translated / jittered and rasterised to a 28x28
 intensity image, then clustered into superpixels via k-means on the
 foreground pixels.  Node features are ``[r, g, b, x, y]`` with the three
 colour channels equal to the grayscale intensity at train time, which
-keeps feature dimensionality constant across the colour shift (documented
-substitution; see DESIGN.md).  Graph structure is a k-nearest-neighbour
+keeps feature dimensionality constant across the colour shift: a model
+trained on one grayscale channel could not read the three-channel colour
+test split.  Graph structure is a k-nearest-neighbour
 graph over superpixel centroids and is identical across test variants.
 """
 

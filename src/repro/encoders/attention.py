@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.autograd import functional as F
-from repro.graph.segment import segment_sum, segment_softmax, message_pass_operator
+from repro.graph.segment import segment_sum, segment_softmax
 from repro.graph.utils import add_self_loops
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, SeedLinear, SeedStackingError, register_seed_stacker
@@ -43,9 +43,10 @@ class GATConv(Module):
         self.att_dst = Parameter(init.xavier_uniform((num_heads, self.head_dim), rng), name="att_dst")
         self.bias = Parameter(init.zeros((out_dim,)), name="bias")
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
         """Multi-head attention over the (self-looped) neighbourhood."""
-        looped = add_self_loops(edge_index, num_nodes)
+        num_nodes = edges.num_nodes
+        looped = add_self_loops(edges.edge_index, num_nodes)
         src, dst = looped
         h = self.linear(x).reshape(num_nodes, self.num_heads, self.head_dim)
         # Additive attention logits per edge and head.
@@ -64,11 +65,11 @@ class SAGEConv(Module):
     ``h' = W_self x + W_neigh mean_{u in N(v)} x_u`` with optional L2
     output normalisation as in the original paper.
 
-    The neighbourhood mean runs through the fused message-passing operator
-    with the per-edge ``1/deg(dst)`` weighting baked into the matrix — the
-    gather -> scale -> scatter form of the mean, rather than sum-then-divide
-    (same scale factors applied per edge instead of per bucket; the results
-    agree to rounding).
+    The neighbourhood mean runs through the batch's fused message-passing
+    operator with the per-edge ``1/deg(dst)`` weighting baked into the
+    matrix — the gather -> scale -> scatter form of the mean, rather than
+    sum-then-divide (same scale factors applied per edge instead of per
+    bucket; the results agree to rounding).
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, normalise: bool = False):
@@ -77,11 +78,10 @@ class SAGEConv(Module):
         self.neigh_linear = Linear(in_dim, out_dim, rng, bias=False)
         self.normalise = normalise
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
         """Combine self features with the neighbourhood mean."""
-        if edge_index.size:
-            operator = message_pass_operator(edge_index, num_nodes, norm="mean", dtype=x.data.dtype)
-            neigh = F.message_pass(operator, x)
+        if edges.num_edges:
+            neigh = F.message_pass(edges.operator("mean", x.data.dtype), x)
         else:
             neigh = Tensor._wrap(np.zeros_like(x.data))
         out = self.self_linear(x) + self.neigh_linear(neigh)
@@ -132,8 +132,9 @@ class SeedGATConv(Module):
             template.negative_slope,
         )
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
-        looped = add_self_loops(edge_index, num_nodes)
+    def forward(self, x: Tensor, edges) -> Tensor:
+        num_nodes = edges.num_nodes
+        looped = add_self_loops(edges.edge_index, num_nodes)
         src, dst = looped
         h = self.linear(x).reshape(self.num_seeds, num_nodes, self.num_heads, self.head_dim)
         alpha_src = (h * self.att_src.unsqueeze(1)).sum(axis=3)  # (K, n, heads)
@@ -168,12 +169,10 @@ class SeedSAGEConv(Module):
             template.normalise,
         )
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
-        if edge_index.size:
-            num_seeds, _, dim = x.shape
-            operator = message_pass_operator(
-                edge_index, num_nodes, norm="mean", dtype=x.data.dtype, num_seeds=num_seeds
-            )
+    def forward(self, x: Tensor, edges) -> Tensor:
+        if edges.num_edges:
+            num_seeds, num_nodes, dim = x.shape
+            operator = edges.operator("mean", x.data.dtype, num_seeds)
             flat = x.reshape(num_seeds * num_nodes, dim)
             neigh = F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
         else:

@@ -131,7 +131,7 @@ class StackedEncoder(GraphEncoder):
         x = self.embed(Tensor(batch.x))
         fused_epilogue = not is_grad_enabled()
         for i, conv in enumerate(self.convs):
-            x = conv(x, batch.edge_index, batch.num_nodes)
+            x = conv(x, batch.topology)
             if fused_epilogue:
                 x = _fused_conv_epilogue(
                     self.norms[i] if self.norms is not None else None, self.dropout, x
@@ -210,7 +210,7 @@ class SeedStackedEncoder(GraphEncoder):
         x = self.embed(Tensor(batch.x))  # (K, total_nodes, h)
         fused_epilogue = not is_grad_enabled()
         for i, conv in enumerate(self.convs):
-            x = conv(x, batch.edge_index, batch.num_nodes)
+            x = conv(x, batch.topology)
             if fused_epilogue:
                 # Seed-stacked serving fast path: same shared epilogue.
                 x = _fused_conv_epilogue(
@@ -269,7 +269,7 @@ class VirtualNodeEncoder(GraphEncoder):
         fused_epilogue = not is_grad_enabled()
         for i, conv in enumerate(self.convs):
             x = x + virtual[batch.batch]
-            x = conv(x, batch.edge_index, batch.num_nodes)
+            x = conv(x, batch.topology)
             if fused_epilogue:
                 x = _fused_conv_epilogue(self.norms[i], None, x)
             else:
@@ -350,7 +350,7 @@ class SeedVirtualNodeEncoder(GraphEncoder):
         fused_epilogue = not is_grad_enabled()
         for i, conv in enumerate(self.convs):
             x = x + F.seed_gather(virtual, batch.batch)
-            x = conv(x, batch.edge_index, batch.num_nodes)
+            x = conv(x, batch.topology)
             if fused_epilogue:
                 x = _fused_conv_epilogue(self.norms[i], None, x)
             else:
@@ -397,12 +397,12 @@ class HierarchicalPoolEncoder(GraphEncoder):
 
     def forward(self, batch: GraphBatch) -> Tensor:
         x = self.embed(Tensor(batch.x))
-        edge_index = batch.edge_index
+        edges = batch.topology
         node_batch = batch.batch
         total = None
         for conv, pool in zip(self.convs, self.pools):
-            x = conv(x, edge_index, x.shape[0]).relu()
-            x, edge_index, node_batch = pool(x, edge_index, node_batch, batch.num_graphs)
+            x = conv(x, edges).relu()
+            x, edges, node_batch = pool(x, edges, node_batch, batch.num_graphs)
             level = F.concatenate(
                 [
                     global_mean_pool(x, node_batch, batch.num_graphs),
@@ -453,12 +453,12 @@ class SeedHierarchicalPoolEncoder(GraphEncoder):
 
     def forward(self, batch: GraphBatch) -> Tensor:
         x = self.embed(Tensor(batch.x))  # (K, total_nodes, h)
-        edge_index = SeedEdgeIndex.from_shared(batch.edge_index, self.num_seeds, batch.num_nodes)
+        edges = SeedEdgeIndex.from_shared(batch.edge_index, self.num_seeds, batch.num_nodes)
         node_batch = batch.batch
         total = None
         for conv, pool in zip(self.convs, self.pools):
-            x = conv(x, edge_index, x.shape[1]).relu()
-            x, edge_index, node_batch = pool(x, edge_index, node_batch, batch.num_graphs)
+            x = conv(x, edges).relu()
+            x, edges, node_batch = pool(x, edges, node_batch, batch.num_graphs)
             level = F.concatenate(
                 [
                     F.seed_segment_mean(x, node_batch, batch.num_graphs),

@@ -1,6 +1,8 @@
 """Message-passing convolution layers.
 
-Each layer consumes node features plus COO connectivity and returns new
+Each layer consumes node features plus the batch's connectivity — a
+:class:`~repro.graph.data.Topology`, or for the seed-stacked pooling
+ladders a :class:`~repro.graph.utils.SeedEdgeIndex` — and returns new
 node features.  All follow their original papers:
 
 * :class:`GCNConv` — Kipf & Welling (2017), symmetric renormalised mean.
@@ -12,11 +14,12 @@ node features.  All follow their original papers:
   producing disentangled factor graphs.
 
 The fixed-weight aggregations (GCN / GIN and their ``Seed*`` stacks, plus
-SAGE in :mod:`repro.encoders.attention`) run through the cached fused
+SAGE in :mod:`repro.encoders.attention`) run through the fused
 message-passing operator — one normalised-adjacency matmul per layer with
-the transpose cached for the backward, bitwise equal to the eager
-gather -> scale -> scatter chain.  See
-:func:`repro.graph.segment.message_pass_operator` and the "Fused message
+the transpose for the backward, bitwise equal to the eager
+gather -> scale -> scatter chain.  A conv asks its connectivity for it
+(``edges.operator(norm, dtype, num_seeds)``), which builds it once per
+batch and shares it with every other layer; see the "Fused message
 passing" section of ``docs/ARCHITECTURE.md``.  Dynamic-weight convs
 (GAT's attention, PNA's multi-aggregator grid, FactorGCN's factor
 attention) keep the eager segment ops.
@@ -28,8 +31,8 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.autograd import functional as F
-from repro.graph.segment import segment_sum, segment_mean, segment_max, message_pass_operator
-from repro.graph.utils import SeedEdgeIndex, degrees
+from repro.graph.segment import segment_sum, segment_mean, segment_max
+from repro.graph.utils import degrees
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import Linear, MLP, SeedLinear, SeedMLP, SeedStackingError, register_seed_stacker
 from repro.nn import init
@@ -52,11 +55,10 @@ class GCNConv(Module):
         super().__init__()
         self.linear = Linear(in_dim, out_dim, rng)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
         """Symmetric-normalised neighbourhood aggregation (with self loops)."""
         h = self.linear(x)
-        operator = message_pass_operator(edge_index, num_nodes, norm="gcn", dtype=h.data.dtype)
-        return F.message_pass(operator, h)
+        return F.message_pass(edges.operator("gcn", h.data.dtype), h)
 
 
 class GINConv(Module):
@@ -70,11 +72,10 @@ class GINConv(Module):
         else:
             self.eps = None
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
         """Sum-aggregate neighbours and transform with the GIN MLP."""
-        if edge_index.size:
-            operator = message_pass_operator(edge_index, num_nodes, norm="sum", dtype=x.data.dtype)
-            aggregated = F.message_pass(operator, x)
+        if edges.num_edges:
+            aggregated = F.message_pass(edges.operator("sum", x.data.dtype), x)
         else:
             # An edge-free graph aggregates nothing: a constant zeros
             # tensor, not a taped full-size multiply by 0.0.
@@ -93,10 +94,11 @@ class SeedGCNConv(Module):
     by every seed; only the linear map is per-seed.  Part of the batched
     multi-seed engine (``docs/ARCHITECTURE.md``).
 
-    Also accepts a :class:`~repro.graph.utils.SeedEdgeIndex` — per-seed
-    connectivity as produced by the seed-stacked pooling layers — in which
-    case the aggregation runs as one flat 2-D scatter over the
-    ``(K * n, h)`` reshaped activations (``supports_seed_edges``).
+    ``edges`` is the batch's :class:`~repro.graph.data.Topology`, tiled
+    block-diagonally over the ``K * n`` flat nodes, or the per-seed
+    :class:`~repro.graph.utils.SeedEdgeIndex` of the seed-stacked pooling
+    layers (``supports_seed_edges``).  Either way the stack aggregates in
+    one fused matmul, bitwise equal to K per-seed :class:`GCNConv` runs.
     """
 
     supports_seed_edges = True
@@ -109,32 +111,10 @@ class SeedGCNConv(Module):
     def from_layers(cls, convs: list[GCNConv]) -> "SeedGCNConv":
         return cls(SeedLinear.from_layers([c.linear for c in convs]))
 
-    def forward(self, x: Tensor, edge_index, num_nodes: int) -> Tensor:
-        if isinstance(edge_index, SeedEdgeIndex):
-            return self._forward_seed_edges(x, edge_index)
-        h = self.linear(x)
-        num_seeds, _, out_dim = h.shape
-        # Shared connectivity tiles block-diagonally over the K * n flat
-        # node space (seed-major, preserving per-seed edge order), so the
-        # whole stack aggregates in one fused matmul — bitwise equal to K
-        # per-seed GCNConv aggregations.
-        operator = message_pass_operator(
-            edge_index, num_nodes, norm="gcn", dtype=h.data.dtype, num_seeds=num_seeds
-        )
-        flat = h.reshape(num_seeds * num_nodes, out_dim)
-        return F.message_pass(operator, flat).reshape(num_seeds, num_nodes, out_dim)
-
-    def _forward_seed_edges(self, x: Tensor, edges: SeedEdgeIndex) -> Tensor:
-        """Flat seed-disjoint-union aggregation over per-seed connectivity.
-
-        The K pooled graphs form one disjoint union over ``K * n`` flat
-        nodes; self loops, normalisation and the fused matmul all run on
-        the flat index, preserving each seed's per-bucket accumulation
-        order — bitwise equal to K sequential :class:`GCNConv` forwards.
-        """
+    def forward(self, x: Tensor, edges) -> Tensor:
         h = self.linear(x)
         num_seeds, num_nodes, out_dim = h.shape
-        operator = message_pass_operator(edges, num_nodes, norm="gcn", dtype=h.data.dtype)
+        operator = edges.operator("gcn", h.data.dtype, num_seeds)
         flat = h.reshape(num_seeds * num_nodes, out_dim)
         return F.message_pass(operator, flat).reshape(num_seeds, num_nodes, out_dim)
 
@@ -143,7 +123,8 @@ class SeedGINConv(Module):
     """Seed-stacked :class:`GINConv`: shared edges, per-seed MLP and eps.
 
     ``eps`` is ``(K, 1)`` so each seed's scalar broadcasts over its own
-    slice of the ``(K, n, h)`` activations.
+    slice of the ``(K, n, h)`` activations.  ``edges`` is either container,
+    as for :class:`SeedGCNConv`.
     """
 
     supports_seed_edges = True
@@ -160,17 +141,10 @@ class SeedGINConv(Module):
         eps = np.stack([c.eps.data for c in convs]) if has_eps else None
         return cls(mlp, eps)
 
-    def forward(self, x: Tensor, edge_index, num_nodes: int) -> Tensor:
-        if isinstance(edge_index, SeedEdgeIndex):
-            aggregated = self._aggregate_seed_edges(x, edge_index)
-            if self.eps is not None:
-                return self.mlp(_eps_combine(x, self.eps, aggregated))
-            return self.mlp(x + aggregated)
-        if edge_index.size:
-            num_seeds, _, dim = x.shape
-            operator = message_pass_operator(
-                edge_index, num_nodes, norm="sum", dtype=x.data.dtype, num_seeds=num_seeds
-            )
+    def forward(self, x: Tensor, edges) -> Tensor:
+        if edges.num_edges:
+            num_seeds, num_nodes, dim = x.shape
+            operator = edges.operator("sum", x.data.dtype, num_seeds)
             flat = x.reshape(num_seeds * num_nodes, dim)
             aggregated = F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
         else:
@@ -180,15 +154,6 @@ class SeedGINConv(Module):
         else:
             combined = x + aggregated
         return self.mlp(combined)
-
-    def _aggregate_seed_edges(self, x: Tensor, edges: SeedEdgeIndex) -> Tensor:
-        """Flat sum aggregation over per-seed connectivity (see SeedGCNConv)."""
-        if edges.flat.size == 0:
-            return Tensor._wrap(np.zeros_like(x.data))
-        num_seeds, num_nodes, dim = x.shape
-        operator = message_pass_operator(edges, num_nodes, norm="sum", dtype=x.data.dtype)
-        flat = x.reshape(num_seeds * num_nodes, dim)
-        return F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
 
 
 def _eps_combine(x: Tensor, eps: Tensor, aggregated: Tensor) -> Tensor:
@@ -252,8 +217,9 @@ class PNAConv(Module):
         # 4 aggregators * 3 scalers + self features.
         self.post = Linear(13 * out_dim, out_dim, rng)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
         """Aggregate with the 4x3 aggregator/scaler grid and project."""
+        edge_index, num_nodes = edges.edge_index, edges.num_nodes
         h = self.pre(x)
         if edge_index.size:
             src, dst = edge_index
@@ -307,7 +273,8 @@ class SeedPNAConv(Module):
             template.degree_scale,
         )
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
+        edge_index, num_nodes = edges.edge_index, edges.num_nodes
         h = self.pre(x)
         if edge_index.size:
             src, dst = edge_index
@@ -341,9 +308,11 @@ class FactorGCNConv(Module):
     each factor learns a scalar attention per edge (sigmoid of a bilinear
     score of the endpoints), performs mean aggregation on its own weighted
     adjacency, and the factor outputs are concatenated.  The
-    disentanglement auxiliary discriminator of the original paper is
-    replaced by the factor-attention entropy regulariser exposed via
-    :meth:`disentangle_penalty` (documented substitution in DESIGN.md).
+    disentanglement discriminator of the original paper is left out: it is
+    a second, adversarially trained model with its own training loop,
+    which the shared trainer here does not run.
+    :meth:`disentangle_penalty` reports how much the factor graphs overlap
+    instead, as a diagnostic that training does not use.
     """
 
     def __init__(self, in_dim: int, out_dim: int, num_factors: int, rng: np.random.Generator):
@@ -358,8 +327,9 @@ class FactorGCNConv(Module):
         self.edge_scores = Parameter(init.xavier_uniform((num_factors, 2 * in_dim), rng), name="edge_scores")
         self._last_attention: np.ndarray | None = None
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, num_nodes: int) -> Tensor:
+    def forward(self, x: Tensor, edges) -> Tensor:
         """Run every factor's attention-weighted aggregation; concatenate."""
+        edge_index, num_nodes = edges.edge_index, edges.num_nodes
         outputs = []
         attentions = []
         if edge_index.size:

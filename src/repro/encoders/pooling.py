@@ -4,6 +4,8 @@ The hierarchical pooling layers implement the per-graph top-k selection
 shared by TopKPool (Gao & Ji, 2019) and SAGPool (Lee et al., 2019): nodes
 are scored, the best ``ceil(ratio * n)`` nodes of every graph survive, the
 induced subgraph is kept and surviving features are gated by the score.
+A pool takes the level's :class:`~repro.graph.data.Topology` (or
+:class:`~repro.graph.utils.SeedEdgeIndex`) and returns a new one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.autograd import functional as F
+from repro.graph.data import Topology
 from repro.graph.segment import segment_sum, segment_mean, segment_max
 from repro.graph.utils import SeedEdgeIndex
 from repro.nn.module import Module, Parameter
@@ -94,15 +97,11 @@ class TopKPooling(Module):
         self.ratio = ratio
         self.projection = Parameter(init.xavier_uniform((in_dim, 1), rng), name="projection")
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, batch: np.ndarray, num_graphs: int):
-        """Score, select, gate; returns (features, edges, batch) of survivors."""
+    def forward(self, x: Tensor, edges: Topology, batch: np.ndarray, num_graphs: int):
+        """Score, select, gate; returns (features, topology, batch) of survivors."""
         norm = float(np.linalg.norm(self.projection.data)) + 1e-12
         scores = (x @ self.projection).squeeze(1) * (1.0 / norm)
-        kept = topk_select(scores.data, batch, num_graphs, self.ratio)
-        gate = scores[kept].tanh().unsqueeze(1)
-        new_x = x[kept] * gate
-        new_edges = filter_edges(edge_index, kept, x.shape[0])
-        return new_x, new_edges, batch[kept]
+        return _topk(x, scores, edges, batch, num_graphs, self.ratio)
 
 
 class SAGPooling(Module):
@@ -115,14 +114,20 @@ class SAGPooling(Module):
         self.ratio = ratio
         self.score_conv = GCNConv(in_dim, 1, rng)
 
-    def forward(self, x: Tensor, edge_index: np.ndarray, batch: np.ndarray, num_graphs: int):
+    def forward(self, x: Tensor, edges: Topology, batch: np.ndarray, num_graphs: int):
         """GCN-scored top-k selection; returns the surviving subgraph."""
-        scores = self.score_conv(x, edge_index, x.shape[0]).squeeze(1)
-        kept = topk_select(scores.data, batch, num_graphs, self.ratio)
-        gate = scores[kept].tanh().unsqueeze(1)
-        new_x = x[kept] * gate
-        new_edges = filter_edges(edge_index, kept, x.shape[0])
-        return new_x, new_edges, batch[kept]
+        scores = self.score_conv(x, edges).squeeze(1)
+        return _topk(x, scores, edges, batch, num_graphs, self.ratio)
+
+
+def _topk(x: Tensor, scores: Tensor, edges: Topology, batch: np.ndarray,
+          num_graphs: int, ratio: float):
+    """Select, gate and filter: the tail of :class:`TopKPooling` and :class:`SAGPooling`."""
+    kept = topk_select(scores.data, batch, num_graphs, ratio)
+    gate = scores[kept].tanh().unsqueeze(1)
+    new_x = x[kept] * gate
+    new_edges = Topology(filter_edges(edges.edge_index, kept, edges.num_nodes), len(kept))
+    return new_x, new_edges, batch[kept]
 
 
 def _seed_topk(x: Tensor, scores: Tensor, edges: SeedEdgeIndex, batch: np.ndarray,
@@ -172,14 +177,14 @@ class SeedTopKPooling(Module):
             raise SeedStackingError("cannot stack TopKPooling layers with differing ratios")
         return cls(np.stack([p.projection.data for p in pools]), template.ratio)
 
-    def forward(self, x: Tensor, edge_index: SeedEdgeIndex, batch: np.ndarray, num_graphs: int):
+    def forward(self, x: Tensor, edges: SeedEdgeIndex, batch: np.ndarray, num_graphs: int):
         # Per-seed norms computed exactly as the per-seed layer does
         # (np.linalg.norm over each contiguous (in, 1) slice).
         norms = np.array(
             [float(np.linalg.norm(self.projection.data[k])) for k in range(self.num_seeds)]
         ) + 1e-12
         scores = F.seed_linear(x, self.projection).squeeze(2) * Tensor((1.0 / norms)[:, None])
-        return _seed_topk(x, scores, edge_index, batch, num_graphs, self.ratio)
+        return _seed_topk(x, scores, edges, batch, num_graphs, self.ratio)
 
 
 class SeedSAGPooling(Module):
@@ -197,9 +202,9 @@ class SeedSAGPooling(Module):
             raise SeedStackingError("cannot stack SAGPooling layers with differing ratios")
         return cls(stack_seed_modules([p.score_conv for p in pools]), template.ratio)
 
-    def forward(self, x: Tensor, edge_index: SeedEdgeIndex, batch: np.ndarray, num_graphs: int):
-        scores = self.score_conv(x, edge_index, x.shape[1]).squeeze(2)
-        return _seed_topk(x, scores, edge_index, batch, num_graphs, self.ratio)
+    def forward(self, x: Tensor, edges: SeedEdgeIndex, batch: np.ndarray, num_graphs: int):
+        scores = self.score_conv(x, edges).squeeze(2)
+        return _seed_topk(x, scores, edges, batch, num_graphs, self.ratio)
 
 
 register_seed_stacker(TopKPooling)(SeedTopKPooling.from_layers)

@@ -8,7 +8,9 @@ edge directions, the PyG convention.
 
 :class:`GraphBatch` is the disjoint union of several graphs with a
 ``batch`` vector mapping each node to its graph — the structure every
-encoder in :mod:`repro.encoders` consumes.
+encoder in :mod:`repro.encoders` consumes.  Its :class:`Topology` holds
+the read-only edge index and the batch's lazily built message-passing
+operators, shared by every conv layer and freed with the batch.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Graph", "GraphBatch"]
+__all__ = ["Graph", "GraphBatch", "Topology"]
 
 
 @dataclass
@@ -80,6 +82,55 @@ class Graph:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges}, y={self.y!r})"
 
 
+class OperatorMemo:
+    """Per-container memo of fixed-weight message-passing operators.
+
+    Each ``(norm, dtype, num_seeds)`` operator is built on first use and
+    shared by every later caller: the conv layers of a forward and its
+    backward.  It lives and dies with its container.  No lock: a batch's
+    forward runs on one thread, and a racing duplicate build would only
+    waste time.  Subclasses provide ``_operators`` (a dict) and ``_build``.
+    """
+
+    __slots__ = ()
+
+    def operator(self, norm: str, dtype=np.float64, num_seeds: int = 1):
+        """The :class:`~repro.autograd.functional.MessagePassOperator` for
+        ``norm`` over this connectivity, built at most once per key."""
+        key = (norm, np.dtype(dtype), int(num_seeds))
+        operator = self._operators.get(key)
+        if operator is None:
+            operator = self._operators[key] = self._build(*key)
+        return operator
+
+
+class Topology(OperatorMemo):
+    """One batch's connectivity and its lazily filled operator plan.
+
+    Holds a read-only int64 copy of ``edge_index``, so writing to the
+    array it was built from cannot reach the operators built from it.
+    ``num_nodes`` is the node count of the graph the edges index into.
+    """
+
+    __slots__ = ("edge_index", "num_nodes", "_operators")
+
+    def __init__(self, edge_index, num_nodes: int):
+        self.edge_index = np.array(edge_index, dtype=np.int64).reshape(2, -1)
+        self.edge_index.flags.writeable = False
+        self.num_nodes = int(num_nodes)
+        self._operators: dict = {}
+
+    @property
+    def num_edges(self) -> int:
+        return self.edge_index.shape[1]
+
+    def _build(self, norm, dtype, num_seeds):
+        # Deferred: repro.graph.segment imports this module.
+        from repro.graph.segment import message_pass_operator
+
+        return message_pass_operator(self.edge_index, self.num_nodes, norm, dtype, num_seeds)
+
+
 class GraphBatch:
     """Disjoint union of graphs for vectorised encoding.
 
@@ -87,8 +138,11 @@ class GraphBatch:
     ----------
     x:
         Stacked node features ``(total_nodes, f)``.
+    topology:
+        The batch's :class:`Topology`, which every conv aggregates over.
     edge_index:
-        Offset-adjusted connectivity ``(2, total_edges)``.
+        Offset-adjusted connectivity ``(2, total_edges)``; read-only,
+        since it is ``topology.edge_index``.
     batch:
         ``(total_nodes,)`` int64 graph id per node.
     num_graphs:
@@ -100,7 +154,7 @@ class GraphBatch:
 
     def __init__(self, x, edge_index, batch, num_graphs, y=None, graphs=None):
         self.x = np.asarray(x, dtype=np.float64)
-        self.edge_index = np.asarray(edge_index, dtype=np.int64).reshape(2, -1)
+        self.topology = Topology(edge_index, self.x.shape[0])
         self.batch = np.asarray(batch, dtype=np.int64)
         self.num_graphs = int(num_graphs)
         self.y = y
@@ -136,12 +190,16 @@ class GraphBatch:
         return np.stack([np.asarray(l, dtype=np.float64).reshape(-1) for l in labels])
 
     @property
+    def edge_index(self) -> np.ndarray:
+        return self.topology.edge_index
+
+    @property
     def num_nodes(self) -> int:
         return self.x.shape[0]
 
     @property
     def num_edges(self) -> int:
-        return self.edge_index.shape[1]
+        return self.topology.num_edges
 
     @property
     def num_features(self) -> int:

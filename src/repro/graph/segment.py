@@ -1,4 +1,4 @@
-"""Differentiable segment reductions and the cached message-passing operator.
+"""Differentiable segment reductions and the message-passing operator builder.
 
 The segment ops are thin re-exports of the autograd implementations so
 graph code can import them from the graph substrate, mirroring how PyG
@@ -8,28 +8,15 @@ layers import from ``torch_scatter``.
 message-passing path (see
 :class:`~repro.autograd.functional.MessagePassOperator`): it resolves a
 norm kind ("gcn" / "mean" / "sum") into per-edge weights — self loops
-included for GCN — builds the forward + transpose CSR pair, and caches the
-result keyed on the edge-index *buffer* plus (num_nodes, norm, dtype,
-seeds).  Within a mini-batch the same edge buffer drives every conv layer,
-and across epochs / serving replays the batch buffers are stable (the
-inference engine interns packed topologies), so self loops, degree counts,
-norm coefficients and both sparse structures are paid once per distinct
-topology instead of once per layer per forward.
-
-Cache discipline matches the scatter-operator cache in
-``repro.autograd.functional``: each entry keeps a strong reference to the
-keyed array (the buffer cannot be recycled under the key) plus a snapshot
-copy; a pointer hit revalidates content against the snapshot, so mutating
-a cached edge buffer in place is a rebuild, never a stale operator.
-Access is lock-guarded for the serving worker thread, and the table is a
-small LRU — pooling ladders materialise fresh coarsened edge lists every
-forward and must churn through without evicting the hot batch operators
-pathologically.
+included for GCN — and builds the forward + transpose CSR pair.  It does
+not cache.  Convs ask their connectivity container instead:
+:meth:`Topology.operator <repro.graph.data.Topology.operator>` (and the
+same memo on :class:`~repro.graph.utils.SeedEdgeIndex`) builds each
+operator once per batch, shares it across every layer of the forward and
+the backward, and frees it with the batch.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -43,7 +30,7 @@ from repro.autograd.functional import (
     segment_softmax,
     segment_sum,
 )
-from repro.graph.utils import SeedEdgeIndex, add_self_loops, gcn_norm_coefficients
+from repro.graph.utils import add_self_loops, gcn_norm_coefficients
 from repro.obs.registry import FLAGS, registry
 from repro.obs.trace import span
 
@@ -56,7 +43,6 @@ __all__ = [
     "message_pass_operator",
     "eager_message_pass",
     "fused_message_pass_enabled",
-    "clear_message_pass_cache",
     "NORM_KINDS",
 ]
 
@@ -64,45 +50,16 @@ __all__ = [
 #: (self loops added), mean aggregation ``1/deg(dst)``, unweighted sum.
 NORM_KINDS = ("gcn", "mean", "sum")
 
-_OPERATOR_CACHE: dict = {}
-_OPERATOR_CACHE_MAX = 16
-_OPERATOR_CACHE_LOCK = threading.Lock()
-
-# Build events only (hit counters ride the pull-time cache collector in
-# ``repro.obs.caches`` — the hot hit path carries no registry work).
 _BUILD_EVENTS = registry.counter(
     "repro_msgpass_builds_total",
-    "Message-passing operator builds by norm and trigger (miss/rebuild)",
-    ("norm", "event"),
+    "Message-passing operator builds by norm",
+    ("norm",),
 )
 _BUILD_SECONDS = registry.counter(
     "repro_msgpass_build_seconds_total",
     "Wall seconds spent building message-passing operators",
     ("norm",),
 )
-_OPERATOR_CACHE_STATS = {"hits": 0, "misses": 0, "rebuilds": 0}
-
-
-def _cache_info() -> dict:
-    """Operator-cache counters in the unified ``hits/misses/rebuilds/size``
-    shape (the per-cache entry behind ``repro.obs.cache_info()``)."""
-    with _OPERATOR_CACHE_LOCK:
-        info = dict(_OPERATOR_CACHE_STATS)
-        info["size"] = len(_OPERATOR_CACHE)
-        return info
-
-
-def clear_message_pass_cache() -> None:
-    """Drop all cached operators and reset the counters (test isolation)."""
-    with _OPERATOR_CACHE_LOCK:
-        _OPERATOR_CACHE.clear()
-        for key in _OPERATOR_CACHE_STATS:
-            _OPERATOR_CACHE_STATS[key] = 0
-
-
-def _buffer_key(array: np.ndarray):
-    interface = array.__array_interface__
-    return (interface["data"][0], array.shape, array.strides, array.dtype.str)
 
 
 def _norm_weights(edge_index: np.ndarray, num_nodes: int, norm: str):
@@ -125,8 +82,9 @@ def _tile_for_seeds(src, dst, weights, num_nodes: int, num_seeds: int):
     """Seed-major block-diagonal tiling over the ``K * n`` flat node space.
 
     Each seed's edges keep their original order and never interleave
-    (matching :meth:`SeedEdgeIndex.from_shared`), so the flat operator's
-    per-bucket accumulation is bitwise equal to K per-seed applications.
+    (matching :meth:`~repro.graph.utils.SeedEdgeIndex.from_shared`), so
+    the flat operator's per-bucket accumulation is bitwise equal to K
+    per-seed applications.
     """
     offsets = np.arange(num_seeds, dtype=np.int64)[:, None] * num_nodes
     return (
@@ -136,34 +94,26 @@ def _tile_for_seeds(src, dst, weights, num_nodes: int, num_seeds: int):
     )
 
 
-def _build_operator(edges, num_nodes: int, norm: str, dtype: np.dtype,
+def _build_operator(edge_index, num_nodes: int, norm: str, dtype: np.dtype,
                     num_seeds: int) -> MessagePassOperator:
-    if isinstance(edges, SeedEdgeIndex):
-        total = edges.num_seeds * edges.num_nodes
-        if norm == "gcn":
-            looped = edges.with_self_loops()
-            src, dst, weights = looped[0], looped[1], gcn_norm_coefficients(looped, total)
-        else:
-            src, dst, weights = _norm_weights(edges.flat, total, norm)
-    else:
-        total = num_seeds * num_nodes
-        src, dst, weights = _norm_weights(edges, num_nodes, norm)
-        if num_seeds > 1:
-            src, dst, weights = _tile_for_seeds(src, dst, weights, num_nodes, num_seeds)
+    src, dst, weights = _norm_weights(edge_index, num_nodes, norm)
+    if num_seeds > 1:
+        src, dst, weights = _tile_for_seeds(src, dst, weights, num_nodes, num_seeds)
+    total = num_seeds * num_nodes
     return MessagePassOperator(src, dst, weights.astype(dtype, copy=False), total, total)
 
 
 def message_pass_operator(edge_index, num_nodes: int, norm: str = "sum",
                           dtype=np.float64, num_seeds: int = 1) -> MessagePassOperator:
-    """Cached :class:`MessagePassOperator` for one (topology, norm, dtype).
+    """Build the :class:`MessagePassOperator` for one (topology, norm, dtype).
+
+    Uncached: every call builds.  Inside a forward, go through the
+    connectivity's memo (``edges.operator(norm, dtype, num_seeds)``).
 
     Parameters
     ----------
     edge_index:
-        ``(2, m)`` int64 connectivity shared by every seed, or a
-        :class:`~repro.graph.utils.SeedEdgeIndex` carrying per-seed
-        connectivity over the flat ``K * n`` node space (``num_seeds`` is
-        then taken from the container).
+        ``(2, m)`` int64 connectivity, shared by every seed.
     num_nodes:
         Nodes per seed copy; the operator acts on ``num_seeds * num_nodes``
         flat rows.
@@ -173,8 +123,7 @@ def message_pass_operator(edge_index, num_nodes: int, norm: str = "sum",
     dtype:
         Float dtype of the activations the operator will multiply; the
         float64 coefficients are cast once at build (exactly the cast the
-        eager path applied per forward), and float32/float64 callers get
-        distinct cached operators.
+        eager path applied per forward).
     num_seeds:
         For shared ``(2, m)`` connectivity: replicate the operator
         block-diagonally so a ``(K, n, h)`` stack reshaped to
@@ -183,39 +132,9 @@ def message_pass_operator(edge_index, num_nodes: int, norm: str = "sum",
     if norm not in NORM_KINDS:
         raise ValueError(f"unknown norm kind {norm!r}; choose from {NORM_KINDS}")
     dtype = np.dtype(dtype)
-    if isinstance(edge_index, SeedEdgeIndex):
-        keyed = edge_index.flat
-        num_nodes = edge_index.num_nodes
-        num_seeds = edge_index.num_seeds
-        kind = "seed"
-    else:
-        keyed = edge_index
-        kind = "shared"
-    key = (_buffer_key(keyed), int(num_nodes), int(num_seeds), kind, norm, dtype.str)
-    with _OPERATOR_CACHE_LOCK:
-        entry = _OPERATOR_CACHE.get(key)
-        if entry is not None:
-            if np.array_equal(entry[1], keyed):
-                _OPERATOR_CACHE_STATS["hits"] += 1
-                # LRU touch: re-insert at the back of the eviction order.
-                _OPERATOR_CACHE[key] = _OPERATOR_CACHE.pop(key)
-                return entry[2]
-            _OPERATOR_CACHE_STATS["rebuilds"] += 1
-            event = "rebuild"
-        else:
-            _OPERATOR_CACHE_STATS["misses"] += 1
-            event = "miss"
-    if FLAGS.metrics:
-        # Builds are the expensive path (CSR pair + norm coefficients);
-        # hits stay untimed — the counter bridge covers them pull-time.
-        with _BUILD_SECONDS.time(norm=norm), span("msgpass.build", norm=norm,
-                                                  event=event, seeds=num_seeds):
-            operator = _build_operator(edge_index, num_nodes, norm, dtype, num_seeds)
-        _BUILD_EVENTS.inc(norm=norm, event=event)
-    else:
+    if not FLAGS.metrics:
+        return _build_operator(edge_index, num_nodes, norm, dtype, num_seeds)
+    with _BUILD_SECONDS.time(norm=norm), span("msgpass.build", norm=norm, seeds=num_seeds):
         operator = _build_operator(edge_index, num_nodes, norm, dtype, num_seeds)
-    with _OPERATOR_CACHE_LOCK:
-        if key not in _OPERATOR_CACHE and len(_OPERATOR_CACHE) >= _OPERATOR_CACHE_MAX:
-            _OPERATOR_CACHE.pop(next(iter(_OPERATOR_CACHE)))
-        _OPERATOR_CACHE[key] = (keyed, keyed.copy(), operator)
+    _BUILD_EVENTS.inc(norm=norm)
     return operator

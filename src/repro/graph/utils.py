@@ -7,12 +7,10 @@ TRIANGLES dataset and is validated against networkx in the test suite.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import networkx as nx
 
-from repro.graph.data import Graph
+from repro.graph.data import Graph, OperatorMemo
 
 __all__ = [
     "degrees",
@@ -35,98 +33,28 @@ def degrees(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.bincount(edge_index[1], minlength=num_nodes)
 
 
-# Both per-forward graph-preprocessing helpers below are memoised on the
-# edge-index *buffer* with the snapshot-copy staleness discipline of the
-# operator caches (`repro.graph.segment` / the autograd scatter cache):
-# each entry pins the keyed array, keeps a snapshot copy, and a pointer
-# hit revalidates content against the snapshot — in-place mutation of a
-# cached buffer is a rebuild, never a stale answer.  Within a mini-batch
-# the same edge buffer feeds every layer (GAT re-loops it per layer per
-# forward), so the concatenate/bincount work is paid once per topology.
-# Returned arrays are shared across callers and must be treated as
-# read-only.  Lock-guarded: the serving worker thread runs forwards
-# concurrently with main-thread predict/training.
-_PREP_CACHE: dict = {}
-_PREP_CACHE_MAX = 16
-_PREP_CACHE_LOCK = threading.Lock()
-_PREP_CACHE_STATS = {"hits": 0, "misses": 0, "rebuilds": 0}
-
-
-def prep_cache_info() -> dict:
-    """Prep-cache stats in the unified ``hits/misses/rebuilds/size`` shape.
-
-    A *rebuild* is a pointer hit whose snapshot revalidation failed (the
-    keyed edge buffer was mutated in place); a *miss* never saw the key.
-    """
-    with _PREP_CACHE_LOCK:
-        info = dict(_PREP_CACHE_STATS)
-        info["size"] = len(_PREP_CACHE)
-    return info
-
-
-def clear_prep_cache() -> None:
-    """Drop all cached prep results and reset stats (test isolation)."""
-    with _PREP_CACHE_LOCK:
-        _PREP_CACHE.clear()
-        for key in _PREP_CACHE_STATS:
-            _PREP_CACHE_STATS[key] = 0
-
-
-def _prep_cached(tag: str, edge_index: np.ndarray, num_nodes: int, build):
-    interface = edge_index.__array_interface__
-    key = (tag, interface["data"][0], edge_index.shape, edge_index.strides,
-           edge_index.dtype.str, int(num_nodes))
-    with _PREP_CACHE_LOCK:
-        entry = _PREP_CACHE.get(key)
-        if entry is not None and np.array_equal(entry[1], edge_index):
-            _PREP_CACHE_STATS["hits"] += 1
-            _PREP_CACHE[key] = _PREP_CACHE.pop(key)  # LRU touch
-            return entry[2]
-        _PREP_CACHE_STATS["rebuilds" if entry is not None else "misses"] += 1
-    result = build()
-    with _PREP_CACHE_LOCK:
-        if key not in _PREP_CACHE and len(_PREP_CACHE) >= _PREP_CACHE_MAX:
-            _PREP_CACHE.pop(next(iter(_PREP_CACHE)))
-        _PREP_CACHE[key] = (edge_index, edge_index.copy(), result)
-    return result
-
-
 def add_self_loops(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Append one self loop per node to ``edge_index``.
-
-    Memoised per edge buffer (treat the result as read-only); the stable
-    returned array also lets downstream buffer-keyed operator caches hit
-    across forwards.
-    """
-
-    def build():
-        loops = np.arange(num_nodes, dtype=np.int64)
-        loops = np.stack([loops, loops])
-        if edge_index.size == 0:
-            return loops
-        return np.concatenate([edge_index, loops], axis=1)
-
-    return _prep_cached("loops", edge_index, num_nodes, build)
+    """Append one self loop per node to ``edge_index``."""
+    loops = np.arange(num_nodes, dtype=np.int64)
+    loops = np.stack([loops, loops])
+    if edge_index.size == 0:
+        return loops
+    return np.concatenate([edge_index, loops], axis=1)
 
 
 def gcn_norm_coefficients(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
     """Symmetric GCN normalisation ``1 / sqrt(d_u * d_v)`` per edge.
 
     ``edge_index`` is expected to already include self loops (the Kipf &
-    Welling renormalisation trick).  Memoised per edge buffer (treat the
-    result as read-only).
+    Welling renormalisation trick).
     """
-
-    def build():
-        deg = degrees(edge_index, num_nodes).astype(np.float64)
-        deg_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
-        src, dst = edge_index
-        return deg_inv_sqrt[src] * deg_inv_sqrt[dst]
-
-    return _prep_cached("gcn-norm", edge_index, num_nodes, build)
+    deg = degrees(edge_index, num_nodes).astype(np.float64)
+    deg_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1e-12)), 0.0)
+    src, dst = edge_index
+    return deg_inv_sqrt[src] * deg_inv_sqrt[dst]
 
 
-class SeedEdgeIndex:
+class SeedEdgeIndex(OperatorMemo):
     """Per-seed connectivity over the flattened ``(K * num_nodes)`` node space.
 
     The seed-stacked pooling encoders keep node state rectangular —
@@ -141,15 +69,20 @@ class SeedEdgeIndex:
     the per-seed runs (each seed's edges keep their original order and
     never interleave), so flat message passing stays bitwise equal to K
     sequential forwards.
+
+    It memoises its operators like :class:`~repro.graph.data.Topology`;
+    each one acts on the flat ``K * num_nodes`` rows of this container's
+    own seeds, whatever ``num_seeds`` the caller keys it with.
     """
 
-    __slots__ = ("flat", "counts", "num_nodes", "num_seeds")
+    __slots__ = ("flat", "counts", "num_nodes", "num_seeds", "_operators")
 
     def __init__(self, flat: np.ndarray, counts: np.ndarray, num_nodes: int):
         self.flat = flat
         self.counts = counts
         self.num_nodes = int(num_nodes)
         self.num_seeds = len(counts)
+        self._operators: dict = {}
 
     @classmethod
     def from_shared(cls, edge_index: np.ndarray, num_seeds: int, num_nodes: int) -> "SeedEdgeIndex":
@@ -182,18 +115,16 @@ class SeedEdgeIndex:
         stop = start + int(self.counts[k])
         return self.flat[:, start:stop] - k * self.num_nodes
 
-    def with_self_loops(self) -> np.ndarray:
-        """Flat edges plus one self loop per (seed, node), loops appended last.
+    @property
+    def num_edges(self) -> int:
+        """Edges summed over every seed."""
+        return self.flat.shape[1]
 
-        Mirrors :func:`add_self_loops` per seed: within every destination
-        bucket the real in-edges come first (original order) and the self
-        loop last, so scatter accumulation order matches K per-seed runs.
-        """
-        loops = np.arange(self.num_seeds * self.num_nodes, dtype=np.int64)
-        loops = np.stack([loops, loops])
-        if self.flat.size == 0:
-            return loops
-        return np.concatenate([self.flat, loops], axis=1)
+    def _build(self, norm, dtype, num_seeds):
+        # Deferred: repro.graph.segment imports this module.
+        from repro.graph.segment import message_pass_operator
+
+        return message_pass_operator(self.flat, self.num_seeds * self.num_nodes, norm, dtype)
 
 
 def undirected_edge_index(pairs: list[tuple[int, int]]) -> np.ndarray:

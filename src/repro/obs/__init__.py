@@ -48,7 +48,6 @@ from repro.obs.profile import (
     profile_snapshot,
     reset_profile,
 )
-from repro.obs.caches import cache_info
 
 __all__ = [
     # registry
@@ -78,6 +77,4 @@ __all__ = [
     "reset_profile",
     "dump_profile",
     "format_report",
-    # caches
-    "cache_info",
 ]

@@ -2,7 +2,7 @@
 
 One :class:`Registry` instance (:data:`repro.obs.registry`) is the sink
 every instrumented layer records into — the fused reweighting loops, the
-batched multi-seed trainer, the message-passing operator caches and the
+batched multi-seed trainer, the message-passing operator builds and the
 whole serving stack.  It is
 deliberately **stdlib-only** (no numpy) so importing it from the hottest
 modules costs nothing beyond the module itself.
@@ -358,10 +358,10 @@ class Registry:
 
     ``register_collector(fn)`` adds a zero-argument callable returning an
     iterable of ``(metric_name, kind, help, samples)`` where ``samples``
-    is ``[(labels_dict, value)]`` — the pull-time bridge that lets the
-    existing cache-counter dicts (message-passing operators, scatter
-    plans, graph prep) publish into ``/metrics`` without adding a single
-    instruction to their hot paths.
+    is ``[(labels_dict, value)]`` — the pull-time bridge that lets a
+    source keeping its own counters (the kernel profiler's per-op table)
+    publish into ``/metrics`` without adding a single instruction to its
+    hot path.
     """
 
     def __init__(self):

@@ -11,6 +11,10 @@ and answers prediction requests:
   small-graph latency (``benchmarks/bench_inference.py``).
 * **Tape-free forwards** — every forward runs inside
   :func:`repro.autograd.inference_mode`, the allocation-free fast path.
+* **One topology plan per pack** — each packed batch's
+  :class:`~repro.graph.data.Topology` builds every conv operator once,
+  shares it across the layers of that forward and is freed with the
+  batch; nothing derived from a topology outlives its forward.
 * **Seed ensembles** — a K-seed artifact serves the ensemble: stackable
   rosters (the whole encoder zoo — GCN/GIN families, GAT, SAGE, PNA,
   virtual-node and hierarchical-pooling models) run one seed-stacked
@@ -91,44 +95,6 @@ def _batch_span(live):
     return span("engine.batch", graphs=len(live), trace_ids=trace_ids)
 
 
-class _TopologyInterner:
-    """Canonicalise packed index arrays onto stable buffers across requests.
-
-    ``GraphBatch.from_graphs`` materialises a *fresh* ``edge_index`` and
-    ``batch`` vector per pack, so every buffer-keyed operator cache
-    downstream — the fused message-passing operators, self-loop tables and
-    scatter matrices — would miss on every forward even when the packed
-    topology is identical to the last one (replay traffic, repeated
-    calibration sweeps, steady single-client streams).  The interner keeps
-    the last few distinct arrays and swaps a content-equal newcomer for
-    the stored object, so the pointer-keyed caches hit: one O(m) compare
-    per pack instead of a norm + self-loop + CSR rebuild per layer.
-
-    Lock-guarded — the worker thread serves concurrently with synchronous
-    ``predict()`` calls on the same engine.
-    """
-
-    def __init__(self, max_entries: int = 8):
-        self._max = max_entries
-        self._entries: list[np.ndarray] = []
-        self._lock = threading.Lock()
-
-    def canonical(self, array: np.ndarray) -> np.ndarray:
-        with self._lock:
-            for i, stored in enumerate(self._entries):
-                if stored is array or (
-                    stored.shape == array.shape
-                    and stored.dtype == array.dtype
-                    and np.array_equal(stored, array)
-                ):
-                    if i:
-                        self._entries.insert(0, self._entries.pop(i))
-                    return self._entries[0]
-            self._entries.insert(0, array)
-            del self._entries[self._max:]
-            return array
-
-
 @dataclass
 class Prediction:
     """One request's answer.
@@ -191,12 +157,6 @@ class InferenceEngine:
     calibration:
         Optional pre-fitted :class:`~repro.serve.ood.EnergyCalibration`;
         or call :meth:`calibrate` with held-in graphs.
-    reuse_topology:
-        Intern packed edge-index / batch vectors across forwards (default
-        True), so identical-topology replay traffic hits the cached
-        message-passing operators instead of rebuilding norms, self loops
-        and sparse structures per pack.  Disable only to measure the
-        rebuild cost (``benchmarks/bench_inference.py``).
     clock:
         Time source for request deadlines.  Must be **monotonic** — the
         default is :func:`time.monotonic`, never wall-clock
@@ -216,7 +176,6 @@ class InferenceEngine:
         dtype=None,
         temperature: float = 1.0,
         calibration: EnergyCalibration | None = None,
-        reuse_topology: bool = True,
         clock=time.monotonic,
     ):
         if artifact is not None:
@@ -252,7 +211,6 @@ class InferenceEngine:
             # re-apply the engine precision to the stacked parameter bank.
             self._stacked.eval()
             self._stacked.to_dtype(self.dtype)
-        self._interner = _TopologyInterner() if reuse_topology else None
         self.clock = clock
         self._queue: queue.Queue | None = None
         self._worker: threading.Thread | None = None
@@ -286,11 +244,6 @@ class InferenceEngine:
         features and every forward-time constant are coerced to the
         engine precision, so a float32 engine computes float32 end to end.
         """
-        if self._interner is not None:
-            # Swap freshly packed index arrays for their interned twins so
-            # the buffer-keyed operator caches hit on identical topologies.
-            batch.edge_index = self._interner.canonical(batch.edge_index)
-            batch.batch = self._interner.canonical(batch.batch)
         with inference_mode(), compute_dtype(self.dtype):
             if self._stacked is not None:
                 return self._stacked(batch).data

@@ -6,7 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.encoders.attention import GATConv, SAGEConv
 from repro.encoders import build_model, available_models
-from repro.graph.data import GraphBatch
+from repro.graph.data import GraphBatch, Topology
 from repro.graph.generators import erdos_renyi
 from repro.graph.utils import undirected_edge_index
 from repro.nn import cross_entropy
@@ -26,7 +26,7 @@ class TestGATConv:
     def test_output_shape(self, rng, path_graph):
         edges, n = path_graph
         conv = GATConv(5, 8, rng, num_heads=4)
-        out = conv(Tensor(rng.normal(size=(n, 5))), edges, n)
+        out = conv(Tensor(rng.normal(size=(n, 5))), Topology(edges, n))
         assert out.shape == (n, 8)
 
     def test_head_divisibility(self, rng):
@@ -39,7 +39,7 @@ class TestGATConv:
         edges, n = path_graph
         conv = GATConv(3, 4, rng, num_heads=2)
         x = np.ones((n, 3))
-        out = conv(Tensor(x), edges, n).data
+        out = conv(Tensor(x), Topology(edges, n)).data
         # All nodes share features, so every node's output is identical
         # iff attention sums to 1 over each in-neighbourhood.
         np.testing.assert_allclose(out[0], out[2], atol=1e-10)
@@ -47,7 +47,7 @@ class TestGATConv:
     def test_gradients_flow(self, rng, path_graph):
         edges, n = path_graph
         conv = GATConv(3, 4, rng, num_heads=2)
-        out = conv(Tensor(rng.normal(size=(n, 3)), requires_grad=True), edges, n)
+        out = conv(Tensor(rng.normal(size=(n, 3)), requires_grad=True), Topology(edges, n))
         out.sum().backward()
         assert conv.att_src.grad is not None
         assert conv.att_dst.grad is not None
@@ -57,10 +57,10 @@ class TestGATConv:
         edges, n = path_graph
         conv = GATConv(3, 4, rng, num_heads=2)
         x = rng.normal(size=(n, 3))
-        out = conv(Tensor(x), edges, n).data
+        out = conv(Tensor(x), Topology(edges, n)).data
         perm = np.array([2, 0, 1])
         relabel = np.argsort(perm)
-        out_p = conv(Tensor(x[perm]), relabel[edges], n).data
+        out_p = conv(Tensor(x[perm]), Topology(relabel[edges], n)).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
 
@@ -68,13 +68,13 @@ class TestSAGEConv:
     def test_output_shape(self, rng, path_graph):
         edges, n = path_graph
         conv = SAGEConv(3, 6, rng)
-        assert conv(Tensor(rng.normal(size=(n, 3))), edges, n).shape == (n, 6)
+        assert conv(Tensor(rng.normal(size=(n, 3))), Topology(edges, n)).shape == (n, 6)
 
     def test_matches_manual_mean_aggregation(self, rng):
         edges = undirected_edge_index([(0, 1), (0, 2)])
         conv = SAGEConv(2, 3, rng)
         x = rng.normal(size=(3, 2))
-        out = conv(Tensor(x), edges, 3).data
+        out = conv(Tensor(x), Topology(edges, 3)).data
         neigh0 = (x[1] + x[2]) / 2
         expected = (x[0] @ conv.self_linear.weight.data + conv.self_linear.bias.data
                     + neigh0 @ conv.neigh_linear.weight.data)
@@ -83,12 +83,12 @@ class TestSAGEConv:
     def test_normalise_gives_unit_rows(self, rng, path_graph):
         edges, n = path_graph
         conv = SAGEConv(3, 4, rng, normalise=True)
-        out = conv(Tensor(rng.normal(size=(n, 3))), edges, n).data
+        out = conv(Tensor(rng.normal(size=(n, 3))), Topology(edges, n)).data
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-8)
 
     def test_edgeless_graph(self, rng):
         conv = SAGEConv(3, 4, rng)
-        out = conv(Tensor(rng.normal(size=(2, 3))), np.zeros((2, 0), dtype=np.int64), 2)
+        out = conv(Tensor(rng.normal(size=(2, 3))), Topology(np.zeros((2, 0), dtype=np.int64), 2))
         assert out.shape == (2, 4)
 
 

@@ -36,6 +36,21 @@ def test_doctest_blocks_execute():
     assert not problems, "\n".join(problems)
 
 
+def test_md_citations_in_code_resolve():
+    assert check_docs.check_md_citations() == []
+
+
+def test_md_citation_check_flags_only_missing_files(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text("")
+    (tmp_path / "docs" / "GUIDE.md").write_text("")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text(
+        '"""See README.md, docs/GUIDE.md, GUIDE.md and DESIGN.md."""\n'
+    )
+    assert check_docs.check_md_citations(tmp_path) == ["src/module.py: cites missing DESIGN.md"]
+
+
 def test_github_slug_rules():
     assert check_docs.github_slug("Reweighting backends") == "reweighting-backends"
     assert check_docs.github_slug("Algorithm 1 in this codebase") == "algorithm-1-in-this-codebase"

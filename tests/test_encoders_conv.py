@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, inference_mode
 from repro.encoders import GCNConv, GINConv, PNAConv, FactorGCNConv, build_model
-from repro.graph.data import GraphBatch
+from repro.graph.data import GraphBatch, Topology
 from repro.graph.generators import erdos_renyi
 from repro.graph.segment import segment_sum
 from repro.graph.utils import undirected_edge_index
@@ -32,13 +32,13 @@ class TestGCNConv:
     def test_output_shape(self, rng, path_graph):
         edges, n = path_graph
         conv = GCNConv(4, 8, rng)
-        out = conv(Tensor(rng.normal(size=(n, 4))), edges, n)
+        out = conv(Tensor(rng.normal(size=(n, 4))), Topology(edges, n))
         assert out.shape == (n, 8)
 
     def test_isolated_node_keeps_self_signal(self, rng):
         conv = GCNConv(2, 2, rng)
         x = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        out = conv(x, np.zeros((2, 0), dtype=np.int64), 2)
+        out = conv(x, Topology(np.zeros((2, 0), dtype=np.int64), 2))
         # With only self loops, out = x @ W (degree 1 normalisation).
         np.testing.assert_allclose(out.data, (x.data @ conv.linear.weight.data) + conv.linear.bias.data, atol=1e-12)
 
@@ -46,19 +46,19 @@ class TestGCNConv:
         edges, n = path_graph
         conv = GCNConv(3, 5, rng)
         x = rng.normal(size=(n, 3))
-        out = conv(Tensor(x), edges, n).data
+        out = conv(Tensor(x), Topology(edges, n)).data
         perm = np.array([2, 0, 1])
         # node i of the permuted graph is node perm[i] of the original
         x_p = x[perm]
         relabel = np.argsort(perm)
         edges_p = relabel[edges]
-        out_p = conv(Tensor(x_p), edges_p, n).data
+        out_p = conv(Tensor(x_p), Topology(edges_p, n)).data
         np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
 
     def test_gradients_reach_weights(self, rng, path_graph):
         edges, n = path_graph
         conv = GCNConv(3, 5, rng)
-        conv(Tensor(rng.normal(size=(n, 3))), edges, n).sum().backward()
+        conv(Tensor(rng.normal(size=(n, 3))), Topology(edges, n)).sum().backward()
         assert conv.linear.weight.grad is not None
 
 
@@ -68,7 +68,7 @@ class TestGINConv:
         conv.eval()  # freeze batch-norm to running stats for determinism
         edges = undirected_edge_index([(0, 1)])
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = conv(Tensor(x), edges, 2).data
+        out = conv(Tensor(x), Topology(edges, 2)).data
         # (1+eps)*x_i + sum_j x_j with eps=0 -> both nodes get [1, 1].
         mlp_in_0 = x[0] + x[1]
         expected = conv.mlp(Tensor(mlp_in_0[None, :])).data
@@ -77,7 +77,7 @@ class TestGINConv:
     def test_eps_parameter_trains(self, rng, ):
         conv = GINConv(2, 4, rng)
         edges = undirected_edge_index([(0, 1)])
-        out = conv(Tensor(rng.normal(size=(2, 2))), edges, 2)
+        out = conv(Tensor(rng.normal(size=(2, 2))), Topology(edges, 2))
         out.sum().backward()
         assert conv.eps.grad is not None
 
@@ -85,12 +85,12 @@ class TestGINConv:
         conv = GINConv(2, 4, rng, train_eps=False)
         assert conv.eps is None
         edges = undirected_edge_index([(0, 1)])
-        out = conv(Tensor(rng.normal(size=(2, 2))), edges, 2)
+        out = conv(Tensor(rng.normal(size=(2, 2))), Topology(edges, 2))
         assert out.shape == (2, 4)
 
     def test_edgeless_graph(self, rng):
         conv = GINConv(2, 4, rng)
-        out = conv(Tensor(rng.normal(size=(3, 2))), np.zeros((2, 0), dtype=np.int64), 3)
+        out = conv(Tensor(rng.normal(size=(3, 2))), Topology(np.zeros((2, 0), dtype=np.int64), 3))
         assert out.shape == (3, 4)
 
     def test_combine_node_matches_manual_chain(self, rng):
@@ -101,7 +101,7 @@ class TestGINConv:
         conv.eps.data = np.array([0.3])
 
         x = Tensor(x_data, requires_grad=True)
-        out = conv(x, graph.edge_index, graph.num_nodes)
+        out = conv(x, Topology(graph.edge_index, graph.num_nodes))
         out.sum().backward()
         eps_grad = conv.eps.grad.copy()
 
@@ -136,7 +136,7 @@ class TestPNAConv:
     def test_output_shape(self, rng, path_graph):
         edges, n = path_graph
         conv = PNAConv(3, 6, rng, degree_scale=1.0)
-        out = conv(Tensor(rng.normal(size=(n, 3))), edges, n)
+        out = conv(Tensor(rng.normal(size=(n, 3))), Topology(edges, n))
         assert out.shape == (n, 6)
 
     def test_concat_width(self, rng):
@@ -150,7 +150,7 @@ class TestPNAConv:
 
     def test_edgeless_graph(self, rng):
         conv = PNAConv(3, 4, rng)
-        out = conv(Tensor(rng.normal(size=(2, 3))), np.zeros((2, 0), dtype=np.int64), 2)
+        out = conv(Tensor(rng.normal(size=(2, 3))), Topology(np.zeros((2, 0), dtype=np.int64), 2))
         assert out.shape == (2, 4)
         assert np.isfinite(out.data).all()
 
@@ -158,7 +158,7 @@ class TestPNAConv:
         conv = PNAConv(2, 4, rng)
         edges = undirected_edge_index([(0, 1), (1, 2), (0, 2)])
         x = Tensor(np.ones((3, 2)))
-        out = conv(x, edges, 3)
+        out = conv(x, Topology(edges, 3))
         assert np.isfinite(out.data).all()
 
 
@@ -170,14 +170,14 @@ class TestFactorGCN:
     def test_output_shape_and_factors(self, rng, path_graph):
         edges, n = path_graph
         conv = FactorGCNConv(3, 8, 4, rng)
-        out = conv(Tensor(rng.normal(size=(n, 3))), edges, n)
+        out = conv(Tensor(rng.normal(size=(n, 3))), Topology(edges, n))
         assert out.shape == (n, 8)
         assert conv._last_attention.shape == (4, edges.shape[1])
 
     def test_disentangle_penalty_range(self, rng, path_graph):
         edges, n = path_graph
         conv = FactorGCNConv(3, 8, 4, rng)
-        conv(Tensor(rng.normal(size=(n, 3))), edges, n)
+        conv(Tensor(rng.normal(size=(n, 3))), Topology(edges, n))
         penalty = conv.disentangle_penalty()
         assert -1.0 <= penalty <= 1.0
 
@@ -187,5 +187,5 @@ class TestFactorGCN:
 
     def test_edgeless_graph(self, rng):
         conv = FactorGCNConv(3, 6, 2, rng)
-        out = conv(Tensor(rng.normal(size=(2, 3))), np.zeros((2, 0), dtype=np.int64), 2)
+        out = conv(Tensor(rng.normal(size=(2, 3))), Topology(np.zeros((2, 0), dtype=np.int64), 2))
         assert out.shape == (2, 6)

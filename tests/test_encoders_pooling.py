@@ -6,6 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.encoders import TopKPooling, SAGPooling, global_sum_pool, global_mean_pool, global_max_pool
 from repro.encoders.pooling import topk_select, filter_edges
+from repro.graph.data import Topology
 from repro.graph.utils import undirected_edge_index
 
 
@@ -84,7 +85,7 @@ class TestPoolingLayers:
         edges = undirected_edge_index([(0, 1), (1, 2), (2, 3), (3, 0)])
         x = Tensor(rng.normal(size=(4, 4)))
         batch = np.zeros(4, dtype=np.int64)
-        new_x, new_edges, new_batch = pool(x, edges, batch, 1)
+        new_x, new_edges, new_batch = pool(x, Topology(edges, 4), batch, 1)
         assert new_x.shape == (2, 4)
         assert len(new_batch) == 2
 
@@ -97,7 +98,7 @@ class TestPoolingLayers:
         pool = TopKPooling(3, rng, ratio=1.0)
         edges = undirected_edge_index([(0, 1)])
         x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        new_x, _, _ = pool(x, edges, np.zeros(2, dtype=np.int64), 1)
+        new_x, _, _ = pool(x, Topology(edges, 2), np.zeros(2, dtype=np.int64), 1)
         new_x.sum().backward()
         assert x.grad is not None
         assert pool.projection.grad is not None
@@ -107,6 +108,6 @@ class TestPoolingLayers:
         pool = SAGPooling(3, rng, ratio=0.5)
         edges = undirected_edge_index([(0, 1), (1, 2)])
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        new_x, _, _ = pool(x, edges, np.zeros(3, dtype=np.int64), 1)
+        new_x, _, _ = pool(x, Topology(edges, 3), np.zeros(3, dtype=np.int64), 1)
         new_x.sum().backward()
         assert pool.score_conv.linear.weight.grad is not None

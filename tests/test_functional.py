@@ -70,11 +70,10 @@ class TestSegmentOps:
         np.testing.assert_allclose(out.data, [[3.0], [9.0]])
 
     def test_segment_sum_after_in_place_id_mutation(self):
-        """The scatter-operator cache must revalidate, not serve stale ids.
+        """Each call scatters by the ids' current contents.
 
-        The cache keys on the index buffer's address; overwriting the
-        same buffer with different ids (dynamic-graph serving) must be a
-        miss — a stale CSC operator would silently mis-aggregate.
+        Overwriting the same id buffer with different ids (dynamic-graph
+        serving) must change the aggregation, never replay the old one.
         """
         x = Tensor(np.array([[1.0], [2.0], [3.0], [4.0]]))
         ids = np.array([0, 0, 1, 1])

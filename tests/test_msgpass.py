@@ -1,16 +1,20 @@
-"""Fused message passing: operator parity, cache discipline, conv ports.
+"""Fused message passing: operator parity, the per-batch plan, conv ports.
 
-The contract (docs/ARCHITECTURE.md "Fused message passing"): the cached
+The contract (docs/ARCHITECTURE.md "Fused message passing"): the
 :class:`~repro.autograd.functional.MessagePassOperator` collapses every
 fixed-weight conv aggregate into one normalised-adjacency matmul that is
 **bitwise** equal — forward and backward — to the eager
 gather -> scale -> scatter chain it replaced (re-runnable on demand via
-:func:`~repro.graph.segment.eager_message_pass`).  The operator cache is
-keyed on the edge-index buffer with snapshot revalidation, so in-place
-mutation is a rebuild, never a stale hit; float32 and float64 get
-distinct operators; and the seed-flat block-diagonal operator matches K
-per-seed applications bit for bit.
+:func:`~repro.graph.segment.eager_message_pass`).  float32 and float64
+get distinct operators, and the seed-flat block-diagonal operator matches
+K per-seed applications bit for bit.  A batch's
+:class:`~repro.graph.data.Topology` builds each operator once for all of
+its layers and the backward, holds a read-only copy of its edges so it
+cannot go stale, and frees its operators with the batch.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,13 +26,10 @@ from repro.autograd.tensor import compute_dtype
 from repro.encoders import build_model
 from repro.encoders.conv import GINConv, SeedGINConv
 from repro.graph import segment
-from repro.graph.data import GraphBatch
+from repro.graph.data import GraphBatch, Topology
 from repro.graph.generators import erdos_renyi
 from repro.graph.utils import SeedEdgeIndex
 from repro.nn.layers import stack_seed_modules
-from repro.obs import cache_info as obs_cache_info
-from repro.serve import FeatureSchema, InferenceEngine
-from repro.serve.engine import _TopologyInterner
 
 NUM_NODES = 23
 
@@ -174,35 +175,7 @@ def _edges_and_nodes(draw):
 
 
 class TestOperatorCache:
-    def setup_method(self):
-        segment.clear_message_pass_cache()
-
-    def test_same_buffer_is_a_hit(self):
-        edges = _random_edges()
-        first = segment.message_pass_operator(edges, NUM_NODES, norm="gcn")
-        second = segment.message_pass_operator(edges, NUM_NODES, norm="gcn")
-        assert first is second
-        info = obs_cache_info()["message_pass"]
-        assert info["misses"] == 1 and info["hits"] == 1
-
-    def test_cache_is_bounded(self):
-        arrays = [_random_edges(seed=s) for s in range(40)]
-        for edges in arrays:
-            segment.message_pass_operator(edges, NUM_NODES, norm="sum")
-        assert obs_cache_info()["message_pass"]["size"] <= 16
-
-    @settings(max_examples=25, deadline=None)
-    @given(_edges_and_nodes(), st.sampled_from(segment.NORM_KINDS))
-    def test_mutating_cached_buffer_is_a_rebuild_never_stale(self, edges_nodes, norm):
-        edges, num_nodes = edges_nodes
-        stale = segment.message_pass_operator(edges, num_nodes, norm=norm)
-        edges[0, 0] = (edges[0, 0] + 1) % num_nodes  # in-place mutation
-        rebuilt = segment.message_pass_operator(edges, num_nodes, norm=norm)
-        assert rebuilt is not stale
-        fresh = segment.message_pass_operator(edges.copy(), num_nodes, norm=norm)
-        np.testing.assert_array_equal(rebuilt.src, fresh.src)
-        np.testing.assert_array_equal(rebuilt.dst, fresh.dst)
-        np.testing.assert_array_equal(rebuilt.weights, fresh.weights)
+    """The uncached builder that the per-batch plan memoises."""
 
     @settings(max_examples=25, deadline=None)
     @given(_edges_and_nodes(), st.sampled_from(segment.NORM_KINDS))
@@ -230,7 +203,7 @@ class TestOperatorCache:
             )
         # The SeedEdgeIndex disjoint-union path reproduces the tiled operator.
         seed_edges = SeedEdgeIndex.from_shared(edges, num_seeds, num_nodes)
-        seed_op = segment.message_pass_operator(seed_edges, num_nodes, norm=norm)
+        seed_op = seed_edges.operator(norm)
         np.testing.assert_array_equal(
             seed_op.matmul(x.reshape(num_seeds * num_nodes, 4)), flat_out
         )
@@ -248,7 +221,7 @@ class TestGINEmptyEdges:
         reference = GINConv(feature_dim, 3, np.random.default_rng(0))
         x_conv = Tensor(x_data.copy(), requires_grad=True)
         x_ref = Tensor(x_data.copy(), requires_grad=True)
-        out = conv(x_conv, empty, num_nodes)
+        out = conv(x_conv, Topology(empty, num_nodes))
         # With nothing aggregated the combine collapses to (1 + eps) * x.
         expected = reference.mlp(x_ref * (reference.eps + 1.0))
         np.testing.assert_array_equal(out.data, expected.data)
@@ -260,7 +233,7 @@ class TestGINEmptyEdges:
     def test_aggregate_is_untaped_constant(self):
         conv = GINConv(4, 3, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(3).normal(size=(5, 4)), requires_grad=True)
-        out = conv(x, np.zeros((2, 0), dtype=np.int64), 5)
+        out = conv(x, Topology(np.zeros((2, 0), dtype=np.int64), 5))
         out.sum().backward()
         assert x.grad is not None and np.all(np.isfinite(x.grad))
 
@@ -268,58 +241,68 @@ class TestGINEmptyEdges:
         convs = [GINConv(4, 3, np.random.default_rng(s)) for s in (0, 1)]
         stacked = SeedGINConv.from_layers(convs)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 4)), requires_grad=True)
-        out = stacked(x, np.zeros((2, 0), dtype=np.int64), 5)
+        out = stacked(x, Topology(np.zeros((2, 0), dtype=np.int64), 5))
         assert out.shape == (2, 5, 3)
         out.sum().backward()
         assert x.grad is not None and np.all(np.isfinite(x.grad))
 
 
-class TestServingTopologyReuse:
-    """Identical-topology replays must hit the operator cache via the
-    engine's topology interner instead of rebuilding per pack."""
+class TestTopologyPlan:
+    """One lazily filled operator plan per batch, freed with the batch."""
 
-    SCHEMA = FeatureSchema(feature_dim=4, out_dim=3, task_type="multiclass", num_classes=3)
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+        init = F.MessagePassOperator.__init__
 
-    def _graphs(self, rng, count=3):
-        graphs = []
-        for _ in range(count):
-            g = erdos_renyi(int(rng.integers(5, 10)), 0.5, rng)
-            g.x = rng.normal(size=(g.num_nodes, 4))
-            graphs.append(g)
-        return graphs
+        def counting_init(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
 
-    def _engine(self, **kwargs):
-        model = build_model(
-            "gcn", 4, 3, np.random.default_rng(1), hidden_dim=8, num_layers=2
-        )
-        return InferenceEngine.from_models([model], self.SCHEMA, **kwargs)
+        monkeypatch.setattr(F.MessagePassOperator, "__init__", counting_init)
+        return builds
 
-    def test_interner_returns_stored_object_for_equal_content(self):
-        interner = _TopologyInterner()
-        first = np.arange(10)
-        assert interner.canonical(first) is first
-        assert interner.canonical(first.copy()) is first
-        other = np.arange(5)
-        assert interner.canonical(other) is other
+    @staticmethod
+    def _gin(seed):
+        return build_model("gin", 5, 3, np.random.default_rng(seed), hidden_dim=8, num_layers=3)
 
-    def test_replay_does_not_rebuild_operators(self):
-        engine = self._engine()
-        graphs = self._graphs(np.random.default_rng(11))
-        segment.clear_message_pass_cache()
-        engine.predict(graphs)
-        before = obs_cache_info()["message_pass"]
-        engine.predict(graphs)  # identical topology, fresh pack arrays
-        after = obs_cache_info()["message_pass"]
-        assert after["misses"] == before["misses"]
-        assert after["rebuilds"] == before["rebuilds"]
-        assert after["hits"] > before["hits"]
+    @pytest.mark.parametrize("num_seeds", [1, 2], ids=["gin", "seed-stacked-k2"])
+    def test_forward_and_backward_build_one_operator(self, monkeypatch, num_seeds):
+        batch = _feature_batch(np.random.default_rng(12))
+        models = [self._gin(seed) for seed in range(num_seeds)]
+        model = models[0] if num_seeds == 1 else stack_seed_modules(models)
+        builds = self._count_builds(monkeypatch)
+        model(batch).sum().backward()
+        assert len(builds) == 1
+        assert builds[0] is batch.topology.operator("sum", np.float64, num_seeds)
 
-    def test_reuse_can_be_disabled(self):
-        engine = self._engine(reuse_topology=False)
-        graphs = self._graphs(np.random.default_rng(12))
-        segment.clear_message_pass_cache()
-        engine.predict(graphs)
-        before = obs_cache_info()["message_pass"]
-        engine.predict(graphs)
-        after = obs_cache_info()["message_pass"]
-        assert after["misses"] > before["misses"]
+    def test_operators_are_freed_with_the_batch(self):
+        batch = _feature_batch(np.random.default_rng(13))
+        model = self._gin(0)
+        loss = model(batch).sum()
+        loss.backward()
+        indptr = weakref.ref(batch.topology.operator("sum").indptr)
+        del batch, loss
+        gc.collect()
+        assert indptr() is None
+
+    def test_batch_edges_are_read_only(self):
+        batch = _feature_batch(np.random.default_rng(14))
+        with pytest.raises(ValueError):
+            batch.edge_index[0, 0] = 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(_edges_and_nodes(), st.sampled_from(segment.NORM_KINDS))
+    def test_writing_the_source_array_never_reaches_the_plan(self, edges_nodes, norm):
+        edges, num_nodes = edges_nodes
+        original = edges.copy()
+        queried_before = Topology(edges, num_nodes)
+        first = queried_before.operator(norm)
+        queried_after = Topology(edges, num_nodes)
+        edges[0, 0] = (edges[0, 0] + 1) % num_nodes  # write to the source
+        assert queried_before.operator(norm) is first
+        fresh = segment.message_pass_operator(original, num_nodes, norm=norm)
+        for operator in (first, queried_after.operator(norm)):
+            np.testing.assert_array_equal(operator.src, fresh.src)
+            np.testing.assert_array_equal(operator.dst, fresh.dst)
+            np.testing.assert_array_equal(operator.weights, fresh.weights)

@@ -194,4 +194,4 @@ class TestReporting:
         assert obs_main(["metrics"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE" in out
-        assert "repro_cache_events_total" in out
+        assert "# TYPE repro_seed_gemm_total counter" in out

@@ -13,9 +13,7 @@ End-to-end coverage for the observability integration of ISSUE 9:
   be a 500);
 * the opt-in structured access log emits one JSON line per request;
 * worker pools publish per-worker stats snapshots that aggregate into
-  ``/stats`` and ``/metrics``;
-* the cache-counter unification — one ``hits/misses/rebuilds/size``
-  shape for every operator cache.
+  ``/stats`` and ``/metrics``.
 """
 
 import io
@@ -29,8 +27,6 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi
-from repro.obs import cache_info
-from repro.obs.caches import CACHE_STAT_KEYS
 from repro.serve import (
     FeatureSchema,
     InferenceEngine,
@@ -208,10 +204,6 @@ class TestMetricsEndpoint:
         assert_valid_prometheus(text)
         assert "# TYPE repro_serving_requests_total counter" in text
         assert 'repro_serving_requests_total{outcome="served"} 1' in text
-        # The unified cache counters ride in the same scrape.
-        assert "# TYPE repro_cache_events_total counter" in text
-        for cache in ("message_pass", "scatter", "prep"):
-            assert f'cache="{cache}"' in text
         assert "repro_serving_uptime_seconds" in text
 
 
@@ -373,11 +365,3 @@ class TestWorkerPoolObservability:
         finally:
             server.drain()
 
-
-class TestCacheUnification:
-    def test_unified_shape_for_every_cache(self):
-        info = cache_info()
-        assert set(info) == {"message_pass", "scatter", "prep"}
-        for stats in info.values():
-            assert tuple(stats) == CACHE_STAT_KEYS
-            assert all(isinstance(v, int) and v >= 0 for v in stats.values())

@@ -12,7 +12,9 @@ docs/*.md):
   ``tests/...``, ``benchmarks/...``, ``docs/...``, ``tools/...``)
   points at an existing file;
 * all ``>>>`` doctest examples execute and produce the documented
-  output (``python -m doctest`` semantics).
+  output (``python -m doctest`` semantics);
+* every ``*.md`` name cited in a ``src/`` or ``benchmarks/`` Python file
+  exists at the repository root or under ``docs/``.
 
 Exit code 0 when everything checks out, 1 otherwise.  Run from anywhere:
 
@@ -33,6 +35,8 @@ _LINK = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_PATH = re.compile(r"`((?:src|tests|benchmarks|docs|tools)/[A-Za-z0-9_./-]+)`")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
+_MD_CITATION = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+CITING_DIRS = ("src", "benchmarks")
 
 
 def github_slug(heading: str) -> str:
@@ -79,8 +83,20 @@ def check_doctests(path: Path) -> list[str]:
     return []
 
 
+def check_md_citations(root: Path = REPO_ROOT) -> list[str]:
+    """``*.md`` names cited in ``root``'s src/ and benchmarks/ Python files
+    that exist neither at ``root`` nor under ``root/docs``."""
+    problems = []
+    for directory in CITING_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            for name in sorted(set(_MD_CITATION.findall(path.read_text()))):
+                if not ((root / name).exists() or (root / "docs" / name).exists()):
+                    problems.append(f"{path.relative_to(root)}: cites missing {name}")
+    return problems
+
+
 def main() -> int:
-    problems: list[str] = []
+    problems: list[str] = check_md_citations()
     for doc in DOC_FILES:
         if not doc.exists():
             problems.append(f"missing documentation file: {doc.relative_to(REPO_ROOT)}")
