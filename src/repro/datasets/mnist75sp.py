@@ -20,7 +20,6 @@ graph over superpixel centroids and is identical across test variants.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.graph.data import Graph
 from repro.graph.utils import undirected_edge_index
@@ -116,6 +115,10 @@ def image_to_superpixel_graph(
         raise ValueError("image has no foreground to build a graph from")
     k = min(max_superpixels, len(coords))
     if k < len(coords):
+        # Imported here: the entry points never generate MNIST-75SP, and
+        # scipy.cluster costs about a third of their start-up.
+        from scipy.cluster.vq import kmeans2
+
         centroids, labels = kmeans2(coords, k, minit="++", seed=int(rng.integers(2**31)))
         # Drop empty clusters.
         node_xy, node_val = [], []

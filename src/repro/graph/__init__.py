@@ -4,7 +4,7 @@
 * :class:`GraphBatch` — disjoint union of graphs with a node→graph map.
 * segment reductions — differentiable scatter ops for message passing.
 * utilities — degrees, self-loops, GCN normalisation, triangle counting.
-* generators — random graph families used by the synthetic datasets.
+* generators — networkx random graph families for tests and benchmarks.
 """
 
 from repro.graph.data import Graph, GraphBatch

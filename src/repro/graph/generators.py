@@ -1,17 +1,16 @@
-"""Random graph generators used by the synthetic dataset suite.
+"""Random graph generators for tests and benchmarks.
 
 Wraps networkx generators into :class:`~repro.graph.data.Graph` objects and
-adds the structured constructors the datasets need (triangle planting,
-ego-collaboration networks, protein-like backbones).
+adds two edge-set constructors.  No dataset calls any of them.  Each
+generator imports networkx itself, so importing this module stays cheap.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import networkx as nx
 
 from repro.graph.data import Graph
-from repro.graph.utils import undirected_edge_index
+from repro.graph.utils import from_networkx, undirected_edge_index
 
 __all__ = [
     "erdos_renyi",
@@ -23,40 +22,41 @@ __all__ = [
 ]
 
 
-def _graph_from_nx(g: nx.Graph, feature_dim: int = 1) -> Graph:
-    n = g.number_of_nodes()
-    relabel = {node: i for i, node in enumerate(sorted(g.nodes()))}
-    pairs = [(relabel[u], relabel[v]) for u, v in g.edges()]
-    return Graph(x=np.ones((n, feature_dim)), edge_index=undirected_edge_index(pairs))
-
-
 def erdos_renyi(num_nodes: int, p: float, rng: np.random.Generator) -> Graph:
     """G(n, p) random graph."""
+    import networkx as nx
+
     g = nx.gnp_random_graph(num_nodes, p, seed=int(rng.integers(2**31)))
-    return _graph_from_nx(g)
+    return from_networkx(g)
 
 
 def barabasi_albert(num_nodes: int, attachment: int, rng: np.random.Generator) -> Graph:
     """Preferential-attachment graph with ``attachment`` edges per new node."""
+    import networkx as nx
+
     attachment = min(attachment, max(1, num_nodes - 1))
     g = nx.barabasi_albert_graph(num_nodes, attachment, seed=int(rng.integers(2**31)))
-    return _graph_from_nx(g)
+    return from_networkx(g)
 
 
 def watts_strogatz(num_nodes: int, k: int, p: float, rng: np.random.Generator) -> Graph:
     """Small-world ring lattice with rewiring probability ``p``."""
+    import networkx as nx
+
     k = min(k, num_nodes - 1)
     if k % 2:
         k = max(2, k - 1)
     g = nx.watts_strogatz_graph(num_nodes, k, p, seed=int(rng.integers(2**31)))
-    return _graph_from_nx(g)
+    return from_networkx(g)
 
 
 def stochastic_block(sizes: list[int], p_in: float, p_out: float, rng: np.random.Generator) -> Graph:
     """Stochastic block model with uniform intra/inter block densities."""
+    import networkx as nx
+
     probs = [[p_in if i == j else p_out for j in range(len(sizes))] for i in range(len(sizes))]
     g = nx.stochastic_block_model(sizes, probs, seed=int(rng.integers(2**31)))
-    return _graph_from_nx(nx.Graph(g))
+    return from_networkx(nx.Graph(g))
 
 
 def graph_from_edge_set(num_nodes: int, pairs: set[tuple[int, int]]) -> Graph:

@@ -7,10 +7,14 @@ TRIANGLES dataset and is validated against networkx in the test suite.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import networkx as nx
 
 from repro.graph.data import Graph, OperatorMemo
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "degrees",
@@ -168,6 +172,8 @@ def count_triangles(edge_index: np.ndarray, num_nodes: int) -> int:
 
 def to_networkx(graph: Graph) -> nx.Graph:
     """Convert to an undirected networkx graph (features dropped)."""
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(graph.num_nodes))
     g.add_edges_from(map(tuple, graph.edge_index.T.tolist()))

@@ -23,6 +23,22 @@ from repro.datasets import dataset_info, load_dataset, DATASET_NAMES
 from repro.encoders import available_models
 
 
+def positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse ``type=``: a float > 0 (rejects nan)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Argument parser for the CLI."""
     parser = argparse.ArgumentParser(
@@ -36,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="ood-gnn",
         help="model to train (default: ood-gnn)",
     )
-    parser.add_argument("--seeds", type=int, default=2, help="number of repeats (default 2)")
-    parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--batch-size", type=int, default=32)
-    parser.add_argument("--hidden-dim", type=int, default=32)
-    parser.add_argument("--num-layers", type=int, default=3)
-    parser.add_argument("--lr", type=float, default=1e-3)
+    parser.add_argument("--seeds", type=positive_int, default=2, help="number of repeats (default 2)")
+    parser.add_argument("--epochs", type=int, default=20, help="0 evaluates the untrained model")
+    parser.add_argument("--batch-size", type=positive_int, default=32)
+    parser.add_argument("--hidden-dim", type=positive_int, default=32)
+    parser.add_argument("--num-layers", type=positive_int, default=3)
+    parser.add_argument("--lr", type=positive_float, default=1e-3)
     parser.add_argument("--scale", type=float, default=1.0, help="dataset size multiplier")
     parser.add_argument(
         "--batched-seeds",

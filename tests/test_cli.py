@@ -1,6 +1,11 @@
 """Command-line entry points (python -m repro.run, python -m repro.serve)."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,17 @@ class TestParser:
         )
         assert args.batched_seeds and args.sequential_reweight
         assert not build_parser().parse_args(["--dataset", "proteins25"]).sequential_reweight
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--seeds", "-2"), ("--hidden-dim", "0"),
+        ("--batch-size", "0"), ("--num-layers", "0"), ("--lr", "0"),
+    ])
+    def test_rejects_bad_numeric_flag(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["--dataset", "triangles", flag, value])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {flag}:" in err
 
 
 class TestMain:
@@ -69,6 +85,47 @@ class TestMain:
         assert code == 0
         assert len(calls) == 1
         assert "dataset: ogbg-molbace  metric: rocauc  shift: scaffold" in capsys.readouterr().out
+
+
+class TestStartupImports:
+    def test_train_and_serve_import_neither_networkx_nor_scipy_cluster(self, tmp_path):
+        """A fresh interpreter trains, exports and serves, then checks that
+        neither library was imported.  Each is used only by callers outside
+        the entry points, and importing both cost ~0.35 s of start-up.  Running
+        a job and a forward also catches a deferred import moved onto a hot path."""
+        from repro.datasets import load_dataset
+
+        graphs = load_dataset("triangles", seed=0, scale=0.15).tests["Test(large)"][:2]
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps(
+            [{"x": g.x.tolist(), "edge_index": g.edge_index.tolist()} for g in graphs]
+        ))
+        script = textwrap.dedent("""
+            import json, sys
+            from repro.run import main
+            from repro.serve.__main__ import main as serve_main
+
+            artifact, requests = sys.argv[1:]
+            assert main([
+                "--dataset", "triangles", "--seeds", "1", "--epochs", "1", "--scale", "0.15",
+                "--hidden-dim", "8", "--num-layers", "2", "--export-artifact", artifact,
+            ]) == 0
+            assert serve_main([artifact, "--input", requests]) == 0
+            print(json.dumps(sorted(
+                m for m in sys.modules if m.startswith(("networkx", "scipy.cluster"))
+            )))
+        """)
+        src_dir = Path(repro.run.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "model.npz"), str(requests)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert sum(line.startswith('{"prediction"') for line in lines) == 2
+        assert json.loads(lines[-1]) == []
 
 
 class TestServe:
