@@ -16,6 +16,9 @@ two plus bookkeeping.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import threading
 from contextlib import contextmanager
 
@@ -99,16 +102,32 @@ def _as_segment_ids(segment_ids) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-try:  # scipy ships with the test/CI environment; gate it for lean installs
-    from scipy import sparse as _scipy_sparse
-    from scipy.sparse import _sparsetools as _scipy_sparsetools
+def _load_sparsetools():
+    """scipy's compiled ``_sparsetools`` extension, or ``None`` without scipy.
 
-    _csc_matvecs = getattr(_scipy_sparsetools, "csc_matvecs", None)
-    _csr_matvecs = getattr(_scipy_sparsetools, "csr_matvecs", None)
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_sparse = None
-    _csc_matvecs = None
-    _csr_matvecs = None
+    Loads the extension file straight from scipy's package directory and
+    registers nothing in ``sys.modules``: importing ``scipy.sparse`` would
+    cost ~0.2 s and ~300 modules of start-up (its ``__init__`` also runs
+    scipy's array-API shim, which touches every lazy numpy submodule) for
+    two C kernels.  A later ``import scipy.sparse`` loads its own copy.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")  # locates, imports nothing
+    if scipy_spec is None:  # pragma: no cover - exercised only without scipy
+        return None
+    paths = [os.path.join(p, "sparse") for p in scipy_spec.submodule_search_locations]
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", paths)
+    if spec is None:  # pragma: no cover - unusual scipy layouts
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+_csc_matvecs = getattr(_sparsetools, "csc_matvecs", None)
+_csr_matvecs = getattr(_sparsetools, "csr_matvecs", None)
 
 
 def _value_dtype(*arrays) -> np.dtype:
@@ -156,22 +175,22 @@ def _scatter_matrix(ids: np.ndarray, num_rows: int, dtype=np.float64):
 def _scatter_into(plan, values: np.ndarray, out: np.ndarray) -> None:
     """``out += S @ values`` in place for a :func:`_scatter_matrix` plan.
 
-    Uses scipy's ``csc_matvecs`` kernel directly when available (no
-    intermediate result array); falls back to the sparse product.
-    ``values`` and ``out`` must be C-contiguous 2-D arrays.
+    Runs scipy's ``csc_matvecs`` kernel directly (no intermediate result
+    array); callers check that ``_csc_matvecs`` is bound.  ``values`` and
+    ``out`` must be C-contiguous 2-D arrays of the plan's dtype.
     """
     indptr, indices, data = plan
-    if _csc_matvecs is not None:
-        _csc_matvecs(out.shape[0], len(indices), values.shape[1], indptr, indices, data,
-                     values.ravel(), out.ravel())
-    else:  # pragma: no cover - exercised only on scipy versions without the kernel
-        out += _scatter_csc(plan, out.shape[0]) @ values
+    _csc_matvecs(out.shape[0], len(indices), values.shape[1], indptr, indices, data,
+                 values.ravel(), out.ravel())
 
 
 def _scatter_csc(plan, num_rows: int):
-    """The scipy matrix of a :func:`_scatter_matrix` plan (fallback paths)."""
+    """The scipy matrix of a :func:`_scatter_matrix` plan, for the scatters
+    ``csc_matvecs`` cannot run in place (non-contiguous or mixed-dtype)."""
+    from scipy import sparse  # the only scipy.sparse user; kept off start-up
+
     indptr, indices, data = plan
-    return _scipy_sparse.csc_matrix((data, indices, indptr), shape=(num_rows, len(indices)))
+    return sparse.csc_matrix((data, indices, indptr), shape=(num_rows, len(indices)))
 
 
 def scatter_add_rows(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -192,7 +211,7 @@ def scatter_add_rows(out: np.ndarray, ids: np.ndarray, values: np.ndarray) -> np
     if values.ndim == 1:
         out += np.bincount(_checked_ids(ids, out.shape[0]), weights=values, minlength=out.shape[0])
         return out
-    if _scipy_sparse is not None:
+    if _csc_matvecs is not None:
         plan = _scatter_matrix(ids, out.shape[0], out.dtype)
         if out.flags.c_contiguous and values.dtype == out.dtype:
             flat = np.ascontiguousarray(values.reshape(n, -1))
@@ -641,7 +660,7 @@ def seed_gather(x: Tensor, index: np.ndarray) -> Tensor:
         if per_seed:
             for k in range(num_seeds):
                 scatter_add_rows(full[k], index[k], g[k])
-        elif _scipy_sparse is not None and num_gathered and g.ndim == 3:
+        elif _csc_matvecs is not None and num_gathered and g.ndim == 3:
             onehot = _scatter_matrix(index, shape[1], full.dtype)  # built once, applied K times
             g = np.ascontiguousarray(g)
             for k in range(num_seeds):
@@ -668,7 +687,7 @@ def seed_segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
     xd = x.data
     num_seeds = xd.shape[0]
     out_data = np.zeros((num_seeds, num_segments) + xd.shape[2:], dtype=_value_dtype(xd))
-    if _scipy_sparse is not None and len(ids) and xd.ndim == 3 and xd.dtype == out_data.dtype:
+    if _csc_matvecs is not None and len(ids) and xd.ndim == 3 and xd.dtype == out_data.dtype:
         onehot = _scatter_matrix(ids, num_segments, out_data.dtype)  # built once, applied K times
         xc = np.ascontiguousarray(xd)
         for k in range(num_seeds):

@@ -153,7 +153,7 @@ class InferenceEngine:
         (default: the artifact's stored dtype, float64 for in-memory
         models).
     temperature:
-        Energy-score temperature.
+        Energy-score temperature; must be > 0.
     calibration:
         Optional pre-fitted :class:`~repro.serve.ood.EnergyCalibration`;
         or call :meth:`calibrate` with held-in graphs.
@@ -196,6 +196,8 @@ class InferenceEngine:
                 raise ValueError(f"max_nodes must be an int, None or 'auto', got {max_nodes!r}")
             max_nodes = default_max_nodes(self.dtype)
         self.budget = BatchBudget(max_graphs=max_graphs, max_nodes=max_nodes)
+        if not temperature > 0:  # also rejects NaN; fail here, not on every request
+            raise ValueError(f"temperature must be > 0, got {temperature}")
         self.temperature = temperature
         self.calibration = calibration
         # Seed ensembles prefer one stacked forward; unstackable rosters

@@ -54,7 +54,7 @@ def energy_score(logits: np.ndarray, task_type: str = "multiclass", temperature:
     np.ndarray
         ``(n,)`` energies; **higher = more OOD-looking**.
     """
-    if temperature <= 0:
+    if not temperature > 0:  # also rejects NaN
         raise ValueError(f"temperature must be > 0, got {temperature}")
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim == 1:

@@ -273,6 +273,17 @@ class TestSeedPrimitives:
             out = np.zeros((11,) + shape[1:])
             F.scatter_add_rows(out, ids, values)
             np.testing.assert_allclose(out, expected, atol=1e-12)
+        # Operands csc_matvecs cannot take in place go through the scipy
+        # matrix fallback: a non-contiguous out, and float32 values into float64.
+        ids = rng.integers(0, 11, size=30)
+        for out, values in [
+            (np.zeros((11, 10))[:, ::2], rng.normal(size=(30, 5))),
+            (np.zeros((11, 5)), rng.normal(size=(30, 5)).astype(np.float32)),
+        ]:
+            expected = np.zeros((11, 5))
+            np.add.at(expected, ids, values)
+            F.scatter_add_rows(out, ids, values)
+            np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_clip_grad_norm_per_seed_matches_sequential(self):
         rng = np.random.default_rng(3)

@@ -123,6 +123,11 @@ class TestEnergyScore:
         with pytest.raises(ValueError, match="regression"):
             energy_score(np.zeros((2, 1)), "regression")
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_temperature(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            energy_score(np.zeros((2, 3)), "multiclass", temperature=temperature)
+
     def test_confident_logits_have_lower_energy(self):
         confident = np.array([[10.0, -5.0, -5.0]])
         diffuse = np.array([[0.1, 0.0, -0.1]])
@@ -191,6 +196,12 @@ class TestPredict:
         bad = Graph(x=np.ones((3, FEATURE_DIM + 2)), edge_index=np.zeros((2, 0)))
         with pytest.raises(ValueError, match="node features"):
             engine.predict([bad])
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_temperature(self, rng, temperature):
+        """A bad temperature fails construction, not every later request."""
+        with pytest.raises(ValueError, match="temperature must be > 0"):
+            make_engine(rng, temperature=temperature)
 
     def test_results_independent_of_budget(self, rng):
         """Packing must not change any answer (bitwise)."""
