@@ -1,36 +1,27 @@
 """Networked serving benchmarks: real HTTP traffic against the full stack.
 
 Puts load on the whole serving path — socket accept, JSON wire parsing,
-admission control, micro-batch coalescing, (optionally) the shared-memory
-worker pool — the pieces ``bench_inference.py`` deliberately bypasses:
+admission control, micro-batch coalescing — the pieces
+``bench_inference.py`` deliberately bypasses:
 
 * **closed loop** — C client threads over persistent HTTP/1.1
   connections, each sending its next request the moment the previous
-  answer lands.  Measured at one client (no coalescing possible), C
-  clients in-process (``--workers 0``), and C clients against 1- and
-  4-process worker pools.  Reports throughput and p50/p99 latency; the
-  best closed-loop rate is the stack's **saturation throughput**.
+  answer lands.  Measured at one client (no coalescing possible) and at
+  C clients.  Reports throughput and p50/p99 latency; the best
+  closed-loop rate is the stack's **saturation throughput**.
 * **open loop** — requests arrive on a fixed schedule at 2x the
-  measured saturation rate, each carrying a ``deadline_ms``.  A correct
+  C-client closed-loop rate, each carrying a ``deadline_ms``.  A correct
   server *sheds* the overload (429 from the bounded queue, 504 from
   expired deadlines) and keeps serving the rest at healthy latency
   instead of building an unbounded backlog; the report records the
   served/shed/expired split and the p50/p99 of what was served.
-* **weight sharing** — per-worker ``/proc/<pid>/smaps_rollup`` during the
-  pool-of-4 run: the weight bank must be accounted as *shared* pages
-  (one mapping for the whole fleet), not copied per worker.
 
-Every ratio is recorded, none is gated, and none is named a speedup.
-``coalesce_ratio`` is C-client vs 1-client closed-loop throughput on the
-in-process backend.  The engine loop is work-conserving (a lone client
-is served as soon as the engine is idle), so the ratio mixes packing
-gains with how C clients share the machine's cores; it measures no
-property of the batching policy alone.  Pool ratios
-(``pool4_vs_inproc_ratio``) are bounded by the core count (recorded as
-``cpu_count``), so a 1-core box measures the IPC overhead, not the
-parallelism — gating on either would just gate on the runner's shape.
-``flush_ms`` is the pools' worker coalescing window; the in-process
-engine has none.
+The one ratio is recorded, not gated, and not named a speedup.
+``coalesce_ratio`` is C-client vs 1-client closed-loop throughput.  The
+engine loop is work-conserving (a lone client is served as soon as the
+engine is idle), so the ratio mixes packing gains with how C clients
+share the machine's cores (recorded as ``cpu_count``); it measures no
+property of the batching policy alone.
 
 Standalone (writes the committed ``BENCH_serving.json`` baseline)::
 
@@ -50,14 +41,15 @@ import numpy as np
 
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.serve import FeatureSchema, InferenceEngine, ModelArtifact, ModelSpec, WorkerPool
+from repro.serve import FeatureSchema, InferenceEngine, ModelArtifact, ModelSpec
 from repro.serve.net import EngineBackend, serve_http
-from repro.serve.pool import process_memory
 
 NUM_NODES, EDGE_P = 256, 0.02
 FEATURE_DIM, HIDDEN_DIM, NUM_LAYERS, NUM_CLASSES = 8, 64, 3, 4
 NUM_REQUESTS, NUM_CLIENTS = 256, 8
-FLUSH_MS = 2.0
+# Open-loop per-request deadline; the value earlier records used, so
+# their open-loop rows stay comparable.
+OPEN_LOOP_DEADLINE_MS = 33.0
 DTYPE = "float32"  # the fast packed serving mode (README precision matrix)
 
 SCHEMA = FeatureSchema(
@@ -104,17 +96,10 @@ def with_deadline(bodies: list[bytes], deadline_ms: float) -> list[bytes]:
     ]
 
 
-def start_server(artifact: ModelArtifact, workers: int, flush_ms: float = FLUSH_MS):
-    """(server, backend) over ``workers`` processes (0 = in-process engine)."""
-    if workers > 0:
-        backend = WorkerPool(
-            artifact, num_workers=workers, dtype=DTYPE,
-            flush_timeout=flush_ms / 1e3, queue_depth=1024,
-        ).start()
-    else:
-        engine = InferenceEngine(artifact, dtype=DTYPE)
-        backend = EngineBackend(engine, queue_depth=1024)
-    return serve_http(backend), backend
+def start_server(artifact: ModelArtifact):
+    """An HTTP server over the in-process engine."""
+    engine = InferenceEngine(artifact, dtype=DTYPE)
+    return serve_http(EngineBackend(engine, queue_depth=1024))
 
 
 class _Client:
@@ -172,8 +157,8 @@ def closed_loop(server, bodies: list[bytes], clients: int, total: int) -> dict:
         finally:
             client.close()
 
-    # Warm the stack (BLAS, scatter kernels, worker spin-up) off the clock,
-    # and connect every client before the timed window opens.
+    # Warm the stack (BLAS, scatter kernels) off the clock, and connect
+    # every client before the timed window opens.
     warm = _Client(host, port)
     warm.post(bodies[0])
     warm.close()
@@ -252,38 +237,21 @@ def open_loop(server, bodies: list[bytes], rate_rps: float, total: int, deadline
     }
 
 
-def measure(nodes: int, requests: int, clients: int, open_requests: int):
+def measure(nodes: int, requests: int, clients: int, open_requests: int) -> dict:
     artifact = make_artifact(nodes)
     bodies = make_request_bodies(min(32, requests), nodes)
     runs: dict[str, dict] = {}
-    memory: dict = {}
-
-    server, _backend = start_server(artifact, workers=0)
+    server = start_server(artifact)
     try:
         runs["inproc_1client"] = closed_loop(server, bodies, clients=1, total=max(requests // 4, 8))
         runs["inproc"] = closed_loop(server, bodies, clients=clients, total=requests)
-        offered = 2.0 * runs["inproc"]["throughput_rps"]
-        # Deadline ~= the closed-loop p99 at saturation: generous for a
-        # healthy server, unmeetable for requests stuck behind a backlog.
         runs["open_loop_inproc"] = open_loop(
-            server, bodies, rate_rps=offered, total=open_requests,
-            deadline_ms=4 * FLUSH_MS + 25.0,
+            server, bodies, rate_rps=2.0 * runs["inproc"]["throughput_rps"],
+            total=open_requests, deadline_ms=OPEN_LOOP_DEADLINE_MS,
         )
     finally:
         server.drain()
-
-    for workers in (1, 4):
-        server, backend = start_server(artifact, workers=workers)
-        try:
-            runs[f"pool{workers}"] = closed_loop(server, bodies, clients=clients, total=requests)
-            if workers == 4:
-                memory = {
-                    "weights_mib": backend.weights_nbytes / 2**20,
-                    "workers": [process_memory(pid) for pid in backend.worker_pids()],
-                }
-        finally:
-            server.drain()
-    return runs, memory
+    return runs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,11 +279,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     open_requests = args.open_requests if args.open_requests is not None else args.requests
     cpu_count = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    runs, memory = measure(args.nodes, args.requests, args.clients, open_requests)
+    runs = measure(args.nodes, args.requests, args.clients, open_requests)
 
     coalesce = runs["inproc"]["throughput_rps"] / runs["inproc_1client"]["throughput_rps"]
-    pool1_ratio = runs["pool1"]["throughput_rps"] / runs["inproc"]["throughput_rps"]
-    pool4_ratio = runs["pool4"]["throughput_rps"] / runs["inproc"]["throughput_rps"]
     saturation = max(run["throughput_rps"] for name, run in runs.items() if "open" not in name)
     ol = runs["open_loop_inproc"]
 
@@ -323,18 +289,14 @@ def main(argv=None) -> int:
         f"serving bench: GIN hidden_dim={HIDDEN_DIM}, {NUM_LAYERS} layers, "
         f"{args.nodes}-node graphs, {args.clients} clients, {cpu_count} cpu(s)"
     )
-    for name in ("inproc_1client", "inproc", "pool1", "pool4"):
+    for name in ("inproc_1client", "inproc"):
         run = runs[name]
         print(
             f"  {name:>14}: {run['throughput_rps']:8.1f} req/s    "
             f"p50 {run['p50_ms']:7.2f} ms    p99 {run['p99_ms']:7.2f} ms    "
             f"errors {run['errors']}"
         )
-    print(f"  in-process, {args.clients} clients vs 1: {coalesce:.2f}x")
-    print(
-        f"  pool vs in-process (cpu-bound, {cpu_count} core(s)): "
-        f"1 worker {pool1_ratio:.2f}x, 4 workers {pool4_ratio:.2f}x"
-    )
+    print(f"  {args.clients} clients vs 1: {coalesce:.2f}x")
     print(f"  saturation throughput: {saturation:.1f} req/s")
     print(
         f"  open loop at {ol['offered_rps']:.0f} req/s offered: "
@@ -342,12 +304,6 @@ def main(argv=None) -> int:
         f"shed(429) {ol['shed_429']}, expired(504) {ol['expired_504']}, "
         f"served p99 {ol['p99_ms']:.2f} ms"
     )
-    if memory:
-        workers_private = [m.get("private", float("nan")) for m in memory["workers"] if m]
-        print(
-            f"  weight bank: {memory['weights_mib']:.2f} MiB shared once; "
-            f"per-worker private MiB: {[round(v, 1) for v in workers_private]}"
-        )
 
     payload = {
         "benchmark": "serving",
@@ -358,24 +314,15 @@ def main(argv=None) -> int:
             "num_layers": NUM_LAYERS,
             "requests": args.requests,
             "clients": args.clients,
-            "flush_ms": FLUSH_MS,
             "dtype": DTYPE,
         },
         "cpu_count": cpu_count,
-        "closed_loop": {
-            name: runs[name] for name in ("inproc_1client", "inproc", "pool1", "pool4")
-        },
+        "closed_loop": {name: runs[name] for name in ("inproc_1client", "inproc")},
         "open_loop": ol,
         "saturation_rps": saturation,
         # Not "speedup"-named on purpose: tools/check_bench.py gates only
-        # speedup keys, and these say nothing portable (module docstring).
+        # speedup keys, and this says nothing portable (module docstring).
         "coalesce_ratio": coalesce,
-        "pool1_vs_inproc_ratio": pool1_ratio,
-        "pool4_vs_inproc_ratio": pool4_ratio,
-        "pool_target_note": (
-            "the >=2x pool-of-4 target assumes >=4 cores; on this box see cpu_count"
-        ),
-        "memory": memory,
     }
     os.makedirs(os.path.dirname(os.path.abspath(args.json)), exist_ok=True)
     with open(args.json, "w") as fh:

@@ -140,16 +140,8 @@ class Module:
         """Copy of every buffer keyed by dotted name (see ``_buffer_names``)."""
         return {name: np.asarray(value).copy() for name, value in self.named_buffers()}
 
-    def load_buffer_dict(self, buffers: dict[str, np.ndarray], copy: bool = True) -> None:
-        """Load buffer values saved by :meth:`buffer_dict` (strict matching).
-
-        ``copy=False`` installs the arrays as-is (views allowed) instead
-        of copying — the zero-copy path serving worker processes use to
-        share one read-only weight bank (see
-        :class:`repro.serve.pool.SharedWeights`).  Only safe for
-        eval-mode inference: training updates batch-norm running
-        statistics in place.
-        """
+    def load_buffer_dict(self, buffers: dict[str, np.ndarray]) -> None:
+        """Load buffer values saved by :meth:`buffer_dict` (strict matching)."""
         own: dict[str, tuple[Module, str]] = {}
 
         def walk(module: "Module", prefix: str) -> None:
@@ -171,18 +163,10 @@ class Module:
             current = np.asarray(getattr(module, attr))
             if current.shape != values.shape:
                 raise ValueError(f"shape mismatch for buffer {name}: {current.shape} vs {values.shape}")
-            setattr(module, attr, values.copy() if copy else values)
+            setattr(module, attr, values.copy())
 
-    def load_state_dict(self, state: dict[str, np.ndarray], copy: bool = True) -> None:
-        """Load parameter values saved by :meth:`state_dict`.
-
-        ``copy=False`` points each parameter at the given array instead
-        of copying it — the zero-copy path behind shared-memory serving
-        workers (the arrays are typically read-only views into one
-        shared weight bank, which forwards never write).  Training such
-        a model would fail on the first in-place gradient update; use
-        the default for anything but eval-mode serving.
-        """
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load parameter values saved by :meth:`state_dict`."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
@@ -192,7 +176,7 @@ class Module:
             param = own[name]
             if param.data.shape != values.shape:
                 raise ValueError(f"shape mismatch for {name}: {param.data.shape} vs {values.shape}")
-            param.data = values.copy() if copy else np.asarray(values)
+            param.data = values.copy()
 
     # ------------------------------------------------------------------
     # Calling

@@ -505,8 +505,8 @@ def render_prometheus(extra_collectors=()) -> str:
     """Text exposition of :data:`registry` plus ad-hoc collectors.
 
     ``extra_collectors`` lets a front-end merge request-scoped sources
-    (e.g. a :class:`~repro.serve.stats.ServingStats` and aggregated
-    worker-pool counters) into one scrape without registering them
+    (e.g. a :class:`~repro.serve.stats.ServingStats` and the circuit
+    breaker's counters) into one scrape without registering them
     process-wide.
     """
     if not extra_collectors:

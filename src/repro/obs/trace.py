@@ -12,9 +12,9 @@ Usage::
 Spans nest via a thread-local stack: each records its parent span id and
 the current **trace id** — the request-scoped correlation key the serving
 stack propagates from ``InferenceEngine.submit`` through the engine queue's
-pack and the (process-pool) worker forward to the ``X-Trace-Id`` HTTP response
-header.  Binding is explicit (:func:`trace_context`) or automatic (a root
-span with no bound trace id mints one).
+pack and forward to the ``X-Trace-Id`` HTTP response header.  Binding is
+explicit (:func:`trace_context`) or automatic (a root span with no bound
+trace id mints one).
 
 Completed spans land in a fixed-size **ring buffer** (old spans fall off;
 tracing a long serving run cannot grow memory without bound) and

@@ -11,12 +11,10 @@ stdout line, micro-batched through the worker-thread queue)::
 
 Networked mode (threaded HTTP front-end, see :mod:`repro.serve.net`)::
 
-    python -m repro.serve model.npz --http --port 8732 --workers 4
+    python -m repro.serve model.npz --http --port 8732
 
-``--workers 0`` serves in-process; ``--workers K`` runs K worker
-processes over one shared-memory weight bank
-(:class:`~repro.serve.pool.WorkerPool`).  SIGTERM/SIGINT drain
-gracefully: health goes 503, in-flight requests finish, queues flush.
+SIGTERM/SIGINT drain gracefully: health goes 503, in-flight requests
+finish, the engine queue flushes.
 
 A request graph is ``{"x": [[...], ...], "edge_index": [[srcs], [dsts]]}``
 (``x`` rows are node feature vectors; ``edge_index`` may be omitted for an
@@ -59,15 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1", help="--http: bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8732, help="--http: TCP port (default 8732; 0 = ephemeral)")
     parser.add_argument(
-        "--workers", type=int, default=0,
-        help="--http: worker processes over one shared-memory weight bank "
-        "(default 0 = serve in-process)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=None,
+        "--queue-depth", type=int, default=256,
         help="--http: bounded inflight queue (admission control; over it "
-        "requests shed with 429).  Default: 256 in-process, "
-        "4*workers*max_graphs pooled",
+        "requests shed with 429; default 256)",
     )
     parser.add_argument("--max-graphs", type=int, default=64, help="micro-batch graph budget (default 64)")
     parser.add_argument(
@@ -80,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compute precision: float32 is the fast serving mode (~2x packed "
         "throughput at a documented tolerance), float64 the reference; "
         "'artifact' (default) uses the precision the bundle was saved in",
-    )
-    parser.add_argument(
-        "--flush-timeout", type=float, default=0.01,
-        help="--http --workers K: seconds a worker process waits for more requests "
-        "before running a partial batch (the in-process engine never waits: it "
-        "serves whatever is queued as soon as it is idle)",
     )
     parser.add_argument("--temperature", type=float, default=1.0, help="energy-score temperature T")
     parser.add_argument(
@@ -105,22 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="--http: log one structured JSON line per request to stderr "
         "(trace id, status, latency, energy score)",
     )
-    parser.add_argument(
-        "--retry-limit", type=int, default=2,
-        help="--http --workers K: times a request stranded by a worker death "
-        "is re-enqueued (within its deadline) before failing (default 2)",
-    )
-    parser.add_argument(
-        "--faults",
-        help="chaos mode: deterministic fault spec, e.g. "
-        "'worker_crash@batch=3;slow_batch@p=0.1,ms=50;queue_reject@p=0.05' "
-        "(also honoured from the REPRO_FAULTS env var)",
-    )
-    parser.add_argument(
-        "--faults-seed", type=int, default=0,
-        help="seed for probabilistic fault draws (default 0; "
-        "REPRO_FAULTS_SEED from the environment)",
-    )
     return parser
 
 
@@ -135,12 +105,6 @@ def _load_graphs(path: str) -> list:
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if args.faults:
-        # Arms the in-process injection points (admission, engine loop);
-        # the worker pool forwards the same spec/seed to its workers.
-        from repro.serve.faults import configure_faults
-
-        configure_faults(args.faults, seed=args.faults_seed)
     artifact = ModelArtifact.load(args.artifact)
     if args.max_nodes is None:
         max_nodes = "auto"
@@ -172,7 +136,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.http:
-        return _serve_http(args, artifact, engine, max_nodes)
+        return _serve_http(args, engine)
 
     # Streaming mode: submit each line to the queue front-end (so bursts
     # coalesce into packed forwards).  A dedicated drainer thread prints
@@ -216,7 +180,7 @@ def main(argv=None) -> int:
     return 0
 
 
-def _serve_http(args, artifact, engine, max_nodes, stop: threading.Event | None = None) -> int:
+def _serve_http(args, engine, stop: threading.Event | None = None) -> int:
     """``--http`` mode: bind, serve, drain on SIGTERM/SIGINT.
 
     ``stop`` injects the shutdown trigger for embedders and tests (set it
@@ -225,31 +189,11 @@ def _serve_http(args, artifact, engine, max_nodes, stop: threading.Event | None 
     """
     from repro.serve.net import EngineBackend, serve_http
 
-    if args.workers > 0:
-        from repro.serve.pool import WorkerPool
-
-        backend = WorkerPool(
-            artifact,
-            num_workers=args.workers,
-            dtype=None if args.dtype == "artifact" else args.dtype,
-            max_graphs=args.max_graphs,
-            max_nodes=max_nodes,
-            flush_timeout=args.flush_timeout,
-            queue_depth=args.queue_depth,
-            temperature=args.temperature,
-            calibration=engine.calibration,
-            retry_limit=args.retry_limit,
-        ).start()
-    else:
-        backend = EngineBackend(engine, queue_depth=args.queue_depth or 256)
+    backend = EngineBackend(engine, queue_depth=args.queue_depth)
     server = serve_http(
         backend, host=args.host, port=args.port, access_log=args.access_log,
     )
-    print(
-        f"serving {args.artifact} on {server.url} "
-        f"({args.workers or 'no'} worker processes; SIGTERM drains)",
-        file=sys.stderr,
-    )
+    print(f"serving {args.artifact} on {server.url} (SIGTERM drains)", file=sys.stderr)
     if stop is None:
         stop = threading.Event()
 

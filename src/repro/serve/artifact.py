@@ -84,7 +84,10 @@ class FeatureSchema:
         ``edge_index`` was replaced after construction, and an
         out-of-range endpoint that slips through surfaces as a cryptic
         numpy gather error (or silent cross-graph read after batch
-        offsetting) deep inside the packed forward.
+        offsetting) deep inside the packed forward.  Non-finite features
+        are rejected too: JSON decoding accepts ``NaN`` and ``Infinity``,
+        and they would come back as a NaN energy that no OOD threshold
+        flags, in a response body that is not valid JSON.
         """
         if graph.num_features != self.feature_dim:
             raise ValueError(
@@ -93,6 +96,8 @@ class FeatureSchema:
             )
         if graph.num_nodes < 1:
             raise ValueError("request graph has no nodes")
+        if not np.isfinite(graph.x).all():
+            raise ValueError("request graph node features must be finite (no NaN or Infinity)")
         if graph.num_edges:
             lo = int(graph.edge_index.min())
             hi = int(graph.edge_index.max())
@@ -349,19 +354,13 @@ class ModelArtifact:
     # ------------------------------------------------------------------
     # Reconstruction
     # ------------------------------------------------------------------
-    def build_models(self, copy: bool = True) -> list:
-        """Reconstruct the per-seed models, in eval mode, ready to serve.
-
-        ``copy=False`` installs the artifact's arrays into the models
-        without copying (zero-copy views — e.g. into a shared-memory
-        weight bank, see :class:`repro.serve.pool.SharedWeights`); only
-        safe for eval-mode inference.
-        """
+    def build_models(self) -> list:
+        """Reconstruct the per-seed models, in eval mode, ready to serve."""
         models = []
         for state, buffers in zip(self.states, self.buffers):
             model = self.spec.build(self.schema)
-            model.load_state_dict(state, copy=copy)
-            model.load_buffer_dict(buffers, copy=copy)
+            model.load_state_dict(state)
+            model.load_buffer_dict(buffers)
             model.eval()
             models.append(model)
         return models

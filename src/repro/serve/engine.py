@@ -53,7 +53,6 @@ from repro.serve.artifact import FeatureSchema, ModelArtifact
 from repro.serve.batcher import BatchBudget, default_max_nodes, plan_microbatches
 from repro.obs.registry import FLAGS, LATENCY_MS_BUCKETS, registry
 from repro.obs.trace import current_trace_id, span
-from repro.serve.faults import FAULTS
 from repro.serve.futures import DeadlineExceeded, EngineStopped, PendingResult
 from repro.serve.ood import EnergyCalibration, energy_score, fit_energy_threshold
 
@@ -479,10 +478,6 @@ class InferenceEngine:
                     _QUEUE_WAIT_MS.observe((now - pending.enqueued_at) * 1000.0)
                 if deadline is not None:
                     _DEADLINE_SLACK_MS.observe((deadline - now) * 1000.0)
-        if FAULTS.enabled:
-            stall = FAULTS.slow_batch_s()
-            if stall > 0.0:
-                time.sleep(stall)
         graphs = [graph for graph, _pending, _deadline in live]
         try:
             with _batch_span(live):

@@ -1,8 +1,7 @@
 """Shared serving primitives: result handles and failure vocabulary.
 
 Every serving front-end — the in-process worker-thread queue
-(:meth:`repro.serve.engine.InferenceEngine.submit`), the multi-process
-:class:`~repro.serve.pool.WorkerPool`, and the HTTP layer
+(:meth:`repro.serve.engine.InferenceEngine.submit`) and the HTTP layer
 (:mod:`repro.serve.net`) — answers a request through a
 :class:`PendingResult` and fails it with one of the exception types below.
 Keeping the vocabulary in one module lets the HTTP layer map outcomes to
@@ -46,8 +45,9 @@ class PendingResult:
     A handle is resolved exactly once — with a result or with an error —
     by whichever backend served (or failed) the request; ``result()``
     blocks until then.  The first ``_resolve`` wins: late duplicates (e.g.
-    a drain racing a worker response) are ignored, so waiters can never
-    observe a result changing underneath them.
+    a dying serve loop failing a pass it had already answered) are
+    ignored, so waiters can never observe a result changing underneath
+    them.
     """
 
     def __init__(self):
@@ -79,7 +79,7 @@ class PendingResult:
     def add_done_callback(self, callback) -> None:
         """Run ``callback(handle)`` once resolved (immediately if already).
 
-        Callbacks run on the resolving thread (a serve loop / dispatcher)
+        Callbacks run on the resolving thread (usually the serve loop)
         and must be cheap and non-raising — the front-ends use them for
         inflight accounting.
         """

@@ -3,21 +3,18 @@
 ``python -m repro.serve model.npz --http`` starts a
 :class:`ServingServer` — a :class:`ThreadingMixIn` ``http.server`` whose
 handler threads submit into a *backend* and block until the answer is
-ready.  Two backends implement the same surface
+ready.  A backend has one surface
 (``submit(graph, deadline, trace_id) -> PendingResult`` /
 ``submit_many(graphs, deadline, trace_id) -> list[PendingResult]`` /
 ``stop()`` / ``clock``), and ``submit`` is where a request graph is
 checked against the artifact's schema — once; its ``ValueError`` answers
 400.  The handler decodes all graphs of a request first and hands them
-over in one ``submit_many``:
-
-* :class:`EngineBackend` — the in-process
-  :class:`~repro.serve.engine.InferenceEngine` queue front-end
-  (``--workers 0``): requests from all handler threads queue into one
-  engine loop, which packs whatever queued during its last forward; a
-  request's graphs queue as one group, so they share a pass.
-* :class:`~repro.serve.pool.WorkerPool` (``--workers K``): K processes
-  over one shared-memory weight bank.
+over in one ``submit_many``.  :class:`EngineBackend` puts the in-process
+:class:`~repro.serve.engine.InferenceEngine` queue front-end behind that
+surface: requests from all handler threads queue into one engine loop,
+which packs whatever queued during its last forward; a request's graphs
+queue as one group, so they share a pass.  Tests drive the server
+through scriptable stub backends with the same surface.
 
 Wire format is :mod:`repro.serve.wire` — the same JSON graphs the stdin
 CLI accepts::
@@ -25,11 +22,10 @@ CLI accepts::
     POST /predict   {"x": [[...], ...], "edge_index": [[s], [t]]}
                     or {"graphs": [...], "deadline_ms": 50}
     GET  /stats     live counters, p50/p99 latency, rolling OOD rate,
-                    breaker + supervisor state
+                    breaker state, backend health
     GET  /metrics   Prometheus text exposition (process registry +
-                    this server's stats + aggregated worker counters)
-    GET  /healthz   {"status": "ok"|"degraded"} (200; degraded carries a
-                    detail body) / 503 {"status": "unhealthy"|"draining"}
+                    this server's stats and breaker)
+    GET  /healthz   200 {"status": "ok"} / 503 {"status": "unhealthy"|"draining"}
 
 Every ``/predict`` response carries an ``X-Trace-Id`` header — the
 client's, when it sent one, else freshly minted — and the id is
@@ -44,18 +40,17 @@ vocabulary of :mod:`repro.serve.futures`):
 400   ``ValueError``           malformed / schema-invalid request graph
 429   ``QueueFull``            admission control shed the request
 503   ``EngineStopped``        backend stopped / draining
-504   ``DeadlineExceeded``     deadline passed before a worker served it
+504   ``DeadlineExceeded``     deadline passed before a forward served it
 500   anything else            engine-side failure
 ====  =======================  =========================================
 
 Two failure-control layers sit in front of the backend:
 
-* **Health** (``/healthz``): backends expose ``health() -> {"status":
-  "ok"|"degraded"|"unhealthy", "detail": ...}`` (the pool derives it
-  from its supervisor; :class:`EngineBackend` from the engine loop).
-  ``degraded`` — e.g. a worker slot lost to a crash loop — answers 200
-  with the detail in the body (the service still serves), ``unhealthy``
-  answers 503 so load balancers eject the instance.
+* **Health** (``/healthz``): a backend exposes ``health() -> {"status":
+  "ok"|"unhealthy", "detail": ...}`` (:class:`EngineBackend` reports
+  the engine loop's liveness).  ``unhealthy`` answers 503 so load
+  balancers eject the instance; any other report answers 200 with the
+  backend's body.
 * **Circuit breaker** (:class:`CircuitBreaker`): when the recent
   backend error rate (5xx-class outcomes) trips the threshold, the
   server stops submitting and sheds new predicts with 503 +
@@ -82,7 +77,6 @@ from socketserver import ThreadingMixIn
 
 from repro.obs.registry import render_prometheus
 from repro.obs.trace import new_trace_id, trace_context
-from repro.serve.faults import FAULTS
 from repro.serve.futures import (
     DeadlineExceeded, EngineStopped, PendingResult, QueueFull, submit_each,
 )
@@ -197,13 +191,12 @@ class CircuitBreaker:
 
 
 class EngineBackend:
-    """The in-process engine behind the pool's ``submit`` surface.
+    """The in-process engine behind the server's ``submit`` surface.
 
     Adds the admission control the raw engine queue lacks: at most
     ``queue_depth`` requests in flight (submitted, not yet resolved) —
     beyond that :meth:`submit` sheds with
-    :class:`~repro.serve.futures.QueueFull`, exactly like the pool's
-    bounded request queue.
+    :class:`~repro.serve.futures.QueueFull`.
     """
 
     def __init__(self, engine, queue_depth: int = 256):
@@ -219,8 +212,6 @@ class EngineBackend:
 
     def submit(self, graph, deadline: float | None = None,
                trace_id: str | None = None) -> PendingResult:
-        if FAULTS.enabled and FAULTS.queue_reject():
-            raise QueueFull("fault injection: queue_reject shed this request")
         with self._lock:
             if self._inflight >= self.queue_depth:
                 raise QueueFull(
@@ -308,9 +299,6 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         if self.path == "/stats":
             payload = self.server.stats.snapshot()
-            workers = self.server._worker_stats()
-            if workers is not None:
-                payload["workers"] = workers
             if self.server.breaker is not None:
                 payload["breaker"] = self.server.breaker.snapshot()
             payload["health"] = self.server.backend_health()
@@ -538,17 +526,9 @@ class ServingServer(ThreadingMixIn, HTTPServer):
                "Requests shed while the breaker was open",
                [({}, float(snap["shed_total"]))])
 
-    def _worker_stats(self):
-        """Aggregated worker-pool telemetry, when the backend publishes it."""
-        snapshot = getattr(self.backend, "stats_snapshot", None)
-        return snapshot() if callable(snapshot) else None
-
     def metrics_collectors(self) -> list:
         """Pull-time sources merged into this server's ``/metrics`` scrape."""
         collectors = [self.stats.collect]
-        backend_collect = getattr(self.backend, "collect_metrics", None)
-        if callable(backend_collect):
-            collectors.append(backend_collect)
         if self.breaker is not None:
             collectors.append(self._collect_breaker)
         return collectors

@@ -21,35 +21,7 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["ServingStats", "aggregate_snapshots"]
-
-
-def aggregate_snapshots(snapshots) -> dict:
-    """Sum a set of :meth:`ServingStats.snapshot` payloads (worker pool).
-
-    Counts and lifetime OOD totals add; rolling-window percentiles and
-    rates do **not** aggregate across processes (each window is local), so
-    the aggregate carries only the additive fields — per-worker snapshots
-    stay available verbatim for anything window-shaped.
-    """
-    snapshots = list(snapshots)
-    counts: dict[str, int] = {}
-    scored_total = 0
-    flagged_total = 0
-    for snap in snapshots:
-        for name, value in snap.get("counts", {}).items():
-            counts[name] = counts.get(name, 0) + value
-        ood = snap.get("ood", {})
-        scored_total += ood.get("scored_total", 0)
-        flagged_total += ood.get("flagged_total", 0)
-    aggregate: dict = {
-        "workers": len(snapshots),
-        "counts": counts,
-        "ood": {"scored_total": scored_total, "flagged_total": flagged_total},
-    }
-    if scored_total:
-        aggregate["ood"]["lifetime_rate"] = flagged_total / scored_total
-    return aggregate
+__all__ = ["ServingStats"]
 
 
 def _percentiles(values, points=(50.0, 99.0)) -> dict[str, float]:

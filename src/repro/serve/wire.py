@@ -1,10 +1,9 @@
 """The serving wire format: JSON request graphs in, JSON predictions out.
 
 Shared by every front-end — the one-shot / stdin CLI
-(:mod:`repro.serve.__main__`), the HTTP layer (:mod:`repro.serve.net`)
-and the multi-process pool's parent process — so a request that works
-against ``python -m repro.serve --stdin`` works unchanged against
-``POST /predict``.
+(:mod:`repro.serve.__main__`) and the HTTP layer (:mod:`repro.serve.net`)
+— so a request that works against ``python -m repro.serve --stdin`` works
+unchanged against ``POST /predict``.
 
 A request graph is ``{"x": [[...], ...], "edge_index": [[srcs], [dsts]]}``
 (``x`` rows are node feature vectors; ``edge_index`` may be omitted for an

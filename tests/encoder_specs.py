@@ -2,9 +2,9 @@
 
 ``ENCODER_SPECS`` is the single source of truth for the encoder zoo in the
 test suite.  ``test_multiseed.py`` (batched-vs-sequential bitwise parity),
-``test_tape_free.py`` (taped-vs-tape-free bitwise parity), ``test_dtype.py``
-(float32 tolerance bounds) and ``test_serve_pool.py`` (pool-vs-in-process
-serving) all parametrise over it instead of keeping private roster lists.
+``test_tape_free.py`` (taped-vs-tape-free bitwise parity) and
+``test_dtype.py`` (float32 tolerance bounds) all parametrise over it instead
+of keeping private roster lists.
 
 Each spec records whether the architecture has a registered seed stacker
 (``repro.nn.layers.register_seed_stacker``).  The import-time check below

@@ -10,7 +10,6 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(_ROOT, "tools"))
 
 from check_bench import (  # noqa: E402
-    collect_availabilities,
     collect_overheads,
     collect_speedups,
     compare,
@@ -114,53 +113,6 @@ class TestOverheadCeiling:
         capsys.readouterr()
 
 
-def _faults_payload(availability):
-    return {
-        "benchmark": "faults",
-        "shape": {"nodes": 64, "requests": 192},
-        "availability_floor": 0.99,
-        "phases": {
-            "baseline": {"availability": 1.0},
-            "chaos": {"availability": availability, "error_budget_used": 0.5},
-        },
-    }
-
-
-class TestAvailabilityFloor:
-    """Availability gates against an absolute floor, not the baseline."""
-
-    def test_collect_skips_declared_budgets(self):
-        found = collect_availabilities(_faults_payload(0.995))
-        assert found == {
-            "phases.baseline.availability": 1.0,
-            "phases.chaos.availability": 0.995,
-        }  # availability_floor is config, not a measurement
-
-    def test_above_floor_passes(self):
-        regressions, notes = compare(_faults_payload(0.995), _faults_payload(1.0), 0.6, 0.25)
-        assert not regressions
-        assert any("floor" in n and "OK" in n for n in notes)
-
-    def test_below_floor_fails_even_if_baseline_was_worse(self):
-        regressions, _ = compare(_faults_payload(0.95), _faults_payload(0.90), 0.6, 0.25)
-        assert regressions and "below" in regressions[0]
-
-    def test_custom_floor(self):
-        regressions, _ = compare(
-            _faults_payload(0.95), _faults_payload(0.95), 0.6, 0.25, availability_min=0.9
-        )
-        assert not regressions
-
-    def test_main_availability_min_flag(self, tmp_path, capsys):
-        fresh = tmp_path / "fresh.json"
-        fresh.write_text(json.dumps(_faults_payload(0.95)))
-        base = tmp_path / "base.json"
-        base.write_text(json.dumps(_faults_payload(1.0)))
-        assert main([str(fresh), str(base)]) == 1
-        assert main([str(fresh), str(base), "--availability-min", "0.9"]) == 0
-        capsys.readouterr()
-
-
 class TestMain:
     def _write(self, tmp_path, name, payload):
         path = tmp_path / name
@@ -178,7 +130,7 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "bench",
-        ("BENCH_reweight", "BENCH_multiseed", "BENCH_inference", "BENCH_obs", "BENCH_faults"),
+        ("BENCH_reweight", "BENCH_multiseed", "BENCH_inference", "BENCH_obs"),
     )
     def test_committed_baselines_self_compare(self, bench, capsys):
         """Every committed baseline passes the gate against itself."""

@@ -90,10 +90,12 @@ class TestMain:
 class TestStartupImports:
     def test_train_and_serve_import_neither_networkx_nor_scipy(self, tmp_path):
         """A fresh interpreter trains (one seed, then two batched seeds with
-        two encoders), exports and serves, then checks that no networkx or
-        scipy module was imported.  networkx and scipy.cluster are used only
-        by callers outside the entry points, and scipy's sparse kernels load
-        without scipy.sparse; importing all three cost ~0.5 s of start-up.
+        two encoders), exports and serves, then checks that no networkx,
+        scipy or multiprocessing module was imported.  networkx and
+        scipy.cluster are used only by callers outside the entry points, and
+        scipy's sparse kernels load without scipy.sparse; importing all three
+        cost ~0.5 s of start-up.  Serving is in-process, so nothing needs
+        multiprocessing.
         Running jobs and a forward also catches a deferred import moved onto
         a hot path, and the fused-kernel check catches a loader that silently
         binds no kernel."""
@@ -119,7 +121,7 @@ class TestStartupImports:
                 assert main(job + ["--method", method, "--seeds", "2", "--batched-seeds"]) == 0
             assert serve_main([artifact, "--input", requests]) == 0
             print(json.dumps(sorted(
-                m for m in sys.modules if m.startswith(("networkx", "scipy"))
+                m for m in sys.modules if m.startswith(("networkx", "scipy", "multiprocessing"))
             )))
         """)
         src_dir = Path(repro.run.__file__).resolve().parents[1]
@@ -278,7 +280,7 @@ class TestServe:
         try:
             # Inject the drain trigger (what the SIGTERM handler sets) and
             # capture the bound server so the test can learn the port.
-            def hooked(args, artifact, engine, max_nodes):
+            def hooked(args, engine):
                 from repro.serve import net
 
                 original_bind = net.serve_http
@@ -289,7 +291,7 @@ class TestServe:
 
                 net.serve_http = capture
                 try:
-                    return original_serve_http(args, artifact, engine, max_nodes, stop=stop)
+                    return original_serve_http(args, engine, stop=stop)
                 finally:
                     net.serve_http = original_bind
 
@@ -326,6 +328,23 @@ class TestServe:
             stop.set()
             if thread is not None:
                 thread.join(timeout=10.0)
+
+    def test_http_mode_rejects_queue_depth_below_one_before_binding(self, artifact_path):
+        """``--queue-depth 0`` fails at start-up like ``-1`` does; it used to
+        serve silently with the default depth of 256."""
+        import threading
+
+        from repro.serve import InferenceEngine, ModelArtifact
+        from repro.serve.__main__ import _serve_http, build_parser
+
+        args = build_parser().parse_args(
+            [str(artifact_path), "--http", "--port", "0", "--queue-depth", "0"]
+        )
+        engine = InferenceEngine(ModelArtifact.load(artifact_path))
+        stop = threading.Event()
+        stop.set()  # a server that did bind would drain at once and return 0
+        with pytest.raises(ValueError, match="queue_depth"):
+            _serve_http(args, engine, stop=stop)
 
     def test_http_mode_is_exclusive_with_stdin(self, artifact_path):
         from repro.serve.__main__ import build_parser

@@ -1,19 +1,15 @@
 """Observability through the serving stack: /metrics, trace ids, access log.
 
-End-to-end coverage for the observability integration of ISSUE 9:
+End-to-end coverage for the observability integration:
 
 * ``GET /metrics`` serves valid Prometheus text carrying the process
-  registry, this server's :class:`ServingStats` and — behind a
-  :class:`WorkerPool` — the aggregated worker-side counters;
+  registry and this server's :class:`ServingStats`;
 * every ``/predict`` response echoes an ``X-Trace-Id`` header (the
-  client's when supplied), and the id propagates through the worker
-  pool back onto the response payload;
+  client's when supplied), and the id is handed to the backend;
 * ``GET /stats`` **before any traffic** answers 200 with zero latency
   percentiles (regression: ``np.percentile`` on an empty window used to
   be a 500);
-* the opt-in structured access log emits one JSON line per request;
-* worker pools publish per-worker stats snapshots that aggregate into
-  ``/stats`` and ``/metrics``.
+* the opt-in structured access log emits one JSON line per request.
 """
 
 import io
@@ -27,18 +23,9 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi
-from repro.serve import (
-    FeatureSchema,
-    InferenceEngine,
-    ModelArtifact,
-    ModelSpec,
-    PendingResult,
-    ServingStats,
-    WorkerPool,
-)
+from repro.serve import FeatureSchema, InferenceEngine, PendingResult, ServingStats
 from repro.serve.futures import submit_each
 from repro.serve.net import EngineBackend, serve_http
-from repro.serve.stats import aggregate_snapshots
 
 FEATURE_DIM, OUT_DIM = 4, 3
 SCHEMA = FeatureSchema(feature_dim=FEATURE_DIM, out_dim=OUT_DIM, task_type="multiclass", num_classes=OUT_DIM)
@@ -85,25 +72,6 @@ def assert_valid_prometheus(text):
 @pytest.fixture
 def rng():
     return np.random.default_rng(91)
-
-
-@pytest.fixture(scope="module")
-def artifact():
-    from repro.graph.data import GraphBatch
-
-    rng = np.random.default_rng(23)
-    spec = ModelSpec("gin", hidden_dim=8, num_layers=2)
-    models = [spec.build(SCHEMA) for _ in range(2)]
-    graphs = []
-    for _ in range(4):
-        g = erdos_renyi(int(rng.integers(5, 10)), 0.5, rng)
-        g.x = rng.normal(size=(g.num_nodes, FEATURE_DIM))
-        graphs.append(g)
-    for model in models:
-        model.train()
-        model(GraphBatch.from_graphs(graphs))
-        model.eval()
-    return ModelArtifact.from_models(models, spec, SCHEMA)
 
 
 OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0, "ood": False}
@@ -167,6 +135,19 @@ class TestStatsBeforeTraffic:
     def test_empty_stats_object_snapshots_clean(self):
         snap = ServingStats(clock=lambda: 0.0).snapshot()
         assert snap["latency_ms"] == {"window": 0, "p50": 0.0, "p99": 0.0}
+
+    def test_engine_backend_has_no_workers_key(self, rng):
+        from repro.encoders import build_model
+
+        model = build_model("gin", FEATURE_DIM, OUT_DIM, np.random.default_rng(3),
+                            hidden_dim=8, num_layers=2)
+        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=8)
+        server = serve_http(EngineBackend(engine, queue_depth=16))
+        try:
+            _status, _headers, stats = http(server.url + "/stats")
+            assert "workers" not in stats
+        finally:
+            server.drain()
 
 
 class TestTraceIdHeader:
@@ -243,125 +224,3 @@ class TestAccessLog:
         http(server.url + "/predict", make_graph_payload(rng))
         assert server.access_log is False
         assert capsys.readouterr().err == ""
-
-
-class TestAggregateSnapshots:
-    def test_counts_and_ood_totals_add(self):
-        a = ServingStats(clock=lambda: 0.0)
-        b = ServingStats(clock=lambda: 0.0)
-        for _ in range(3):
-            a.record_served(0.001, energy=-1.0, is_ood=False)
-        b.record_served(0.002, energy=2.0, is_ood=True)
-        b.record_expired()
-        agg = aggregate_snapshots([a.snapshot(), b.snapshot()])
-        assert agg["workers"] == 2
-        assert agg["counts"]["served"] == 4
-        assert agg["counts"]["expired"] == 1
-        assert agg["ood"] == {
-            "scored_total": 4, "flagged_total": 1, "lifetime_rate": 0.25,
-        }
-
-    def test_empty_is_all_zero(self):
-        agg = aggregate_snapshots([])
-        assert agg == {"workers": 0, "counts": {},
-                       "ood": {"scored_total": 0, "flagged_total": 0}}
-
-
-class TestWorkerPoolObservability:
-    def test_trace_id_rides_request_to_response_payload(self, artifact, rng):
-        graph_payload = make_graph_payload(rng)
-        from repro.serve import graph_from_json
-
-        graph = graph_from_json(graph_payload, schema=SCHEMA)
-        with WorkerPool(artifact, num_workers=1, flush_timeout=0.005) as pool:
-            handle = pool.submit(graph, trace_id="abc123def4567890")
-            assert handle.trace_id == "abc123def4567890"
-            result = handle.result(timeout=30.0)
-            plain = pool.submit(graph).result(timeout=30.0)
-        assert result["trace_id"] == "abc123def4567890"
-        assert "trace_id" not in plain  # untraced requests stay untouched
-
-    def test_worker_stats_aggregate_after_drain(self, artifact, rng):
-        from repro.serve import graph_from_json
-
-        graphs = [graph_from_json(make_graph_payload(rng, nodes=5 + i), schema=SCHEMA)
-                  for i in range(4)]
-        pool = WorkerPool(artifact, num_workers=2, flush_timeout=0.005).start()
-        try:
-            handles = [pool.submit(g) for g in graphs]
-            for handle in handles:
-                handle.result(timeout=30.0)
-        finally:
-            pool.stop()
-        # Workers publish a final snapshot before exiting; stop() joins
-        # them and then the stats collector, so this is deterministic.
-        snapshot = pool.stats_snapshot()
-        aggregate = snapshot["aggregate"]
-        assert aggregate["counts"]["served"] == 4
-        assert aggregate["counts"]["received"] == 4
-        assert aggregate["workers"] == len(snapshot["per_worker"]) >= 1
-        for worker_snap in snapshot["per_worker"].values():
-            assert worker_snap["counts"]["served"] >= 0
-
-    def test_collect_metrics_yields_pool_counters(self, artifact, rng):
-        from repro.serve import graph_from_json
-
-        graph = graph_from_json(make_graph_payload(rng), schema=SCHEMA)
-        pool = WorkerPool(artifact, num_workers=1, flush_timeout=0.005).start()
-        try:
-            pool.submit(graph).result(timeout=30.0)
-        finally:
-            pool.stop()
-        families = {name: (kind, samples) for name, kind, _help, samples
-                    in pool.collect_metrics()}
-        assert families["repro_pool_workers"][0] == "gauge"
-        outcomes = {labels["outcome"]: value
-                    for labels, value in families["repro_pool_requests_total"][1]}
-        assert outcomes["served"] == 1.0
-        ood = {labels["stat"]: value
-               for labels, value in families["repro_pool_ood_total"][1]}
-        assert set(ood) == {"scored", "flagged"}
-
-    def test_http_front_end_surfaces_worker_stats_and_metrics(self, artifact, rng):
-        pool = WorkerPool(artifact, num_workers=1, flush_timeout=0.005).start()
-        server = serve_http(pool)
-        try:
-            status, headers, body = http(
-                server.url + "/predict", make_graph_payload(rng),
-                headers={"X-Trace-Id": "pool-e2e-trace-id"}, timeout=60.0,
-            )
-            assert status == 200
-            assert headers["X-Trace-Id"] == "pool-e2e-trace-id"
-            # The worker stamped the propagated id onto the payload.
-            assert body["trace_id"] == "pool-e2e-trace-id"
-            # Worker snapshots arrive over the answer pipe; poll briefly.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                _status, _headers, stats = http(server.url + "/stats")
-                workers = stats.get("workers")
-                if workers and workers["aggregate"]["counts"].get("served", 0) >= 1:
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("worker stats never aggregated into /stats")
-            assert workers["aggregate"]["counts"]["served"] == 1
-            _status, _ctype, text = http_text(server.url + "/metrics")
-            assert_valid_prometheus(text)
-            assert 'repro_pool_requests_total{outcome="served"} 1' in text
-            assert "# TYPE repro_pool_workers gauge" in text
-        finally:
-            server.drain()
-
-    def test_engine_backend_has_no_workers_key(self, rng):
-        from repro.encoders import build_model
-
-        model = build_model("gin", FEATURE_DIM, OUT_DIM, np.random.default_rng(3),
-                            hidden_dim=8, num_layers=2)
-        engine = InferenceEngine.from_models([model], SCHEMA, max_graphs=8)
-        server = serve_http(EngineBackend(engine, queue_depth=16))
-        try:
-            _status, _headers, stats = http(server.url + "/stats")
-            assert "workers" not in stats
-        finally:
-            server.drain()
-

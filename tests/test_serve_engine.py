@@ -197,6 +197,14 @@ class TestPredict:
         with pytest.raises(ValueError, match="node features"):
             engine.predict([bad])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_features(self, rng, value):
+        engine, _ = make_engine(rng)
+        (graph,) = make_graphs(rng, 1)
+        graph.x[0, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            engine.predict([graph])
+
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_temperature(self, rng, temperature):
         """A bad temperature fails construction, not every later request."""

@@ -370,6 +370,26 @@ class TestEndToEndEngineBackend:
         status, body = http(server.url + "/predict", {"x": [[1.0, 2.0]]})  # too narrow
         assert status == 400 and "node features" in body["error"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_features_are_400(self, served_engine, rng, value):
+        """``json.loads`` accepts ``NaN``/``Infinity``; the schema check
+        answers 400 instead of a 200 whose NaN body is not valid JSON."""
+        _engine, server = served_engine
+        payload = make_graph_payload(rng)
+        payload["x"][0][0] = value  # json.dumps writes the NaN / Infinity token
+        status, body = http(server.url + "/predict", payload)
+        assert status == 400 and "finite" in body["error"]
+
+    def test_non_finite_graph_in_a_batch_fails_alone(self, served_engine, rng):
+        _engine, server = served_engine
+        good, bad = make_graph_payload(rng), make_graph_payload(rng)
+        bad["x"][1][2] = float("nan")
+        status, body = http(server.url + "/predict", {"graphs": [good, bad]})
+        assert status == 400
+        served, failed = body["results"]
+        assert served["prediction"] in range(OUT_DIM)
+        assert failed["status"] == 400 and "finite" in failed["error"]
+
     def test_batch_request(self, served_engine, rng):
         _engine, server = served_engine
         graphs = [make_graph_payload(rng, nodes=5 + i) for i in range(4)]
@@ -698,16 +718,16 @@ def artifact_path(tmp_path_factory):
 
 
 class TestSigtermDrain:
-    def test_sigterm_drains_the_pooled_server_under_load(self, artifact_path, rng):
-        """Full subprocess: ``python -m repro.serve --http --workers 2``,
-        live traffic, SIGTERM.  The process must exit 0 (graceful drain),
-        never answer 500, and keep serving 200s until the drain flips."""
+    def test_sigterm_drains_the_server_under_load(self, artifact_path, rng):
+        """Full subprocess: ``python -m repro.serve --http``, live traffic,
+        SIGTERM.  The process must exit 0 (graceful drain), never answer
+        500, and keep serving 200s until the drain flips."""
         src_dir = Path(repro.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", str(artifact_path),
-             "--http", "--port", "0", "--workers", "2", "--flush-timeout", "0.005"],
+             "--http", "--port", "0"],
             stderr=subprocess.PIPE, text=True, env=env,
         )
         stderr_lines: list[str] = []

@@ -25,12 +25,6 @@ Design constraints (why the gate is tolerance-based and shape-aware):
   a budget, not a speedup — the observability bench's metrics-on/off
   ratio must stay <= ``--overhead-max`` (default 1.02, i.e. < 2%)
   regardless of what any previous run measured.
-* **Availability** (keys named ``*availability*``, excluding declared
-  budgets like ``availability_floor``) gates against an absolute
-  **floor**, also baseline-free: the fault-tolerance bench's fraction of
-  requests served within deadline is dimensionless and machine-
-  independent, so even tiny CI shapes must stay >= ``--availability-min``
-  (default 0.99).
 
 Exit code 0 = within tolerance, 1 = regression, 2 = usage/IO error.
 """
@@ -73,27 +67,8 @@ def collect_overheads(payload, prefix: str = "") -> dict[str, float]:
     return found
 
 
-def collect_availabilities(payload, prefix: str = "") -> dict[str, float]:
-    """Recursively gather ``{dotted.path: value}`` for availability keys.
-
-    Declared budgets (``availability_floor`` / ``availability_min``) are
-    configuration, not measurements, and are skipped.
-    """
-    found: dict[str, float] = {}
-    if isinstance(payload, dict):
-        for key, value in payload.items():
-            path = f"{prefix}.{key}" if prefix else key
-            if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and "availability" in key
-                    and not key.endswith(("_floor", "_min"))):
-                found[path] = float(value)
-            else:
-                found.update(collect_availabilities(value, path))
-    return found
-
-
 def compare(fresh: dict, baseline: dict, tolerance: float, tiny_tolerance: float,
-            overhead_max: float = 1.02, availability_min: float = 0.99):
+            overhead_max: float = 1.02):
     """Return ``(regressions, notes)`` comparing fresh vs baseline ratios."""
     notes: list[str] = []
     regressions: list[str] = []
@@ -139,16 +114,6 @@ def compare(fresh: dict, baseline: dict, tolerance: float, tiny_tolerance: float
             regressions.append(
                 f"{path}: overhead {value:.4f}x exceeds the {overhead_max:.2f}x ceiling"
             )
-    # Availability gates against the absolute floor, baseline-free.
-    for path, value in sorted(collect_availabilities(fresh).items()):
-        status = "OK" if value >= availability_min else "BELOW FLOOR"
-        notes.append(
-            f"  {path}: fresh {value:.4f} vs floor {availability_min:.2f} {status}"
-        )
-        if value < availability_min:
-            regressions.append(
-                f"{path}: availability {value:.4f} below the {availability_min:.2f} floor"
-            )
     return regressions, notes
 
 
@@ -168,10 +133,6 @@ def main(argv=None) -> int:
         "--overhead-max", type=float, default=1.02,
         help="absolute ceiling for overhead-ratio metrics (default 1.02 = <2%%)",
     )
-    parser.add_argument(
-        "--availability-min", type=float, default=0.99,
-        help="absolute floor for availability metrics (default 0.99)",
-    )
     args = parser.parse_args(argv)
     try:
         with open(args.fresh) as fh:
@@ -183,7 +144,7 @@ def main(argv=None) -> int:
         return 2
     regressions, notes = compare(
         fresh, baseline, args.tolerance, args.tiny_tolerance,
-        overhead_max=args.overhead_max, availability_min=args.availability_min,
+        overhead_max=args.overhead_max,
     )
     print(f"check_bench: {args.fresh} vs {args.baseline}")
     for line in notes:
