@@ -240,7 +240,7 @@ def _csr_arrays(rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, num_row
 
 
 class MessagePassOperator:
-    """A fixed weighted-adjacency matmul with its transpose, built once.
+    """A fixed weighted-adjacency matmul and its transpose, each built once.
 
     Represents ``out[dst_j] += w_j * values[src_j]`` — the aggregate step
     of every message-passing conv — as one sparse matrix whose ``data``
@@ -250,14 +250,18 @@ class MessagePassOperator:
     no separate norm-multiply pass, yet bitwise equal to the eager chain
     (see :func:`_csr_arrays`).
 
-    The transpose operator is built alongside for the backward: the adjoint
-    of a fixed sparse matmul is the transposed matmul, and the transposed
-    CSR (entries stable-grouped by ``src``) accumulates exactly like the
-    eager adjoint ``scatter_add(src, w * g[dst])`` — multiplication
-    commutes bitwise and per-bucket edge order is preserved — so fused
-    training gradients match the eager tape bit for bit.
+    The transpose operator serves the backward: the adjoint of a fixed
+    sparse matmul is the transposed matmul, and the transposed CSR
+    (entries stable-grouped by ``src``) accumulates exactly like the eager
+    adjoint ``scatter_add(src, w * g[dst])`` — multiplication commutes
+    bitwise and per-bucket edge order is preserved — so fused training
+    gradients match the eager tape bit for bit.  It is built on the first
+    :meth:`t_matmul`, so tape-free forwards (serving, eval) never build it.
 
-    Instances are immutable and safe to share across layers and threads.
+    Instances may be shared across layers and threads.  The lazy
+    transpose is their only mutable state: it is published as one
+    ``t_csr`` triple, and two threads that race to build it build the same
+    arrays, so either result is correct.
     :func:`repro.graph.segment.message_pass_operator` builds them; a
     batch's :class:`~repro.graph.data.Topology` (or
     :class:`~repro.graph.utils.SeedEdgeIndex`) holds one per (norm kind,
@@ -267,7 +271,7 @@ class MessagePassOperator:
 
     __slots__ = (
         "src", "dst", "weights", "num_src", "num_dst",
-        "indptr", "indices", "data", "t_indptr", "t_indices", "t_data",
+        "indptr", "indices", "data", "t_csr",
     )
 
     def __init__(self, src, dst, weights, num_src: int, num_dst: int):
@@ -286,10 +290,10 @@ class MessagePassOperator:
         self.num_src, self.num_dst = int(num_src), int(num_dst)
         if _csr_matvecs is None:  # pragma: no cover - exercised only without scipy
             self.indptr = self.indices = self.data = None
-            self.t_indptr = self.t_indices = self.t_data = None
+            self.t_csr = (None, None, None)
         else:
             self.indptr, self.indices, self.data = _csr_arrays(dst, src, weights, self.num_dst)
-            self.t_indptr, self.t_indices, self.t_data = _csr_arrays(src, dst, weights, self.num_src)
+            self.t_csr = None  # (t_indptr, t_indices, t_data), built by t_matmul
 
     @property
     def dtype(self) -> np.dtype:
@@ -322,8 +326,10 @@ class MessagePassOperator:
 
     def t_matmul(self, grad: np.ndarray) -> np.ndarray:
         """``A_norm^T @ grad``: the backward adjoint, ``(num_dst, h) -> (num_src, h)``."""
-        return self._apply(self.t_indptr, self.t_indices, self.t_data, grad,
-                           self.num_src, self.num_dst, self.dst, self.src)
+        t_csr = self.t_csr
+        if t_csr is None:
+            t_csr = self.t_csr = _csr_arrays(self.src, self.dst, self.weights, self.num_src)
+        return self._apply(*t_csr, grad, self.num_src, self.num_dst, self.dst, self.src)
 
 
 _MSGPASS_STATE = threading.local()
@@ -360,8 +366,9 @@ def _message_pass_reference(operator: MessagePassOperator, x: Tensor) -> Tensor:
 def message_pass(operator: MessagePassOperator, x) -> Tensor:
     """Differentiable ``A_norm @ x`` through a :class:`MessagePassOperator`.
 
-    One tape node; the backward closure is the prebuilt transpose operator,
-    so fused forwards and backwards are each a single sparse matmul.
+    One tape node; the backward closure is the transpose operator (built
+    by the first backward), so fused forwards and backwards are each a
+    single sparse matmul.
     """
     x = as_tensor(x)
     if not fused_message_pass_enabled():

@@ -4,7 +4,7 @@ The engine is a classic define-by-run tape: every operation on tensors with
 ``requires_grad=True`` records its parents together with a closure that maps
 the output gradient to a gradient contribution for that parent.
 :meth:`Tensor.backward` walks the recorded graph in reverse topological
-order and accumulates gradients on its leaves.
+order, accumulates gradients on its leaves and frees the tape as it goes.
 
 Only the operations the reproduction actually needs are implemented; each
 one handles numpy broadcasting by summing gradient contributions over the
@@ -19,6 +19,11 @@ import threading
 import numpy as np
 
 _state = threading.local()
+
+# ``Tensor._parents`` of a node whose tape ``backward()`` has released.  It
+# is truthy, so ops still record the node as taped, and a later backward()
+# that reaches it raises instead of treating it as a leaf.
+_RELEASED = object()
 
 
 def is_grad_enabled() -> bool:
@@ -295,6 +300,12 @@ class Tensor:
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor.
 
+        Gradients accumulate into ``.grad`` on leaves only.  The walk frees
+        the tape as it goes: once a node has fed its parents, its
+        ``(parent, grad_fn)`` pairs, and the forward arrays their closures
+        hold, are released.  So the graph can be backpropagated once, as
+        in PyTorch without ``retain_graph``.
+
         Parameters
         ----------
         grad:
@@ -307,7 +318,9 @@ class Tensor:
             When this tensor carries no autograd history — typically
             because the forward ran inside :func:`no_grad` /
             :func:`inference_mode` (the tape-free serving path), or
-            because no input required grad.
+            because no input required grad.  Also when the walk reaches a
+            node an earlier ``backward()`` released; no ``.grad`` is
+            touched then.
         """
         if not self._parents and not self.requires_grad:
             raise RuntimeError(
@@ -331,7 +344,9 @@ class Tensor:
                     f"gradient shape {grad.shape} does not match tensor shape {self.shape}"
                 )
 
-        # Reverse topological order over the recorded graph.
+        # Reverse topological order over the recorded graph.  It is built in
+        # full before any gradient flows, so a released node aborts the call
+        # with every ``.grad`` untouched.
         order: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -342,24 +357,36 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is _RELEASED:
+                raise RuntimeError(
+                    "backward() reached a tensor whose tape an earlier backward() "
+                    "already freed; trying to backward through the same graph a "
+                    "second time: re-run the forward to build a fresh tape"
+                )
             visited.add(id(node))
             stack.append((node, True))
             for parent, _fn in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        # Intermediate gradients live only in ``grads`` and are dropped as
-        # soon as their node has fed its parents; leaves keep theirs.
+        # Popping ``order`` as the walk goes, then releasing each node's
+        # ``(parent, grad_fn)`` pairs once it has fed its parents, frees the
+        # forward arrays those closures hold while the rest of the walk
+        # runs.  Intermediate gradients live only in ``grads``; leaves keep
+        # theirs.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
+            parents = node._parents
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if not node._parents:
-                if node.requires_grad:
+            if not parents:
+                if node_grad is not None and node.requires_grad:
                     node.grad = node_grad.copy() if node.grad is None else node.grad + node_grad
                 continue
-            for parent, fn in node._parents:
+            node._parents = _RELEASED
+            if node_grad is None:
+                continue
+            for parent, fn in parents:
                 contribution = fn(node_grad)
                 if contribution is None:
                     continue

@@ -8,8 +8,9 @@ layers import from ``torch_scatter``.
 message-passing path (see
 :class:`~repro.autograd.functional.MessagePassOperator`): it resolves a
 norm kind ("gcn" / "mean" / "sum") into per-edge weights — self loops
-included for GCN — and builds the forward + transpose CSR pair.  It does
-not cache.  Convs ask their connectivity container instead:
+included for GCN — and builds the forward CSR; the transpose CSR follows
+on the first backward.  It does not cache.  Convs ask their connectivity
+container instead:
 :meth:`Topology.operator <repro.graph.data.Topology.operator>` (and the
 same memo on :class:`~repro.graph.utils.SeedEdgeIndex`) builds each
 operator once per batch, shares it across every layer of the forward and

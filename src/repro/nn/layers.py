@@ -382,11 +382,13 @@ class MLP(Module):
 #
 # The batched multi-seed engine trains K independently initialised models
 # at once: every parameter bank gains a leading seed axis and activations
-# use the seed-middle layout (n, K, h), so segment reductions over the
-# leading node axis vectorise across seeds for free.  Stacked modules keep
-# the attribute names of their per-seed templates, which makes the dotted
-# parameter names line up one-to-one and lets a single seed's slice be
-# loaded straight back into a per-seed model.
+# use the seed-leading layout (K, n, h).  Each seed's slice stays
+# contiguous, so every linear map is one batched GEMM (``seed_linear``) and
+# every gather or scatter runs K 2-D passes (``seed_gather``,
+# ``seed_segment_sum``).  Stacked modules keep the attribute names of their
+# per-seed templates, which makes the dotted parameter names line up
+# one-to-one and lets a single seed's slice be loaded straight back into a
+# per-seed model.
 
 _SEED_STACKERS: dict[type, object] = {}
 

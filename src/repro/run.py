@@ -17,10 +17,41 @@ serving bundle for ``python -m repro.serve`` (see :mod:`repro.serve`).
 from __future__ import annotations
 
 import argparse
+import os
 
 from repro.bench import ExperimentProtocol, run_method_multi_seed, method_spec, BATCHED_SEED_METHODS
 from repro.datasets import dataset_info, load_dataset, DATASET_NAMES
 from repro.encoders import available_models
+
+
+# glibc's mallopt() parameter numbers (<malloc.h>).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+
+def tune_allocator() -> None:
+    """Keep freed heap in this process for the rest of a training job.
+
+    Every training step allocates its tape and frees it again during
+    ``backward()``.  With glibc's defaults a large array gets its own
+    ``mmap`` that is unmapped when freed, and free heap beyond the trim
+    threshold goes back to the kernel, so each step faults its activations
+    in again.  A 32 MiB mmap threshold serves the step's arrays from the
+    heap, and a 1 GiB trim threshold keeps the freed heap for the next
+    step.  Other C libraries are left alone, as are processes that never
+    call :func:`main`, such as the server.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 1 << 30)
 
 
 def positive_int(text: str) -> int:
@@ -103,6 +134,7 @@ def main(argv=None) -> int:
             f"--batched-seeds supports {', '.join(BATCHED_SEED_METHODS)}, not {args.method!r}"
         )
 
+    tune_allocator()
     info = dataset_info(args.dataset)
     protocol = ExperimentProtocol(
         epochs=args.epochs,

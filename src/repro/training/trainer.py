@@ -8,9 +8,9 @@ with sample reweighting.
 :meth:`Trainer.fit_many` is the batched multi-seed engine (see
 ``docs/ARCHITECTURE.md``): K independently initialised models train as one
 vectorised job — parameters stacked along a leading seed axis, every
-forward/backward evaluated once over ``(n, K, h)`` activations — with a
-parity guarantee against K sequential :meth:`Trainer.fit` runs that share
-the same mini-batch stream.
+forward/backward evaluated once over seed-leading ``(K, n, h)``
+activations — with a parity guarantee against K sequential
+:meth:`Trainer.fit` runs that share the same mini-batch stream.
 """
 
 from __future__ import annotations

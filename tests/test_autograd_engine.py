@@ -1,5 +1,7 @@
 """Engine-level behaviour: accumulation, no_grad, detach, graph reuse."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,40 @@ class TestBackward:
         np.testing.assert_allclose(b.grad, mask.sum(axis=0))
         np.testing.assert_allclose(w.grad, x.data.T @ mask)
         np.testing.assert_allclose(x.grad, mask @ w.data.T)
+
+
+class TestRelease:
+    """``backward()`` frees the tape it walks; a second walk raises."""
+
+    def test_backward_frees_arrays_only_the_tape_holds(self):
+        x = Tensor(np.random.default_rng(1).normal(size=(6, 3)), requires_grad=True)
+        hidden = x.exp()
+        probe = weakref.ref(hidden.data)  # exp's grad_fn closes over its result
+        loss = (hidden * 2.0).sum()
+        del hidden
+        assert probe() is not None  # the tape alone keeps it alive
+        loss.backward()
+        assert probe() is None
+        assert loss.requires_grad
+        np.testing.assert_allclose(x.grad, 2.0 * np.exp(x.data))
+
+    def test_second_backward_through_released_graph_raises(self):
+        x = Tensor(3.0, requires_grad=True)
+        y = x * x
+        y.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            y.backward()
+        np.testing.assert_allclose(x.grad, 6.0)
+
+    def test_new_expression_over_released_node_raises_before_any_grad(self):
+        x = Tensor(2.0, requires_grad=True)
+        w = Tensor(5.0, requires_grad=True)
+        shared = x * x
+        (shared * 3.0).backward()
+        with pytest.raises(RuntimeError, match="second time"):
+            (shared * w).backward()
+        np.testing.assert_allclose(x.grad, 12.0)
+        assert w.grad is None
 
 
 class TestGradMode:

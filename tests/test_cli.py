@@ -1,11 +1,13 @@
 """Command-line entry points (python -m repro.run, python -m repro.serve)."""
 
+import ctypes
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,15 +89,81 @@ class TestMain:
         assert "dataset: ogbg-molbace  metric: rocauc  shift: scaffold" in capsys.readouterr().out
 
 
+def _fresh_python(script: str, *args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's ``repro``."""
+    src_dir = Path(repro.run.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+class _FakeMallopt:
+    """Stands in for ``ctypes.CDLL(None).mallopt`` and records its calls."""
+
+    def __init__(self):
+        self.argtypes = self.restype = None
+        self.calls = []
+
+    def __call__(self, *args):
+        self.calls.append((self.argtypes, self.restype, args))
+        return 1
+
+
+class TestAllocatorPolicy:
+    @pytest.fixture()
+    def mallopt(self, monkeypatch):
+        fake = _FakeMallopt()
+
+        def cdll(name):
+            assert name is None
+            return SimpleNamespace(mallopt=fake)
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        return fake
+
+    def test_main_applies_the_policy(self, mallopt, capsys):
+        assert main(["--dataset", "triangles", "--seeds", "1", "--epochs", "0", "--scale", "0.15",
+                     "--hidden-dim", "8", "--num-layers", "2"]) == 0
+        signature = ((ctypes.c_int, ctypes.c_int), ctypes.c_int)
+        assert mallopt.calls == [
+            (*signature, (repro.run.M_MMAP_THRESHOLD, 32 << 20)),
+            (*signature, (repro.run.M_TRIM_THRESHOLD, 1 << 30)),
+        ]
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_skipped_when_confstr_fails(self, mallopt, monkeypatch, error):
+        def failing(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "confstr", failing)
+        assert repro.run.tune_allocator() is None
+        assert mallopt.calls == []
+
+    def test_import_alone_does_not_apply_it(self):
+        script = textwrap.dedent("""
+            import ctypes
+            calls = []
+            ctypes.CDLL = lambda *args, **kwargs: calls.append(args)
+            import repro.run
+            print(len(calls))
+        """)
+        proc = _fresh_python(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
+
+
 class TestStartupImports:
     def test_train_and_serve_import_neither_networkx_nor_scipy(self, tmp_path):
         """A fresh interpreter trains (one seed, then two batched seeds with
         two encoders), exports and serves, then checks that no networkx,
-        scipy or multiprocessing module was imported.  networkx and
-        scipy.cluster are used only by callers outside the entry points, and
-        scipy's sparse kernels load without scipy.sparse; importing all three
-        cost ~0.5 s of start-up.  Serving is in-process, so nothing needs
-        multiprocessing.
+        scipy, multiprocessing or ctypes.util module was imported.  networkx
+        and scipy.cluster are used only by callers outside the entry points,
+        and scipy's sparse kernels load without scipy.sparse; importing all
+        three cost ~0.5 s of start-up.  Serving is in-process, so nothing
+        needs multiprocessing.  The allocator policy binds ``mallopt``
+        through ``ctypes.CDLL(None)``; ``ctypes.util.find_library`` would run
+        ``ldconfig`` in a subprocess.
         Running jobs and a forward also catches a deferred import moved onto
         a hot path, and the fused-kernel check catches a loader that silently
         binds no kernel."""
@@ -121,16 +189,11 @@ class TestStartupImports:
                 assert main(job + ["--method", method, "--seeds", "2", "--batched-seeds"]) == 0
             assert serve_main([artifact, "--input", requests]) == 0
             print(json.dumps(sorted(
-                m for m in sys.modules if m.startswith(("networkx", "scipy", "multiprocessing"))
+                m for m in sys.modules
+                if m.startswith(("networkx", "scipy", "multiprocessing", "ctypes.util"))
             )))
         """)
-        src_dir = Path(repro.run.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "model.npz"), str(requests)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = _fresh_python(script, str(tmp_path / "model.npz"), str(requests), timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.strip().splitlines()
         assert sum(line.startswith('{"prediction"') for line in lines) == 2

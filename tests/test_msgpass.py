@@ -14,6 +14,8 @@ cannot go stale, and frees its operators with the batch.
 """
 
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -91,6 +93,37 @@ class TestOperatorParity:
             tape_free = F.message_pass(operator, x)
         np.testing.assert_array_equal(taped.data, tape_free.data)
         assert taped._parents and not tape_free._parents
+
+    def test_racing_first_backwards_agree(self):
+        """Threads that all find the transpose unbuilt each build it; every
+        adjoint must still equal the reference.  A transpose published one
+        array at a time would let a thread read a half-built triple."""
+        edges = _random_edges(seed=9)
+        grad = np.random.default_rng(2).normal(size=(NUM_NODES, 3))
+        expected = segment.message_pass_operator(edges, NUM_NODES, norm="gcn").t_matmul(grad)
+        for _ in range(20):
+            operator = segment.message_pass_operator(edges, NUM_NODES, norm="gcn")
+            results = []
+            start = threading.Barrier(6, timeout=10)
+
+            def first_backward():
+                start.wait()
+                results.append(operator.t_matmul(grad))
+
+            threads = [threading.Thread(target=first_backward) for _ in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == len(threads)
+            for result in results:
+                np.testing.assert_array_equal(result, expected)
 
     @pytest.mark.parametrize("norm", segment.NORM_KINDS)
     def test_empty_graph(self, norm):
@@ -285,6 +318,16 @@ class TestTopologyPlan:
         del batch, loss
         gc.collect()
         assert indptr() is None
+
+    def test_transpose_is_built_by_the_first_backward(self):
+        batch = _feature_batch(np.random.default_rng(15))
+        model = self._gin(0)
+        with inference_mode():
+            model(batch)
+        operator = batch.topology.operator("sum")
+        assert operator.t_csr is None
+        model(batch).sum().backward()
+        assert operator.t_csr is not None
 
     def test_batch_edges_are_read_only(self):
         batch = _feature_batch(np.random.default_rng(14))
