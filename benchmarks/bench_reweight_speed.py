@@ -1,23 +1,19 @@
-"""Inner reweighting loop: fused engine vs taped reference, batched vs per-seed.
+"""Inner reweighting loop: seed-batched vs per-seed, primal vs dual evaluation.
 
 Algorithm 1's dominant cost is the inner loop of `SampleWeightLearner.learn`
-— ``Epoch_Reweight`` loss/gradient/Adam steps per batch per outer epoch.
-Two speedups are measured at the paper-scale shape
-``(n, d, Q) = (256, 64, 5)`` (hidden_dim 64, Q = 5, batch 256):
+— ``Epoch_Reweight`` loss/gradient/Adam steps per batch per outer epoch,
+on the closed-form engine (`repro.core.fused`).  Measured at the
+paper-scale shape ``(n, d, Q) = (256, 64, 5)`` (hidden_dim 64, Q = 5,
+batch 256):
 
-* **fused vs autograd** (ISSUE 1): the closed-form engine
-  (`repro.core.fused`) against the taped reference — loss and analytical
-  weight gradient on a per-batch precomputed sample-space Gram.
-  Acceptance: >= 3x.
-* **seed-batched vs sequential** (ISSUE 3): `learn_many` running K seeds'
-  inner loops as one stacked `SeedFusedDecorrelation` job against K
-  sequential fused `learn` calls.  Originally >= 2x at ``--seeds 8``;
-  since the ISSUE 5 moment-form port the scalar baseline does the same
-  cache-streamed matvec work per seed, so the batched edge is dispatch
-  amortisation (~1.2x) and the floor is 1.1x.
+* **seed-batched vs sequential**: `learn_many` running K seeds' inner
+  loops as one stacked `SeedFusedDecorrelation` job against K sequential
+  `learn` calls.  Both paths do the same cache-streamed matvec work per
+  seed, so the batched edge is dispatch amortisation (~1.2x at
+  ``--seeds 8``); the floor is 1.1x.
 * **scalar dual per evaluation**: the moment-form `FusedDecorrelation`
-  dual mode (ISSUE 5 port) against the primal evaluation at the same
-  shape — the per-epoch unit the inner loop pays.
+  dual mode against the primal evaluation at the same shape — the
+  per-epoch unit the inner loop pays.
 
 Run as pytest-benchmark rows:
 
@@ -38,19 +34,17 @@ import time
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
 from repro.core import (
     FusedDecorrelation,
     RandomFourierFeatures,
     SampleWeightLearner,
     learn_many,
 )
-from repro.core.hsic import pairwise_decorrelation_loss
 
 N, D, Q = 256, 64, 5
 NUM_SEEDS = 8
-BACKENDS = ("autograd", "fused")
 SEED_MODES = ("sequential", "batched")
+EVAL_MODES = ("primal", "dual")
 
 
 def _representations(n=N, d=D, seed=0):
@@ -61,20 +55,26 @@ def _seed_representations(num_seeds=NUM_SEEDS, n=N, d=D, seed=0):
     return np.random.default_rng(seed).normal(size=(num_seeds, n, d))
 
 
-def _learner(backend, epochs=20, q=Q, rng_seed=1):
+def _learner(epochs=20, q=Q, rng_seed=1):
     rff = RandomFourierFeatures(num_functions=q, rng=np.random.default_rng(rng_seed))
-    return SampleWeightLearner(rff, epochs=epochs, lr=0.05, l2_penalty=0.05, backend=backend)
+    return SampleWeightLearner(rff, epochs=epochs, lr=0.05, l2_penalty=0.05)
 
 
 def _roster(num_seeds, epochs=20, q=Q):
-    return [_learner("fused", epochs=epochs, q=q, rng_seed=100 + s) for s in range(num_seeds)]
+    return [_learner(epochs=epochs, q=q, rng_seed=100 + s) for s in range(num_seeds)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_inner_loop(benchmark, backend):
+def _features_and_weights(n=N, d=D, q=Q):
+    feats = RandomFourierFeatures(num_functions=q, rng=np.random.default_rng(3))(
+        _representations(n=n, d=d)
+    )
+    return feats, np.random.default_rng(2).uniform(0.5, 1.5, size=n)
+
+
+def test_inner_loop(benchmark):
     """Full inner loop (20 reweighting epochs) at the paper-scale shape."""
     z = _representations()
-    learner = _learner(backend)
+    learner = _learner()
     benchmark(lambda: learner.learn(z).final_loss)
 
 
@@ -89,38 +89,12 @@ def test_seed_batched_inner_loop(benchmark, mode):
         benchmark(lambda: [l.learn(z[k]) for k, l in enumerate(roster)][-1].final_loss)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_loss_and_grad_step(benchmark, backend):
+@pytest.mark.parametrize("mode", EVAL_MODES)
+def test_loss_and_grad_step(benchmark, mode):
     """One loss + weight-gradient evaluation, the per-epoch unit of work."""
-    rng = np.random.default_rng(2)
-    feats = RandomFourierFeatures(num_functions=Q, rng=np.random.default_rng(3))(_representations())
-    w = rng.uniform(0.5, 1.5, size=N)
-    if backend == "fused":
-        engine = FusedDecorrelation(feats)
-        benchmark(lambda: engine.loss_and_grad(w))
-    else:
-
-        def taped():
-            wt = Tensor(w.copy(), requires_grad=True)
-            loss = pairwise_decorrelation_loss(feats, wt)
-            loss.backward()
-            return float(loss.data), wt.grad
-
-        benchmark(taped)
-
-
-def measure_speedup(epochs=20, repeats=5, n=N, d=D, q=Q):
-    """Wall-clock ratio autograd/fused of the full single-seed inner loop."""
-    z = _representations(n=n, d=d)
-    timings = {}
-    for backend in BACKENDS:
-        learner = _learner(backend, epochs=epochs, q=q)
-        learner.learn(z)  # warm-up (BLAS threads, allocator)
-        start = time.perf_counter()
-        for _ in range(repeats):
-            learner.learn(z)
-        timings[backend] = (time.perf_counter() - start) / repeats
-    return timings, timings["autograd"] / timings["fused"]
+    feats, w = _features_and_weights()
+    engine = FusedDecorrelation(feats, mode=mode)
+    benchmark(lambda: engine.loss_and_grad(w))
 
 
 def measure_scalar_dual(repeats=200, n=N, d=D, q=Q):
@@ -133,13 +107,9 @@ def measure_scalar_dual(repeats=200, n=N, d=D, q=Q):
     ``BENCH_reweight.json`` tracks the live numbers), and the gap widens
     with n (~5x at n=1024) because no O(n^2) intermediate survives.
     """
-    rng = np.random.default_rng(2)
-    feats = RandomFourierFeatures(num_functions=q, rng=np.random.default_rng(3))(
-        _representations(n=n, d=d)
-    )
-    w = rng.uniform(0.5, 1.5, size=n)
+    feats, w = _features_and_weights(n=n, d=d, q=q)
     timings = {}
-    for mode in ("primal", "dual"):
+    for mode in EVAL_MODES:
         engine = FusedDecorrelation(feats, mode=mode)
         engine.loss_and_grad(w)
         start = time.perf_counter()
@@ -169,26 +139,14 @@ def measure_seed_batched_speedup(num_seeds=NUM_SEEDS, epochs=20, repeats=5, n=N,
     return timings, timings["sequential"] / timings["batched"]
 
 
-def test_fused_speedup_target():
-    """ISSUE 1 acceptance: >= 3x at (n=256, d=64, Q=5).
-
-    Measured headroom is ~5x, so the 3x floor stays robust to machine
-    noise; not part of tier-1 (bench files are not collected by default).
-    """
-    _, speedup = measure_speedup(repeats=3)
-    assert speedup >= 3.0, f"fused inner loop only {speedup:.2f}x faster"
-
-
 def test_seed_batched_speedup_target():
     """Batched >= 1.1x over 8 sequential fused loops.
 
-    The original ISSUE 3 floor was 2x — against the pre-moment-form
-    *scalar* engine.  The ISSUE 5 port of the moment-form dual caches to
-    ``FusedDecorrelation`` made each sequential loop ~2.5x faster, so the
-    batched engine's remaining edge is dispatch amortisation only (~1.2x
-    measured; both paths now do identical cache-streamed matvec work).
-    Absolute time for the 8-loop job dropped ~2x with the port.  Not part
-    of tier-1 — bench files are not collected by default.
+    The floor was 2x against the scalar engine before it gained the
+    moment-form dual caches, which made each sequential loop ~2.5x faster;
+    the batched engine's remaining edge is dispatch amortisation only
+    (~1.2x measured; both paths do identical cache-streamed matvec work).
+    Not part of tier-1 — bench files are not collected by default.
     """
     _, speedup = measure_seed_batched_speedup(repeats=3)
     assert speedup >= 1.1, f"seed-batched inner loop only {speedup:.2f}x faster"
@@ -213,46 +171,34 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     shape = dict(n=args.n, d=args.d, q=args.q, epochs=args.epochs, seeds=args.seeds)
-    timings, fused_speedup = measure_speedup(
-        epochs=args.epochs, repeats=args.repeats, n=args.n, d=args.d, q=args.q
-    )
     seed_timings, batched_speedup = measure_seed_batched_speedup(
         num_seeds=args.seeds, epochs=args.epochs, repeats=args.repeats,
         n=args.n, d=args.d, q=args.q,
     )
 
-    print(f"inner reweighting loop at (n={args.n}, d={args.d}, Q={args.q}), {args.epochs} epochs:")
-    for backend in BACKENDS:
-        per_epoch = timings[backend] / args.epochs * 1e3
-        print(f"  {backend:>10}: {timings[backend] * 1e3:8.2f} ms/loop  ({per_epoch:.2f} ms/epoch)")
-    print(f"  fused speedup: {fused_speedup:.2f}x (target >= 3x)")
-    print(f"seed-batched, K={args.seeds} seeds:")
+    print(f"inner reweighting loops at (n={args.n}, d={args.d}, Q={args.q}), {args.epochs} epochs, "
+          f"K={args.seeds} seeds:")
     for mode in SEED_MODES:
         print(f"  {mode:>10}: {seed_timings[mode] * 1e3:8.2f} ms for all {args.seeds} loops")
-    print(f"  batched speedup: {batched_speedup:.2f}x (target >= 1.1x; 2x pre-moment-port)")
+    print(f"  batched speedup: {batched_speedup:.2f}x (target >= 1.1x)")
     dual_timings = measure_scalar_dual(
         repeats=max(args.repeats * 20, 20), n=args.n, d=args.d, q=args.q
     )
     print(
-        f"scalar engine per evaluation (moment-form dual port): "
+        f"scalar engine per evaluation (moment-form dual): "
         f"primal {dual_timings['primal'] * 1e3:.3f} ms   dual {dual_timings['dual'] * 1e3:.3f} ms"
     )
 
     payload = {
         "benchmark": "reweight_speed",
+        "cpu_count": os.cpu_count(),
         "shape": shape,
-        "single_seed": {
-            "autograd_s": timings["autograd"],
-            "fused_s": timings["fused"],
-            "speedup": fused_speedup,
-            "target": 3.0,
-        },
         "seed_batched": {
             "sequential_s": seed_timings["sequential"],
             "batched_s": seed_timings["batched"],
             "speedup": batched_speedup,
-            # 2.0 until the ISSUE 5 moment-form port sped the sequential
-            # baseline ~2.5x; see test_seed_batched_speedup_target.
+            # 2.0 until the scalar engine gained the moment-form caches;
+            # see test_seed_batched_speedup_target.
             "target": 1.1,
         },
         "scalar_dual": {

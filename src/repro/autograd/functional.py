@@ -4,14 +4,6 @@ Includes the numerically-stable softmax family and the segment reductions
 that power message passing and graph pooling (`segment_sum`, `segment_mean`,
 `segment_max`).  Segment reductions operate over the leading axis and group
 rows by an integer segment id, exactly like ``torch_scatter``.
-
-Two fused statistics primitives back the decorrelation objective
-(:mod:`repro.core.hsic`): :func:`weighted_gram` builds the weighted-centred
-(cross-)Gram matrix of Eq. (5) as a single tape node, and
-:func:`masked_frobenius` collapses the masked squared Frobenius norm of
-Eq. (7) into one node.  Each replaces a chain of elementwise ops with one
-closure, so the taped reference path pays one backward matmul instead of
-two plus bookkeeping.
 """
 
 from __future__ import annotations
@@ -56,8 +48,6 @@ __all__ = [
     "stack",
     "where",
     "maximum",
-    "weighted_gram",
-    "masked_frobenius",
     "linear",
     "seed_linear",
     "seed_gather",
@@ -431,94 +421,6 @@ def segment_max(x: Tensor, segment_ids, num_segments: int, empty_value: float = 
         return winners * g[ids] / tie_counts[ids]
 
     return Tensor._make(out_data, [(x, grad_fn)])
-
-
-def weighted_gram(features, weights, features_j=None, ddof: int = 1) -> Tensor:
-    """Weighted-centred Gram (or cross-Gram) matrix as one fused tape node.
-
-    Computes ``A_i^T A_j / (n - ddof)`` where ``A = W - mean(W)`` and
-    ``W = features * weights[:, None]`` — the einsum-style core of the
-    partial cross-covariance of Eq. (5).  ``features_j=None`` gives the
-    symmetric Gram of a single feature block (the flattened form used by
-    the pairwise decorrelation loss).
-
-    A hand-written backward replaces the op-by-op chain (multiply, mean,
-    subtract, transpose, matmul): for the symmetric case the adjoint is a
-    single matmul ``A (g + g^T) / (n - ddof)`` followed by the centring and
-    weighting adjoints, instead of two matmuls through the taped transpose.
-    """
-    fi = as_tensor(features)
-    fj = fi if features_j is None else as_tensor(features_j)
-    w = as_tensor(weights)
-    xi, wd = fi.data, w.data
-    n = xi.shape[0]
-    denom = float(n - ddof)
-    wi = xi * wd[:, None]
-    ai = wi - wi.mean(axis=0, keepdims=True)
-    same = fj is fi
-    if same:
-        aj = ai
-        xj = xi
-    else:
-        xj = fj.data
-        wj = xj * wd[:, None]
-        aj = wj - wj.mean(axis=0, keepdims=True)
-    out_data = (ai.T @ aj) / denom
-
-    tracked = [t for t in ((fi, fj, w) if not same else (fi, w)) if t.requires_grad or t._parents]
-    if not (is_grad_enabled() and tracked):
-        return Tensor._wrap(out_data)
-
-    # The centred adjoints are shared by every parent's closure; memoise
-    # them per output gradient (identity-keyed, with a strong reference so
-    # the key cannot be recycled) so backward pays the O(n p^2) matmul
-    # once even when features and weights both require grad.
-    adjoint_cache: dict = {}
-
-    def d_w_adjoint(side, g):
-        entry = adjoint_cache.get(side)
-        if entry is None or entry[0] is not g:
-            if side == "i":
-                # Adjoint w.r.t. the centred weighted features, left side.
-                da = ai @ (g + g.T) / denom if same else aj @ g.T / denom
-            else:
-                da = ai @ g / denom
-            da -= da.mean(axis=0, keepdims=True)
-            entry = (g, da)
-            adjoint_cache[side] = entry
-        return entry[1]
-
-    parents = []
-    if fi.requires_grad or fi._parents:
-        parents.append((fi, lambda g: d_w_adjoint("i", g) * wd[:, None]))
-    if not same and (fj.requires_grad or fj._parents):
-        parents.append((fj, lambda g: d_w_adjoint("j", g) * wd[:, None]))
-    if w.requires_grad or w._parents:
-
-        def grad_w(g):
-            gw = (d_w_adjoint("i", g) * xi).sum(axis=1)
-            if not same:
-                gw = gw + (d_w_adjoint("j", g) * xj).sum(axis=1)
-            return gw
-
-        parents.append((w, grad_w))
-    return Tensor._make(out_data, parents)
-
-
-def masked_frobenius(matrix, mask) -> Tensor:
-    """``0.5 * || mask * matrix ||_F^2`` as one fused scalar node.
-
-    The gradient ``mask^2 * matrix`` is formed directly instead of taping
-    the elementwise mask product, square and sum separately.  ``mask`` is a
-    constant (typically the 0/1 block-off-diagonal mask of Eq. (7)).
-    """
-    m = as_tensor(matrix)
-    mk = np.asarray(mask.data if isinstance(mask, Tensor) else mask, dtype=np.float64)
-    masked = m.data * mk
-    out_data = np.asarray(0.5 * np.vdot(masked, masked))
-    if not (is_grad_enabled() and (m.requires_grad or m._parents)):
-        return Tensor._wrap(out_data)
-    return Tensor._make(out_data, [(m, lambda g: g * mk * masked)])
 
 
 def linear(x, weight, bias=None) -> Tensor:

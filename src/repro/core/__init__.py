@@ -4,15 +4,15 @@ This package implements the paper's contribution:
 
 * :mod:`repro.core.rff` — the random-Fourier-feature function space
   ``H_RFF`` of Eq. (4).
-* :mod:`repro.core.hsic` — HSIC and the (weighted) partial
-  cross-covariance of Eqs. (3) and (5).
-* :mod:`repro.core.decorrelation` — the decorrelation objective over all
-  dimension pairs (Eq. (7)/(10)) and the projected sample-weight
-  optimiser, with ``backend="fused"`` (closed-form, default) and
-  ``backend="autograd"`` (taped reference) engines; ``learn_many`` runs K
-  seeds' inner loops as one stacked job.
+* :mod:`repro.core.hsic` — HSIC, the (weighted) partial
+  cross-covariance of Eqs. (3) and (5), and the taped decorrelation
+  objective over all dimension pairs (Eq. (7)) that the closed-form
+  engine is verified against.
+* :mod:`repro.core.decorrelation` — the projected sample-weight optimiser
+  of Eq. (10) on the closed-form engine; ``learn_many`` runs K seeds'
+  inner loops as one stacked job.
 * :mod:`repro.core.fused` — the closed-form loss/gradient engines behind
-  the fused backend: analytical weight gradients, a precomputed
+  the inner loop: analytical weight gradients, a precomputed
   sample-space Gram with blocked streaming evaluation, cached block
   masks, an in-place Adam, and the seed-batched
   ``SeedFusedDecorrelation`` variant over ``(K, n, d, Q)`` stacks.
@@ -22,8 +22,8 @@ This package implements the paper's contribution:
   training procedure (single-seed ``fit`` and the batched multi-seed
   ``fit_many``).
 
-The closed-form mathematics behind the fused backend and the design of
-the multi-seed engine are documented in ``docs/ARCHITECTURE.md``.
+The closed-form mathematics of the inner loop and the design of the
+multi-seed engine are documented in ``docs/ARCHITECTURE.md``.
 """
 
 from repro.core.rff import RandomFourierFeatures

@@ -7,16 +7,12 @@ decorrelation loss, under the paper's constraints — weights stay
 non-negative, average to one (``sum w = N``), and carry an l2 penalty to
 avoid degenerate solutions.
 
-Two interchangeable backends drive the loop:
-
-* ``"fused"`` (default) — the closed-form engine of
-  :mod:`repro.core.fused`: analytical gradients in pure numpy, no tape,
-  with the sample-space Gram precomputed once per batch.
-* ``"autograd"`` — the taped reference built on
-  :func:`repro.core.hsic.pairwise_decorrelation_loss`; kept as the ground
-  truth the fused path is verified against (to 1e-8 by
-  ``tests/test_fused_decorrelation.py``) and as the fallback for exotic
-  differentiation needs.
+The loop runs on the closed-form engine of :mod:`repro.core.fused`:
+analytical gradients in pure numpy, no tape, with the sample-space Gram
+precomputed once per batch.  It is held to the taped objective
+:func:`repro.core.hsic.pairwise_decorrelation_loss` to 1e-8, per
+evaluation and over whole inner-loop trajectories
+(``tests/test_fused_decorrelation.py``).
 
 :func:`learn_many` is the seed-batched entry point: K per-seed learners
 (each owning its own RFF stream) run their inner loops as one stacked
@@ -31,28 +27,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, concatenate
 from repro.core.fused import FusedDecorrelation, InPlaceAdam, SeedFusedDecorrelation
-from repro.core.hsic import pairwise_decorrelation_loss
 from repro.core.rff import RandomFourierFeatures, map_features_many
-from repro.nn.optim import Adam
 from repro.obs.registry import registry
 from repro.obs.trace import span
 
 __all__ = ["SampleWeightLearner", "learn_many", "project_weights", "WeightLearningResult"]
 
-BACKENDS = ("fused", "autograd")
-
 # One sample per learn() call (not per epoch): the counters live outside
 # the inner loop, so a metrics-on run adds two inc() calls per batch.
 _REWEIGHT_EPOCHS = registry.counter(
     "repro_reweight_epochs_total",
-    "Inner reweighting epochs run, by backend path",
+    "Inner reweighting epochs run, by path (fused or seed_batched)",
     ("path",),
 )
 _REWEIGHT_SECONDS = registry.counter(
     "repro_reweight_seconds_total",
-    "Wall seconds inside inner reweighting loops, by backend path",
+    "Wall seconds inside inner reweighting loops, by path (fused or seed_batched)",
     ("path",),
 )
 
@@ -93,6 +84,13 @@ class WeightLearningResult:
 class SampleWeightLearner:
     """Optimises local sample weights to decorrelate representations.
 
+    Representations are z-scored per dimension before the RFF map: the
+    random frequencies are drawn from N(0, 1) — a unit-bandwidth Gaussian
+    kernel — so inputs must be on unit scale for the dependence estimate
+    to be meaningful (sum-pooled GNN outputs can be orders of magnitude
+    larger).  Random features are drawn once per :meth:`learn` call, so
+    the objective stays fixed within one inner loop.
+
     Parameters
     ----------
     rff:
@@ -104,21 +102,8 @@ class SampleWeightLearner:
     l2_penalty:
         Strength of the l2 regulariser on the weights ("the l2-norm is
         adopted on the weights to prevent degenerated solutions").
-    resample_rff:
-        Draw fresh random features every inner epoch instead of once per
-        outer step.  Off by default: within one inner loop the objective
-        must stay fixed for the optimisation to be well-posed; fresh
-        features are still drawn for every outer training step.
-    standardise:
-        Z-score each representation dimension before the RFF map.  The
-        random frequencies are drawn from N(0, 1) — a unit-bandwidth
-        Gaussian kernel — so inputs must be on unit scale for the
-        dependence estimate to be meaningful (sum-pooled GNN outputs can
-        be orders of magnitude larger).
-    backend:
-        ``"fused"`` (closed-form numpy engine, default) or ``"autograd"``
-        (taped reference).  Both draw random features through the same rng
-        calls, so a fixed seed yields the same objective under either.
+    max_weight:
+        Ceiling on any single local weight (projection bound).
     """
 
     def __init__(
@@ -127,23 +112,15 @@ class SampleWeightLearner:
         epochs: int = 20,
         lr: float = 0.1,
         l2_penalty: float = 0.1,
-        resample_rff: bool = False,
-        standardise: bool = True,
         max_weight: float = 5.0,
-        backend: str = "fused",
     ):
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.rff = rff
         self.epochs = epochs
         self.lr = lr
         self.l2_penalty = l2_penalty
-        self.resample_rff = resample_rff
-        self.standardise = standardise
         self.max_weight = max_weight
-        self.backend = backend
         self._engine: FusedDecorrelation | None = None
         self._seed_engine: SeedFusedDecorrelation | None = None
 
@@ -151,10 +128,10 @@ class SampleWeightLearner:
         """Fused engine for ``feats``, reusing cached buffers when possible.
 
         Consecutive batches of the same shape (the common case: the
-        trainer drops smaller trailing batches) and the ``resample_rff``
-        inner-epoch path hit :meth:`FusedDecorrelation.refresh`, which
-        recomputes only the feature-dependent Gram and keeps the
-        feature-independent scratch/mask state.
+        trainer drops smaller trailing batches) hit
+        :meth:`FusedDecorrelation.refresh`, which recomputes only the
+        feature-dependent Gram and keeps the feature-independent
+        scratch/mask state.
         """
         engine = self._engine
         if engine is not None and feats.shape == (engine.n, engine.num_dims, engine.q):
@@ -181,35 +158,30 @@ class SampleWeightLearner:
     def _prepare(self, representations: np.ndarray) -> np.ndarray:
         """Z-score over the sample axis; accepts ``(n, d)`` or ``(K, n, d)``."""
         z = np.asarray(representations, dtype=np.float64)
-        if not self.standardise:
-            return z
         mean = z.mean(axis=-2, keepdims=True)
         std = z.std(axis=-2, keepdims=True)
         return (z - mean) / np.maximum(std, 1e-8)
 
-    def decorrelation_loss(self, representations: np.ndarray, weights) -> Tensor:
-        """Decorrelation objective for given representations and weights.
+    def decorrelation_loss(self, representations: np.ndarray, weights: np.ndarray) -> float:
+        """Decorrelation objective (Eq. (7)) of ``representations`` under ``weights``.
 
-        Dispatches to the closed-form evaluator when the fused backend is
-        active and no gradient is requested through ``weights``; otherwise
-        falls back to the taped reference loss.
+        Draws fresh random features, as :meth:`learn` does.  Evaluated in
+        primal form: the dual mode's cache precomputation only pays off
+        over a full inner loop.
         """
         feats = self.rff(self._prepare(representations))
-        needs_tape = isinstance(weights, Tensor) and (weights.requires_grad or weights._parents)
-        if self.backend == "fused" and not needs_tape:
-            w = weights.data if isinstance(weights, Tensor) else np.asarray(weights, dtype=np.float64)
-            # One-shot evaluation: the primal form avoids the dual mode's
-            # K precomputation, which only pays off over a full inner loop.
-            return Tensor(np.asarray(FusedDecorrelation(feats, mode="primal").loss(w)))
-        return pairwise_decorrelation_loss(feats, weights)
+        return FusedDecorrelation(feats, mode="primal").loss(weights)
 
-    def learn(
-        self,
-        representations: np.ndarray,
-        fixed_weights: np.ndarray | None = None,
-        init_local: np.ndarray | None = None,
-    ) -> WeightLearningResult:
-        """Run the inner loop (Algorithm 1, lines 6-8).
+    def learn(self, representations: np.ndarray, fixed_weights: np.ndarray | None = None) -> WeightLearningResult:
+        """Run the inner loop (Algorithm 1, lines 6-8) from uniform weights.
+
+        The per-epoch chain is: normalise the raw weights to mean 1, get
+        loss and analytical gradient from the engine, add the l2-penalty
+        gradient, push both through the normalisation adjoint
+
+            d/d raw_j = (n/s) * (g_j - <raw, g>/s),   s = sum(raw),
+
+        take one in-place Adam step on the local slice, and re-project.
 
         Parameters
         ----------
@@ -220,8 +192,6 @@ class SampleWeightLearner:
             Weights of the global part (first rows), held constant as in
             Eq. (10) where only ``W^(l)`` is optimised.  ``None`` means
             every row is local.
-        init_local:
-            Initial local weights; defaults to all-ones (line 4).
 
         Returns
         -------
@@ -235,83 +205,15 @@ class SampleWeightLearner:
         if n_local <= 0:
             raise ValueError("no local rows to optimise")
 
-        local_init = np.ones(n_local) if init_local is None else np.asarray(init_local, dtype=np.float64)
-        if self.backend == "fused":
-            local, losses, initial_loss = self._learn_fused(z, local_init, fixed_weights, n_fixed, n_total)
-        else:
-            local, losses, initial_loss = self._learn_autograd(z, local_init, fixed_weights, n_fixed, n_total)
-
-        return WeightLearningResult(
-            weights=project_weights(local, ceiling=self.max_weight),
-            losses=losses,
-            initial_loss=initial_loss,
-            final_loss=losses[-1],
-        )
-
-    # ------------------------------------------------------------------
-    # Taped reference loop
-    # ------------------------------------------------------------------
-    def _learn_autograd(self, z, local_init, fixed_weights, n_fixed, n_total):
-        local = Tensor(local_init.copy(), requires_grad=True)
-        fixed = Tensor(np.asarray(fixed_weights, dtype=np.float64)) if n_fixed else None
-        optimizer = Adam([local], lr=self.lr)
-
-        feats = self.rff(z)
-        losses: list[float] = []
-        initial_loss = None
-        with _REWEIGHT_SECONDS.time(path="autograd"):
-            for epoch in range(self.epochs):
-                with span("reweight.epoch", path="autograd", epoch=epoch, n=n_total):
-                    if self.resample_rff and epoch > 0:
-                        feats = self.rff(z)
-                    optimizer.zero_grad()
-                    raw = concatenate([fixed, local]) if fixed is not None else local
-                    # Normalise to mean 1 inside the objective: the loss scales
-                    # with the weight magnitude, so without this the gradient is
-                    # dominated by the uniform shrink direction that the sum
-                    # constraint removes anyway, and the optimiser stalls.
-                    weights = raw / raw.mean()
-                    loss = pairwise_decorrelation_loss(feats, weights)
-                    # Penalise spread around the uniform weighting (degenerate
-                    # solutions concentrate all mass on a few samples).
-                    deviation = weights - Tensor(np.ones(n_total))
-                    penalty = (deviation * deviation).mean() * self.l2_penalty
-                    total = loss + penalty
-                    if initial_loss is None:
-                        initial_loss = float(loss.data)
-                    total.backward()
-                    optimizer.step()
-                    local.data = project_weights(local.data, ceiling=self.max_weight)
-                    losses.append(float(loss.data))
-        _REWEIGHT_EPOCHS.inc(self.epochs, path="autograd")
-        return local.data, losses, initial_loss
-
-    # ------------------------------------------------------------------
-    # Fused closed-form loop
-    # ------------------------------------------------------------------
-    def _learn_fused(self, z, local_init, fixed_weights, n_fixed, n_total):
-        """Same objective and update rule as the taped loop, in closed form.
-
-        The per-epoch chain is: normalise the raw weights to mean 1, get
-        loss and analytical gradient from the engine, add the l2-penalty
-        gradient, push both through the normalisation adjoint
-
-            d/d raw_j = (n/s) * (g_j - <raw, g>/s),   s = sum(raw),
-
-        take one in-place Adam step on the local slice, and re-project.
-        """
-        local = local_init.copy()
+        local = np.ones(n_local)
         fixed = np.asarray(fixed_weights, dtype=np.float64) if n_fixed else None
-        optimizer = InPlaceAdam(len(local), lr=self.lr)
-
+        optimizer = InPlaceAdam(n_local, lr=self.lr)
         engine = self._fused_engine(self.rff(z))
         losses: list[float] = []
         initial_loss = None
         with _REWEIGHT_SECONDS.time(path="fused"):
             for epoch in range(self.epochs):
                 with span("reweight.epoch", path="fused", epoch=epoch, n=n_total):
-                    if self.resample_rff and epoch > 0:
-                        engine = self._fused_engine(self.rff(z))
                     raw = np.concatenate([fixed, local]) if fixed is not None else local
                     total = raw.sum()
                     weights = raw * (n_total / total)
@@ -324,32 +226,24 @@ class SampleWeightLearner:
                     local = project_weights(local, ceiling=self.max_weight)
                     losses.append(loss)
         _REWEIGHT_EPOCHS.inc(self.epochs, path="fused")
-        return local, losses, initial_loss
+
+        return WeightLearningResult(
+            weights=project_weights(local, ceiling=self.max_weight),
+            losses=losses,
+            initial_loss=initial_loss,
+            final_loss=losses[-1],
+        )
 
 
 # ----------------------------------------------------------------------
 # Seed-batched inner loop
 # ----------------------------------------------------------------------
-_STACKABLE_ATTRS = (
-    "epochs", "lr", "l2_penalty", "resample_rff", "standardise", "max_weight", "backend",
-)
-
-
-def _stackable(learners) -> bool:
-    """Whether the roster can run as one stacked closed-form job."""
-    lead = learners[0]
+def _shared_settings(learner: SampleWeightLearner) -> tuple:
+    """The settings one stacked inner loop applies to every seed."""
+    rff = learner.rff
     return (
-        lead.backend == "fused"
-        and all(
-            getattr(l, attr) == getattr(lead, attr)
-            for l in learners
-            for attr in _STACKABLE_ATTRS
-        )
-        and all(
-            (l.rff.num_functions, l.rff.fraction, l.rff.linear)
-            == (lead.rff.num_functions, lead.rff.fraction, lead.rff.linear)
-            for l in learners
-        )
+        learner.epochs, learner.lr, learner.l2_penalty, learner.max_weight,
+        rff.num_functions, rff.fraction, rff.linear,
     )
 
 
@@ -357,7 +251,6 @@ def learn_many(
     learners,
     representations: np.ndarray,
     fixed_weights: np.ndarray | None = None,
-    init_locals: np.ndarray | None = None,
 ) -> list[WeightLearningResult]:
     """Run K inner reweighting loops as one seed-batched closed-form job.
 
@@ -370,11 +263,10 @@ def learn_many(
     learners:
         One :class:`SampleWeightLearner` per seed.  Each keeps its own RFF
         sampler, so the per-seed random-feature streams are exactly those
-        the sequential path would draw.  All shared hyper-parameters
-        (epochs, lr, l2, projection ceiling, standardise, resample,
-        backend) must agree for the stacked fast path; rosters that differ
-        — or that use the ``"autograd"`` reference backend — are
-        dispatched to sequential per-seed ``learn`` calls instead.
+        the sequential path would draw.  The shared settings (epochs, lr,
+        l2, projection ceiling and the RFF map's Q, fraction and linear
+        switch) must agree across the roster; a ``ValueError`` names the
+        learners that differ.
     representations:
         ``(K, n, d)`` stacked representations, one ``hat-Z`` per seed
         (global groups on top of the local mini-batch, all the same size).
@@ -382,8 +274,6 @@ def learn_many(
         ``(K, m)`` global weights held constant per seed, or ``None`` when
         every row is local (must be uniform across seeds — the multi-seed
         trainer's global memories initialise in lockstep).
-    init_locals:
-        ``(K, n - m)`` initial local weights; defaults to all-ones.
 
     Returns
     -------
@@ -400,17 +290,15 @@ def learn_many(
         raise ValueError(
             f"expected ({len(learners)}, n, d) representations, got shape {reps.shape}"
         )
-    if not _stackable(learners):
-        return [
-            learner.learn(
-                reps[k],
-                fixed_weights=None if fixed_weights is None else fixed_weights[k],
-                init_local=None if init_locals is None else init_locals[k],
-            )
-            for k, learner in enumerate(learners)
-        ]
-
     lead = learners[0]
+    shared = _shared_settings(lead)
+    mismatched = [k for k, learner in enumerate(learners) if _shared_settings(learner) != shared]
+    if mismatched:
+        raise ValueError(
+            f"learners {mismatched} differ from learner 0 in epochs, lr, l2_penalty, "
+            "max_weight or the RFF map; one stacked loop needs shared settings"
+        )
+
     num_seeds, n_total = reps.shape[0], reps.shape[1]
     z = lead._prepare(reps)
     n_fixed = 0 if fixed_weights is None else np.asarray(fixed_weights).shape[1]
@@ -418,29 +306,20 @@ def learn_many(
     if n_local <= 0:
         raise ValueError("no local rows to optimise")
 
-    local = (
-        np.ones((num_seeds, n_local))
-        if init_locals is None
-        else np.array(init_locals, dtype=np.float64)
-    )
+    local = np.ones((num_seeds, n_local))
     fixed = np.asarray(fixed_weights, dtype=np.float64) if n_fixed else None
     optimizer = InPlaceAdam(local.shape, lr=lead.lr)
 
-    def sample_features() -> np.ndarray:
-        # One set of draws per learner, in seed order — each seed's rng
-        # stream advances exactly as its sequential learn() would — with
-        # the cosine map fused over the stack (bitwise per-seed).
-        return map_features_many([learner.rff for learner in learners], z)
-
-    engine = lead._fused_seed_engine(sample_features())
+    # One set of draws per learner, in seed order — each seed's rng stream
+    # advances exactly as its sequential learn() would — with the cosine
+    # map fused over the stack (bitwise per-seed).
+    engine = lead._fused_seed_engine(map_features_many([learner.rff for learner in learners], z))
     losses = np.empty((lead.epochs, num_seeds))
     initial = None
     with _REWEIGHT_SECONDS.time(path="seed_batched"):
         for epoch in range(lead.epochs):
             with span("reweight.epoch", path="seed_batched", epoch=epoch,
                       n=n_total, K=num_seeds):
-                if lead.resample_rff and epoch > 0:
-                    engine = lead._fused_seed_engine(sample_features())
                 raw = np.concatenate([fixed, local], axis=1) if fixed is not None else local
                 total = raw.sum(axis=1)
                 weights = raw * (n_total / total)[:, None]

@@ -1,11 +1,11 @@
 """Fused closed-form decorrelation engine (no autograd tape).
 
-This module is the fast path of the inner reweighting loop (Algorithm 1,
-lines 6-8).  The taped reference (``backend="autograd"`` in
-:class:`~repro.core.decorrelation.SampleWeightLearner`) re-traces the full
-computation graph of the pairwise decorrelation loss for every inner epoch;
-here both the loss *and its analytical gradient w.r.t. the sample weights*
-are evaluated in pure vectorised numpy.
+This module is the engine of the inner reweighting loop (Algorithm 1,
+lines 6-8).  The taped objective
+(:func:`repro.core.hsic.pairwise_decorrelation_loss`) would re-trace the
+full computation graph of the pairwise decorrelation loss for every inner
+epoch; here both the loss *and its analytical gradient w.r.t. the sample
+weights* are evaluated in pure vectorised numpy.
 
 Notation: random features ``F`` of shape ``(n, d, Q)`` flatten to
 ``X (n, p)`` with ``p = d*Q``; ``W = diag(w) X``; ``A = C W`` with the
@@ -60,7 +60,7 @@ instead of K — sharing the block-off-diagonal mask.  It is what makes the
 multi-seed OOD-GNN trainer's Algorithm 1 vectorise end-to-end
 (``docs/ARCHITECTURE.md``).
 
-The engines are exercised against the taped reference by
+The engines are exercised against the taped objective by
 ``tests/test_fused_decorrelation.py`` and against K scalar engines by
 ``tests/test_seed_batched_reweight.py`` (parity to 1e-8 plus a
 finite-difference check of the analytical gradient).
@@ -117,7 +117,7 @@ class FusedDecorrelation:
     Parameters
     ----------
     features:
-        ``(n, d, Q)`` random features of the (standardised) representations,
+        ``(n, d, Q)`` random features of the (z-scored) representations,
         fixed for the lifetime of the engine — one engine per inner loop.
     mode:
         ``"auto"`` picks ``"dual"`` (sample-space moment caches) when the
@@ -196,9 +196,9 @@ class FusedDecorrelation:
         Only the feature-dependent state is recomputed — in dual mode the
         Gram/moment caches (written into the existing buffers).  The pair
         index vectors, mask and mode decision are feature-independent and
-        survive; this is what makes ``resample_rff=True`` (fresh random
-        features every inner epoch) pay one cache rebuild instead of a
-        full engine rebuild per epoch.  Returns ``self`` for chaining.
+        survive, so a learner's next same-shape batch pays one cache
+        rebuild instead of a full engine rebuild.  Returns ``self`` for
+        chaining.
         """
         feats = np.ascontiguousarray(np.asarray(features, dtype=np.float64))
         if feats.shape != (self.n, self.num_dims, self.q):

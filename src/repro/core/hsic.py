@@ -8,12 +8,9 @@ with sample size.
 
 The taped loss is the *reference* implementation of the objective — the
 ground truth that the closed-form engine in :mod:`repro.core.fused` is
-verified against.  The reference path leans on the fused tape primitives of
-:mod:`repro.autograd.functional` where that does not obscure it:
-:func:`~repro.autograd.functional.weighted_gram` is the single-node form of
-the Eq. (5) cross-covariance and :func:`~repro.autograd.functional.masked_frobenius`
-collapses the masked norm, while the Gram chain of the pairwise loss itself
-stays op-by-op so every step remains independently grad-checkable.
+verified against.  It is built from generic tape ops only (multiply,
+mean, subtract, transpose, matmul, sum), so every step is an
+independently grad-checked primitive rather than a hand-written adjoint.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import functools
 
 import numpy as np
 
-from repro.autograd.functional import masked_frobenius, weighted_gram
 from repro.autograd.tensor import Tensor, as_tensor
 
 __all__ = [
@@ -76,10 +72,15 @@ def weighted_cross_covariance(features_i, features_j, weights) -> Tensor:
     Returns
     -------
     Tensor
-        The ``(Q, Q)`` matrix ``C^W_{Z_i, Z_j}``, built as a single fused
-        :func:`~repro.autograd.functional.weighted_gram` node.
+        The ``(Q, Q)`` matrix ``C^W_{Z_i, Z_j} = A_i^T A_j / (n - 1)``,
+        where ``A`` is the weighted features ``w * f`` centred per column.
     """
-    return weighted_gram(features_i, weights, features_j=as_tensor(features_j))
+    w = as_tensor(weights).unsqueeze(1)
+    a_i = as_tensor(features_i) * w
+    a_j = as_tensor(features_j) * w
+    a_i = a_i - a_i.mean(axis=0, keepdims=True)
+    a_j = a_j - a_j.mean(axis=0, keepdims=True)
+    return a_i.transpose() @ a_j * (1.0 / (a_i.shape[0] - 1))
 
 
 def block_offdiagonal_mask(num_dims: int, q: int) -> np.ndarray:
@@ -112,16 +113,9 @@ def pairwise_decorrelation_loss(rff_features: np.ndarray, weights) -> Tensor:
 
     Computed in one shot: flatten the ``(n, d, Q)`` random features to
     ``(n, d*Q)``, form the weighted-centred Gram matrix ``G`` and sum the
-    squared off-block entries via
-    :func:`~repro.autograd.functional.masked_frobenius` (each unordered
-    pair appears twice, hence the built-in factor 1/2).  Cost is
-    ``O(n (dQ)^2)`` — linear in the sample size, the scalability claim of
-    Section 3.2.
-
-    The Gram chain is deliberately kept op-by-op on the tape: this
-    function is the *reference* objective that the closed-form engine in
-    :mod:`repro.core.fused` is held to, so every step stays an
-    independently grad-checked primitive rather than one opaque node.
+    squared off-block entries ``0.5 * ||M o G||_F^2`` (each unordered pair
+    appears twice, hence the factor 1/2).  Cost is ``O(n (dQ)^2)`` —
+    linear in the sample size, the scalability claim of Section 3.2.
     """
     feats = np.asarray(rff_features, dtype=np.float64)
     if feats.ndim != 3:
@@ -134,4 +128,5 @@ def pairwise_decorrelation_loss(rff_features: np.ndarray, weights) -> Tensor:
     weighted = flat * w.unsqueeze(1)
     centred = weighted - weighted.mean(axis=0, keepdims=True)
     gram = centred.transpose() @ centred * (1.0 / (n - 1))
-    return masked_frobenius(gram, cached_block_offdiagonal_mask(d, q))
+    masked = gram * cached_block_offdiagonal_mask(d, q)
+    return (masked * masked).sum() * 0.5

@@ -57,12 +57,8 @@ class OODGNNConfig:
     linear_decorrelation:
         The "no RFF" ablation: decorrelate linearly only.
     reweight_epochs:
-        ``Epoch_Reweight`` (paper default 20).
-    reweight_backend:
-        Engine for the inner weight loop: ``"fused"`` (closed-form numpy,
-        default — see :mod:`repro.core.fused`) or ``"autograd"`` (taped
-        reference).  Numerically equivalent to ~1e-8 per step; the fused
-        engine is several times faster (``benchmarks/bench_reweight_speed``).
+        ``Epoch_Reweight`` (paper default 20); the loop runs on the
+        closed-form engine of :mod:`repro.core.fused`.
     weight_lr / weight_l2:
         Inner Adam step size and the l2 penalty against degenerate
         weights.
@@ -87,7 +83,6 @@ class OODGNNConfig:
     rff_fraction: float = 1.0
     linear_decorrelation: bool = False
     reweight_epochs: int = 20
-    reweight_backend: str = "fused"
     weight_lr: float = 0.1
     weight_l2: float = 0.05
     max_weight: float = 5.0
@@ -185,7 +180,6 @@ class OODGNNTrainer:
             lr=cfg.weight_lr,
             l2_penalty=cfg.weight_l2,
             max_weight=cfg.max_weight,
-            backend=cfg.reweight_backend,
         )
         self.estimator = GlobalLocalWeightEstimator(cfg.global_groups, cfg.momentum)
 
@@ -212,9 +206,7 @@ class OODGNNTrainer:
                 # representations carry no dependence structure to remove).
                 if warming_up:
                     weights = np.ones(batch.num_graphs)
-                    decorr_loss = float(
-                        self.weight_learner.decorrelation_loss(z.data, Tensor(weights)).data
-                    )
+                    decorr_loss = self.weight_learner.decorrelation_loss(z.data, weights)
                 else:
                     result = self._reweight(z.data)
                     weights = result.weights
@@ -276,7 +268,6 @@ class OODGNNTrainer:
             lr=cfg.weight_lr,
             l2_penalty=cfg.weight_l2,
             max_weight=cfg.max_weight,
-            backend=cfg.reweight_backend,
         )
         estimator = GlobalLocalWeightEstimator(cfg.global_groups, cfg.momentum)
         return learner, estimator
@@ -380,9 +371,7 @@ class OODGNNTrainer:
                 if warming_up:
                     weights[:] = 1.0
                     for k, (learner, _estimator) in enumerate(components):
-                        decorr[k] = float(
-                            learner.decorrelation_loss(z.data[k], Tensor(weights[k])).data
-                        )
+                        decorr[k] = learner.decorrelation_loss(z.data[k], weights[k])
                 elif batched_reweight:
                     results = self._reweight_many(components, z.data)
                     for k, result in enumerate(results):

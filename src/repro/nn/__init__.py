@@ -25,16 +25,7 @@ from repro.nn.losses import (
     weighted_prediction_loss,
 )
 from repro.nn.optim import SGD, Adam, AdamW, clip_grad_norm
-from repro.nn.schedulers import StepLR, CosineAnnealingLR, LinearWarmupLR
-from repro.nn.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    save_checkpoint,
-    load_checkpoint,
-    save_state,
-    load_state,
-    load_buffers,
-    load_archive,
-)
+from repro.nn.checkpoint import CHECKPOINT_FORMAT_VERSION, save_state, load_archive
 from repro.nn import init
 
 __all__ = [
@@ -61,15 +52,8 @@ __all__ = [
     "Adam",
     "AdamW",
     "clip_grad_norm",
-    "StepLR",
-    "CosineAnnealingLR",
-    "LinearWarmupLR",
     "CHECKPOINT_FORMAT_VERSION",
-    "save_checkpoint",
-    "load_checkpoint",
     "save_state",
-    "load_state",
-    "load_buffers",
     "load_archive",
     "init",
 ]

@@ -1,23 +1,19 @@
-"""Checkpoint I/O: save and load model state dicts as ``.npz`` archives.
+"""Checkpoint I/O: save and load state dicts as ``.npz`` archives.
 
 Dotted parameter names are flattened into npz keys; metadata (e.g. the
 training config) rides along as a JSON string under a reserved key, and
 non-trainable buffers (batch-norm running statistics, see
 :meth:`repro.nn.module.Module.buffer_dict`) under a reserved key prefix.
 
-Two API levels:
-
-* :func:`save_checkpoint` / :func:`load_checkpoint` operate on a live
-  :class:`~repro.nn.module.Module` (parameters + buffers).
-* :func:`save_state` / :func:`load_state` / :func:`load_buffers` operate
-  on raw dicts — no instantiated model needed.  The model-artifact layer
-  (:mod:`repro.serve.artifact`) builds on these to read a bundle's
-  metadata *before* constructing the model it describes.
+One writer and one reader, both on raw dicts — no instantiated model
+needed: :func:`save_state` and :func:`load_archive`.  The model-artifact
+layer (:mod:`repro.serve.artifact`) builds on them to read a bundle's
+metadata *before* constructing the model it describes.
 
 Format versioning: every archive written by this module carries
 ``format_version`` (:data:`CHECKPOINT_FORMAT_VERSION`) in its metadata
 payload.  Version 1 files (pre-versioning: no buffers, no version field)
-load transparently; :func:`load_state` reports them as version 1.
+load transparently; :func:`load_archive` reports them as version 1.
 """
 
 from __future__ import annotations
@@ -28,17 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.nn.module import Module
-
-__all__ = [
-    "CHECKPOINT_FORMAT_VERSION",
-    "save_checkpoint",
-    "load_checkpoint",
-    "save_state",
-    "load_state",
-    "load_buffers",
-    "load_archive",
-]
+__all__ = ["CHECKPOINT_FORMAT_VERSION", "save_state", "load_archive"]
 
 _META_KEY = "__repro_meta__"
 _BUFFER_PREFIX = "__repro_buffer__:"
@@ -89,7 +75,7 @@ def save_state(
         JSON-serialisable dict stored alongside the weights.  The
         ``format_version`` key is managed by this module: it is injected
         automatically, a matching value is tolerated (so
-        ``load_state`` -> ``save_state`` round-trips), and any other
+        ``load_archive`` -> ``save_state`` round-trips), and any other
         value is rejected — this writer only produces the current format.
     buffers:
         Optional non-trainable arrays (running statistics), stored under
@@ -115,8 +101,8 @@ def save_state(
     # (os.replace must not cross filesystems), fsync, then rename over
     # the destination — a crash mid-export leaves either the previous
     # archive or nothing, never a torn npz.  The explicit handle also
-    # keeps np.savez from appending a second suffix (save_checkpoint
-    # ("m.npz") used to risk writing m.npz.npz).
+    # keeps np.savez from appending a second suffix ("m.npz" used to
+    # risk becoming m.npz.npz).
     tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
@@ -135,10 +121,9 @@ def save_state(
 def load_archive(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict]:
     """Read ``(state, buffers, metadata)`` from an archive in one pass.
 
-    The full reader behind :func:`load_state` / :func:`load_buffers` /
-    :func:`load_checkpoint`: one open, one zip-directory parse.
-    ``metadata`` includes ``format_version`` (1 for pre-versioning
-    archives, which carry no buffers).
+    One open, one zip-directory parse.  ``state`` holds only the
+    parameters; ``metadata`` includes ``format_version`` (1 for
+    pre-versioning archives, which carry no buffers).
     """
     path = _resolve_existing(path)
     with np.load(path) as archive:
@@ -157,57 +142,3 @@ def load_archive(path) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], di
             else:
                 state[key] = archive[key]
     return state, buffers, metadata
-
-
-def load_state(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read ``(state, metadata)`` from an archive without a model.
-
-    ``state`` holds only the parameters (buffers ride along via
-    :func:`load_archive` / :func:`load_buffers`); ``metadata`` is the
-    stored dict including ``format_version``.  This is the entry point
-    the model-artifact loader uses to inspect a bundle's spec before
-    constructing anything.
-    """
-    state, _buffers, metadata = load_archive(path)
-    return state, metadata
-
-
-def load_buffers(path) -> dict[str, np.ndarray]:
-    """Read the buffer entries of an archive (empty for version-1 files)."""
-    _state, buffers, _metadata = load_archive(path)
-    return buffers
-
-
-def save_checkpoint(model: Module, path, metadata: dict | None = None) -> Path:
-    """Write ``model.state_dict()`` (plus buffers and metadata) to ``path``.
-
-    Parameters
-    ----------
-    model:
-        Any :class:`~repro.nn.module.Module`.  Declared buffers
-        (batch-norm running statistics) are stored too, so an eval-mode
-        forward is reproduced exactly after :func:`load_checkpoint`.
-    path:
-        Target file; ``.npz`` is appended exactly once if missing.
-        Returns the path written.
-    metadata:
-        JSON-serialisable dict stored alongside the weights.
-    """
-    return save_state(model.state_dict(), path, metadata=metadata, buffers=model.buffer_dict())
-
-
-def load_checkpoint(model: Module, path) -> dict:
-    """Load weights (and buffers) saved by :func:`save_checkpoint` into ``model``.
-
-    Returns the stored user metadata dict (the internal ``format_version``
-    field is stripped).  Raises if parameter names or shapes do not match
-    the model (delegated to ``load_state_dict``).  Buffers are restored
-    strictly when the archive carries any; version-1 archives have none
-    and leave the model's buffers untouched.
-    """
-    state, buffers, metadata = load_archive(path)
-    metadata.pop("format_version", None)
-    model.load_state_dict(state)
-    if buffers:
-        model.load_buffer_dict(buffers)
-    return metadata

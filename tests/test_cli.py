@@ -424,10 +424,10 @@ class TestServe:
     def test_rejects_plain_checkpoint(self, tmp_path, requests_path):
         import numpy as np
 
-        from repro.nn import MLP, save_checkpoint
+        from repro.nn import MLP, save_state
         from repro.serve.__main__ import main as serve_main
 
         path = tmp_path / "plain.npz"
-        save_checkpoint(MLP([2, 2], np.random.default_rng(0)), path)
+        save_state(MLP([2, 2], np.random.default_rng(0)).state_dict(), path)
         with pytest.raises(ValueError, match="not a model artifact"):
             serve_main([str(path), "--input", str(requests_path)])

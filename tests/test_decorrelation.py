@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reweight_reference import TapedWeightLearner
 from repro.core import SampleWeightLearner, project_weights, RandomFourierFeatures
 
 
@@ -43,84 +44,77 @@ class TestProjectWeights:
         np.testing.assert_allclose(project_weights(w), w, atol=1e-12)
 
 
-@pytest.fixture(params=["autograd", "fused"])
-def backend(request):
-    """Every learner-level behaviour must hold under both engines."""
+@pytest.fixture(params=[TapedWeightLearner, SampleWeightLearner], ids=["autograd", "fused"])
+def learner_cls(request):
+    """Every learner-level behaviour must hold for the engine and for the
+    taped oracle the parity suites hold it to."""
     return request.param
 
 
 class TestLearner:
-    def test_loss_decreases(self, rng, backend):
+    def test_loss_decreases(self, rng, learner_cls):
         z, _ = confounded_representations(rng)
         rff = RandomFourierFeatures(num_functions=5, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=40, lr=0.05, l2_penalty=0.05, backend=backend)
+        learner = learner_cls(rff, epochs=40, lr=0.05, l2_penalty=0.05)
         result = learner.learn(z)
         assert result.final_loss < result.initial_loss
 
-    def test_constraints_hold(self, rng, backend):
+    def test_constraints_hold(self, rng, learner_cls):
         z, _ = confounded_representations(rng)
         rff = RandomFourierFeatures(num_functions=5, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=20, lr=0.1, backend=backend)
+        learner = learner_cls(rff, epochs=20, lr=0.1)
         result = learner.learn(z)
         assert result.weights.mean() == pytest.approx(1.0)
         assert result.weights.min() >= 0
         assert result.weights.max() <= learner.max_weight + 1e-9
 
-    def test_upweights_counterexamples(self, rng, backend):
+    def test_upweights_counterexamples(self, rng, learner_cls):
         """Samples breaking the train-time correlation gain weight."""
         z, aligned = confounded_representations(rng)
         rff = RandomFourierFeatures(num_functions=5, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=60, lr=0.05, l2_penalty=0.02, backend=backend)
+        learner = learner_cls(rff, epochs=60, lr=0.05, l2_penalty=0.02)
         result = learner.learn(z)
         assert result.weights[~aligned].mean() > result.weights[aligned].mean()
 
-    def test_fixed_global_weights_not_returned(self, rng, backend):
+    def test_fixed_global_weights_not_returned(self, rng, learner_cls):
         z, _ = confounded_representations(rng, n=60)
         rff = RandomFourierFeatures(num_functions=2, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=5, lr=0.05, backend=backend)
+        learner = learner_cls(rff, epochs=5, lr=0.05)
         fixed = np.full(20, 2.0)
         result = learner.learn(z, fixed_weights=fixed)
         assert result.weights.shape == (40,)
 
-    def test_all_fixed_raises(self, rng, backend):
+    def test_all_fixed_raises(self, rng, learner_cls):
         z, _ = confounded_representations(rng, n=10)
         rff = RandomFourierFeatures(rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=1, backend=backend)
+        learner = learner_cls(rff, epochs=1)
         with pytest.raises(ValueError):
             learner.learn(z, fixed_weights=np.ones(10))
-
-    def test_init_local_used(self, rng, backend):
-        z, _ = confounded_representations(rng, n=50)
-        rff = RandomFourierFeatures(num_functions=2, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=1, lr=1e-9, backend=backend)
-        init = rng.uniform(0.5, 1.5, size=50)
-        result = learner.learn(z, init_local=init)
-        np.testing.assert_allclose(result.weights, project_weights(init), atol=1e-4)
 
     def test_rejects_zero_epochs(self, rng):
         rff = RandomFourierFeatures(rng=rng)
         with pytest.raises(ValueError):
             SampleWeightLearner(rff, epochs=0)
 
-    def test_linear_mode_runs(self, rng, backend):
+    def test_linear_mode_runs(self, rng, learner_cls):
         z, _ = confounded_representations(rng, n=80)
         rff = RandomFourierFeatures(linear=True, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=10, lr=0.05, backend=backend)
+        learner = learner_cls(rff, epochs=10, lr=0.05)
         result = learner.learn(z)
         assert np.isfinite(result.final_loss)
 
-    def test_standardisation_handles_large_scales(self, rng, backend):
+    def test_standardisation_handles_large_scales(self, rng, learner_cls):
         z, _ = confounded_representations(rng, n=100)
         z_scaled = z * 1000.0
         rff = RandomFourierFeatures(num_functions=3, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=15, lr=0.05, backend=backend)
+        learner = learner_cls(rff, epochs=15, lr=0.05)
         result = learner.learn(z_scaled)
         assert result.final_loss < result.initial_loss
 
-    def test_loss_trajectory_recorded(self, rng, backend):
+    def test_loss_trajectory_recorded(self, rng, learner_cls):
         z, _ = confounded_representations(rng, n=60)
         rff = RandomFourierFeatures(num_functions=2, rng=np.random.default_rng(1))
-        learner = SampleWeightLearner(rff, epochs=7, backend=backend)
+        learner = learner_cls(rff, epochs=7)
         result = learner.learn(z)
         assert len(result.losses) == 7
         assert result.final_loss == result.losses[-1]

@@ -1,15 +1,16 @@
-"""Autograd-parity suite for the fused closed-form reweighting engine.
+"""Autograd-parity suite for the closed-form reweighting engine.
 
-The fused engine (`repro.core.fused`) must be numerically indistinguishable
-from the taped reference: loss and analytical gradient to 1e-8 across
+The engine (`repro.core.fused`) must be numerically indistinguishable
+from the taped objective: loss and analytical gradient to 1e-8 across
 shapes, weight vectors and feature-map settings, full inner-loop
-trajectories across backends, and an Adam update rule that matches
-`repro.nn.optim.Adam` bit for bit.
+trajectories against the taped oracle (`reweight_reference.py`), and an
+Adam update rule that matches `repro.nn.optim.Adam` bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from reweight_reference import TapedWeightLearner
 from repro.autograd.grad_check import numerical_gradient
 from repro.autograd.tensor import Tensor
 from repro.core import (
@@ -131,18 +132,18 @@ class TestEngineParity:
 
 class TestLearnerParity:
     def _learners(self, num_functions=3, fraction=1.0, linear=False, **kwargs):
-        def make(backend):
-            # Identically-seeded samplers: both backends consume the rng
-            # through the same calls, so they see the same random features.
+        def make(cls):
+            # Identically-seeded samplers: the engine and the oracle consume
+            # the rng through the same calls, so they see the same features.
             rff = RandomFourierFeatures(
                 num_functions=num_functions,
                 fraction=fraction,
                 linear=linear,
                 rng=np.random.default_rng(17),
             )
-            return SampleWeightLearner(rff, backend=backend, **kwargs)
+            return cls(rff, **kwargs)
 
-        return make("autograd"), make("fused")
+        return make(TapedWeightLearner), make(SampleWeightLearner)
 
     @pytest.mark.parametrize(
         "case",
@@ -150,17 +151,16 @@ class TestLearnerParity:
             dict(),
             dict(linear=True),
             dict(fraction=0.6, num_functions=2),
-            dict(resample_rff=True),
         ],
-        ids=["default", "linear", "fraction", "resample"],
+        ids=["default", "linear", "fraction"],
     )
     def test_trajectories_match(self, case):
-        """Both backends walk the same loss trajectory to 1e-8."""
+        """The engine walks the oracle's loss trajectory to 1e-8."""
         rng = np.random.default_rng(5)
         z = rng.normal(size=(50, 6))
         z[:, 1] = np.tanh(z[:, 0]) + 0.1 * rng.normal(size=50)
-        auto, fused = self._learners(epochs=5, lr=0.05, l2_penalty=0.05, **case)
-        res_a = auto.learn(z)
+        oracle, fused = self._learners(epochs=5, lr=0.05, l2_penalty=0.05, **case)
+        res_a = oracle.learn(z)
         res_f = fused.learn(z)
         assert res_f.initial_loss == pytest.approx(res_a.initial_loss, abs=PARITY_ATOL)
         np.testing.assert_allclose(res_f.losses, res_a.losses, atol=PARITY_ATOL)
@@ -169,32 +169,22 @@ class TestLearnerParity:
     def test_trajectories_match_with_fixed_global_weights(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(60, 5))
-        auto, fused = self._learners(epochs=4, lr=0.1, l2_penalty=0.1)
+        oracle, fused = self._learners(epochs=4, lr=0.1, l2_penalty=0.1)
         fixed = np.full(20, 1.5)
-        res_a = auto.learn(z, fixed_weights=fixed)
+        res_a = oracle.learn(z, fixed_weights=fixed)
         res_f = fused.learn(z, fixed_weights=fixed)
         assert res_f.weights.shape == (40,)
         np.testing.assert_allclose(res_f.losses, res_a.losses, atol=PARITY_ATOL)
         np.testing.assert_allclose(res_f.weights, res_a.weights, atol=PARITY_ATOL)
 
-    def test_decorrelation_loss_dispatch_matches_reference(self):
+    def test_decorrelation_loss_float_matches_taped(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(30, 4))
-        auto, fused = self._learners(epochs=1)
-        w = np.ones(30)
-        ref = float(auto.decorrelation_loss(z, Tensor(w)).data)
-        val = float(fused.decorrelation_loss(z, w).data)
-        assert val == pytest.approx(ref, abs=PARITY_ATOL)
-        # A taped weight vector still goes through the reference path.
-        wt = Tensor(w, requires_grad=True)
-        taped = fused.decorrelation_loss(z, wt)
-        taped.backward()
-        assert wt.grad is not None
-
-    def test_invalid_backend_rejected(self):
-        rff = RandomFourierFeatures(rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            SampleWeightLearner(rff, backend="torch")
+        oracle, fused = self._learners()
+        w = rng.uniform(0.5, 1.5, size=30)
+        value = fused.decorrelation_loss(z, w)
+        assert type(value) is float
+        assert value == pytest.approx(oracle.decorrelation_loss(z, w), abs=PARITY_ATOL)
 
 
 class TestInPlaceAdam:
@@ -228,7 +218,9 @@ def _toy_graphs(seed, n=30):
     return graphs
 
 
-def _fit_history(backend, seed=13):
+def _fit_history(engine, seed=13):
+    """A short OOD-GNN fit; ``engine="autograd"`` routes the trainer's inner
+    loop and warmup diagnostics through the taped oracle."""
     cfg = OODGNNConfig(
         hidden_dim=8,
         num_layers=2,
@@ -236,32 +228,30 @@ def _fit_history(backend, seed=13):
         batch_size=10,
         reweight_epochs=3,
         warmup_fraction=0.34,
-        reweight_backend=backend,
     )
     model = OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
     trainer = OODGNNTrainer(model, "multiclass", np.random.default_rng(seed + 1), config=cfg)
+    if engine == "autograd":
+        fused = trainer.weight_learner
+        trainer.weight_learner = TapedWeightLearner(
+            fused.rff, epochs=fused.epochs, lr=fused.lr,
+            l2_penalty=fused.l2_penalty, max_weight=fused.max_weight,
+        )
     return trainer.fit(_toy_graphs(seed + 2))
 
 
 class TestTrainerDeterminism:
-    @pytest.mark.parametrize("backend", ["autograd", "fused"])
-    def test_same_seed_identical_histories(self, backend):
+    @pytest.mark.parametrize("engine", ["autograd", "fused"])
+    def test_same_seed_identical_histories(self, engine):
         """Two fit runs with the same seed are bitwise identical."""
-        h1 = _fit_history(backend)
-        h2 = _fit_history(backend)
+        h1 = _fit_history(engine)
+        h2 = _fit_history(engine)
         assert h1.train_loss == h2.train_loss
         assert h1.decorrelation_loss == h2.decorrelation_loss
         np.testing.assert_array_equal(h1.final_weights, h2.final_weights)
 
-    def test_backend_threaded_from_config(self):
-        for backend in ("autograd", "fused"):
-            cfg = OODGNNConfig(hidden_dim=8, num_layers=2, reweight_backend=backend)
-            model = OODGNN(1, 2, np.random.default_rng(0), config=cfg)
-            trainer = OODGNNTrainer(model, "multiclass", np.random.default_rng(1), config=cfg)
-            assert trainer.weight_learner.backend == backend
-
     def test_backends_agree_on_early_dynamics(self):
-        """Loss histories of the two backends stay close over a short run."""
+        """Loss histories of the engine and the oracle stay close over a short run."""
         h_auto = _fit_history("autograd")
         h_fused = _fit_history("fused")
         np.testing.assert_allclose(h_fused.train_loss, h_auto.train_loss, rtol=1e-5)

@@ -166,24 +166,30 @@ class TestInstrumentationInvariance:
             FLAGS.metrics, FLAGS.tracing = metrics, tracing
             clear_trace()
 
-    def _trained_params(self, instrumented, batched):
+    def _trained_params(self, instrumented, fit_many):
         graphs = toy_dataset(np.random.default_rng(5), n=24)
-        cfg = tiny_config(epochs=2)
+        # One warmup epoch (the history-only decorrelation_loss diagnostic)
+        # and one reweighting epoch (the inner loop).
+        cfg = tiny_config(epochs=2, warmup_fraction=0.5)
         factory = lambda seed: OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
         with self._instrumentation(instrumented):
-            if batched:
-                trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(1), config=cfg)
-                models = trainer.fit_many(graphs, seeds=(0, 1), model_factory=factory, batched=True).models
-            else:
+            if fit_many is None:
                 models = [factory(0)]
                 OODGNNTrainer(models[0], "multiclass", np.random.default_rng(1), config=cfg).fit(graphs)
+            else:
+                trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(1), config=cfg)
+                models = trainer.fit_many(graphs, seeds=(0, 1), model_factory=factory, **fit_many).models
         return [dict(model.named_parameters()) for model in models]
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["fit-k1", "fit-many-batched-k2"])
-    def test_trained_parameters_bitwise_equal(self, batched):
-        plain = self._trained_params(False, batched)
-        instrumented = self._trained_params(True, batched)
-        assert len(plain) == len(instrumented) == (2 if batched else 1)
+    @pytest.mark.parametrize(
+        "fit_many",
+        [None, dict(batched=True), dict(batched=True, batched_reweight=False), dict(batched=False)],
+        ids=["fit-k1", "fit-many-batched-k2", "fit-many-seq-reweight-k2", "fit-many-unbatched-k2"],
+    )
+    def test_trained_parameters_bitwise_equal(self, fit_many):
+        plain = self._trained_params(False, fit_many)
+        instrumented = self._trained_params(True, fit_many)
+        assert len(plain) == len(instrumented) == (1 if fit_many is None else 2)
         for params, params_instrumented in zip(plain, instrumented):
             assert params.keys() == params_instrumented.keys()
             for name, param in params.items():

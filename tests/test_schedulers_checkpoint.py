@@ -1,19 +1,10 @@
-"""LR schedulers and checkpoint save/load."""
+"""Checkpoint archives: the ``save_state`` writer and ``load_archive`` reader."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Adam, MLP
-from repro.nn.module import Parameter
-from repro.nn.schedulers import StepLR, CosineAnnealingLR, LinearWarmupLR
-from repro.nn.checkpoint import (
-    CHECKPOINT_FORMAT_VERSION,
-    load_buffers,
-    load_checkpoint,
-    load_state,
-    save_checkpoint,
-    save_state,
-)
+from repro.nn import MLP
+from repro.nn.checkpoint import CHECKPOINT_FORMAT_VERSION, load_archive, save_state
 from repro.autograd import Tensor
 
 
@@ -22,87 +13,40 @@ def rng():
     return np.random.default_rng(101)
 
 
-def make_optimizer(lr=0.1):
-    return Adam([Parameter(np.zeros(2))], lr=lr)
-
-
-class TestStepLR:
-    def test_decays_at_boundaries(self):
-        opt = make_optimizer(0.1)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        lrs = [sched.step() for _ in range(4)]
-        np.testing.assert_allclose(lrs, [0.1, 0.05, 0.05, 0.025])
-
-    def test_invalid_step_size(self):
-        with pytest.raises(ValueError):
-            StepLR(make_optimizer(), step_size=0)
-
-
-class TestCosine:
-    def test_reaches_eta_min(self):
-        opt = make_optimizer(0.1)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.001)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.001)
-
-    def test_monotone_decreasing(self):
-        opt = make_optimizer(0.1)
-        sched = CosineAnnealingLR(opt, t_max=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_clamps_after_t_max(self):
-        opt = make_optimizer(0.1)
-        sched = CosineAnnealingLR(opt, t_max=3)
-        for _ in range(6):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-
-class TestWarmup:
-    def test_starts_at_zero(self):
-        opt = make_optimizer(0.1)
-        LinearWarmupLR(opt, warmup_epochs=5)
-        assert opt.lr == 0.0
-
-    def test_ramps_then_flat(self):
-        opt = make_optimizer(0.1)
-        sched = LinearWarmupLR(opt, warmup_epochs=4)
-        lrs = [sched.step() for _ in range(6)]
-        np.testing.assert_allclose(lrs, [0.025, 0.05, 0.075, 0.1, 0.1, 0.1])
-
-
 class TestCheckpoint:
     def test_roundtrip(self, rng, tmp_path):
         m1 = MLP([3, 8, 2], rng)
         m2 = MLP([3, 8, 2], np.random.default_rng(999))
         path = tmp_path / "model.npz"
-        save_checkpoint(m1, path, metadata={"epoch": 7, "dataset": "proteins25"})
-        meta = load_checkpoint(m2, path)
-        assert meta == {"epoch": 7, "dataset": "proteins25"}
+        save_state(m1.state_dict(), path, metadata={"epoch": 7, "dataset": "proteins25"})
+        state, _buffers, meta = load_archive(path)
+        m2.load_state_dict(state)
+        assert meta == {"epoch": 7, "dataset": "proteins25", "format_version": CHECKPOINT_FORMAT_VERSION}
         x = Tensor(rng.normal(size=(4, 3)))
         np.testing.assert_allclose(m1(x).data, m2(x).data)
 
     def test_suffix_added(self, rng, tmp_path):
         m = MLP([2, 2], rng)
-        save_checkpoint(m, tmp_path / "weights")
+        save_state(m.state_dict(), tmp_path / "weights")
         assert (tmp_path / "weights.npz").exists()
-        load_checkpoint(m, tmp_path / "weights")
+        load_archive(tmp_path / "weights")
 
     def test_mismatched_model_raises(self, rng, tmp_path):
         m1 = MLP([3, 8, 2], rng)
         m2 = MLP([3, 4, 2], rng)
         path = tmp_path / "model.npz"
-        save_checkpoint(m1, path)
+        save_state(m1.state_dict(), path)
+        state, _buffers, _meta = load_archive(path)
         with pytest.raises(ValueError):
-            load_checkpoint(m2, path)
+            m2.load_state_dict(state)
 
     def test_empty_metadata_default(self, rng, tmp_path):
         m = MLP([2, 2], rng)
         path = tmp_path / "m.npz"
-        save_checkpoint(m, path)
-        assert load_checkpoint(m, path) == {}
+        save_state(m.state_dict(), path)
+        _state, buffers, meta = load_archive(path)
+        assert meta == {"format_version": CHECKPOINT_FORMAT_VERSION}
+        assert buffers == {}
 
     def test_ood_gnn_checkpoint(self, tmp_path):
         from repro.core import OODGNN, OODGNNConfig
@@ -110,8 +54,10 @@ class TestCheckpoint:
         cfg = OODGNNConfig(hidden_dim=8, num_layers=2)
         m1 = OODGNN(3, 2, np.random.default_rng(0), config=cfg)
         m2 = OODGNN(3, 2, np.random.default_rng(1), config=cfg)
-        save_checkpoint(m1, tmp_path / "ood.npz")
-        load_checkpoint(m2, tmp_path / "ood.npz")
+        save_state(m1.state_dict(), tmp_path / "ood.npz", buffers=m1.buffer_dict())
+        state, buffers, _meta = load_archive(tmp_path / "ood.npz")
+        m2.load_state_dict(state)
+        m2.load_buffer_dict(buffers)
         for (n1, p1), (n2, p2) in zip(m1.named_parameters(), m2.named_parameters()):
             assert n1 == n2
             np.testing.assert_allclose(p1.data, p2.data)
@@ -122,35 +68,37 @@ class TestSuffixHandling:
 
     def test_npz_suffix_not_doubled(self, rng, tmp_path):
         m = MLP([2, 2], rng)
-        written = save_checkpoint(m, tmp_path / "m.npz")
+        written = save_state(m.state_dict(), tmp_path / "m.npz")
         assert written == tmp_path / "m.npz"
         assert (tmp_path / "m.npz").exists()
         assert not (tmp_path / "m.npz.npz").exists()
-        load_checkpoint(m, tmp_path / "m.npz")
+        load_archive(tmp_path / "m.npz")
 
     def test_foreign_suffix_round_trips(self, rng, tmp_path):
         # Formerly broken: np.savez wrote model.ckpt.npz but the loader
         # looked for model.npz (with_suffix substitution).
         m1 = MLP([3, 4, 2], rng)
         m2 = MLP([3, 4, 2], np.random.default_rng(5))
-        written = save_checkpoint(m1, tmp_path / "model.ckpt")
+        written = save_state(m1.state_dict(), tmp_path / "model.ckpt")
         assert written == tmp_path / "model.ckpt.npz"
-        load_checkpoint(m2, tmp_path / "model.ckpt")
+        m2.load_state_dict(load_archive(tmp_path / "model.ckpt")[0])
         x = Tensor(rng.normal(size=(4, 3)))
         np.testing.assert_array_equal(m1(x).data, m2(x).data)
 
     def test_exact_existing_path_wins(self, rng, tmp_path):
         m = MLP([2, 2], rng)
-        save_checkpoint(m, tmp_path / "weights")
-        state, _meta = load_state(tmp_path / "weights")
+        save_state(m.state_dict(), tmp_path / "weights")
+        state, _buffers, _meta = load_archive(tmp_path / "weights")
         assert state  # resolved weights.npz
 
 
 class TestLoadStateHelper:
+    """Reading an archive's state and metadata without a model."""
+
     def test_returns_state_without_a_model(self, rng, tmp_path):
         m = MLP([3, 8, 2], rng)
-        save_checkpoint(m, tmp_path / "m.npz", metadata={"epoch": 3})
-        state, metadata = load_state(tmp_path / "m.npz")
+        save_state(m.state_dict(), tmp_path / "m.npz", metadata={"epoch": 3})
+        state, _buffers, metadata = load_archive(tmp_path / "m.npz")
         assert set(state) == set(m.state_dict())
         for name, values in m.state_dict().items():
             np.testing.assert_array_equal(state[name], values)
@@ -159,10 +107,9 @@ class TestLoadStateHelper:
 
     def test_buffer_entries_kept_out_of_state(self, rng, tmp_path):
         m = MLP([3, 8, 2], rng, batch_norm=True)
-        save_checkpoint(m, tmp_path / "bn.npz")
-        state, _meta = load_state(tmp_path / "bn.npz")
+        save_state(m.state_dict(), tmp_path / "bn.npz", buffers=m.buffer_dict())
+        state, buffers, _meta = load_archive(tmp_path / "bn.npz")
         assert not any("running_" in k for k in state)
-        buffers = load_buffers(tmp_path / "bn.npz")
         assert any(k.endswith("running_mean") for k in buffers)
 
     def test_legacy_archive_reports_version_one(self, rng, tmp_path):
@@ -170,11 +117,10 @@ class TestLoadStateHelper:
         m = MLP([2, 2], rng)
         with open(tmp_path / "legacy.npz", "wb") as fh:
             np.savez(fh, **m.state_dict())
-        state, metadata = load_state(tmp_path / "legacy.npz")
+        state, buffers, metadata = load_archive(tmp_path / "legacy.npz")
         assert metadata == {"format_version": 1}
+        assert buffers == {}
         m.load_state_dict(state)
-        assert load_buffers(tmp_path / "legacy.npz") == {}
-        assert load_checkpoint(m, tmp_path / "legacy.npz") == {}
 
     def test_save_state_rejects_foreign_format_version(self, tmp_path):
         with pytest.raises(ValueError, match="format_version"):
@@ -183,10 +129,10 @@ class TestLoadStateHelper:
     def test_load_state_save_state_round_trip(self, rng, tmp_path):
         """The model-free dict API must round-trip its own output."""
         m = MLP([2, 3], rng)
-        save_checkpoint(m, tmp_path / "a.npz", metadata={"epoch": 2})
-        state, metadata = load_state(tmp_path / "a.npz")
+        save_state(m.state_dict(), tmp_path / "a.npz", metadata={"epoch": 2})
+        state, _buffers, metadata = load_archive(tmp_path / "a.npz")
         save_state(state, tmp_path / "b.npz", metadata=metadata)  # no reserved-key error
-        state2, metadata2 = load_state(tmp_path / "b.npz")
+        state2, _buffers2, metadata2 = load_archive(tmp_path / "b.npz")
         assert metadata2 == metadata
         for name in state:
             np.testing.assert_array_equal(state[name], state2[name])
@@ -197,8 +143,10 @@ class TestBufferPersistence:
         m1 = MLP([3, 8, 2], rng, batch_norm=True)
         m1(Tensor(rng.normal(size=(16, 3))))  # train-mode: moves running stats
         m2 = MLP([3, 8, 2], np.random.default_rng(9), batch_norm=True)
-        save_checkpoint(m1, tmp_path / "m.npz")
-        load_checkpoint(m2, tmp_path / "m.npz")
+        save_state(m1.state_dict(), tmp_path / "m.npz", buffers=m1.buffer_dict())
+        state, buffers, _meta = load_archive(tmp_path / "m.npz")
+        m2.load_state_dict(state)
+        m2.load_buffer_dict(buffers)
         m1.eval(), m2.eval()
         x = Tensor(rng.normal(size=(4, 3)))
         np.testing.assert_array_equal(m1(x).data, m2(x).data)
@@ -251,7 +199,7 @@ class TestAtomicWrites:
         assert proc.exitcode == 1
         # The published archive is byte-identical and still loads.
         assert path.read_bytes() == before
-        loaded, metadata = load_state(path)
+        loaded, _buffers, metadata = load_archive(path)
         assert metadata["epoch"] == 1
         np.testing.assert_array_equal(loaded["w"], state["w"])
 

@@ -1,6 +1,6 @@
 """Seed-batched inner reweighting loop: parity with K sequential loops.
 
-The contracts under test (ISSUE 3, see docs/ARCHITECTURE.md):
+The contracts under test (see docs/ARCHITECTURE.md):
 
 * `SeedFusedDecorrelation` over a ``(K, n, d, Q)`` stack matches K scalar
   `FusedDecorrelation` engines to 1e-8 (loss, gradient) in both primal
@@ -8,8 +8,7 @@ The contracts under test (ISSUE 3, see docs/ARCHITECTURE.md):
   single local row under fixed globals).
 * `learn_many` matches K sequential `SampleWeightLearner.learn` calls to
   1e-8 (loss trajectories, final weights) for K in {1, 3, 8}, and
-  dispatches non-stackable rosters (autograd backend, mismatched
-  hyper-parameters) to the sequential reference.
+  rejects rosters whose shared settings differ.
 * Blocked-Gram dual evaluation is bitwise identical to the unblocked
   path for any block size, and dual mode runs n = 4096 without a
   Gram-size cap.
@@ -40,7 +39,7 @@ def _weight_stack(rng, k, n):
     return w
 
 
-def _learner(seed, backend="fused", **kwargs):
+def _learner(seed, **kwargs):
     params = dict(epochs=5, lr=0.05, l2_penalty=0.05)
     params.update(kwargs)
     rff = RandomFourierFeatures(
@@ -49,7 +48,7 @@ def _learner(seed, backend="fused", **kwargs):
         linear=params.pop("linear", False),
         rng=np.random.default_rng(100 + seed),
     )
-    return SampleWeightLearner(rff, backend=backend, **params)
+    return SampleWeightLearner(rff, **params)
 
 
 class TestSeedEngineParity:
@@ -220,34 +219,19 @@ class TestLearnManyParity:
             np.testing.assert_allclose(rb.losses, rs.losses, atol=PARITY_ATOL)
             np.testing.assert_allclose(rb.weights, 1.0, atol=1e-6)
 
-    def test_resample_rff_advances_per_seed_streams_identically(self):
-        rng = np.random.default_rng(9)
-        k = 3
-        reps = rng.normal(size=(k, 30, 5))
-        res_b = learn_many([_learner(s, resample_rff=True) for s in range(k)], reps)
-        res_s = [_learner(s, resample_rff=True).learn(reps[s]) for s in range(k)]
-        for rb, rs in zip(res_b, res_s):
-            np.testing.assert_allclose(rb.losses, rs.losses, atol=PARITY_ATOL)
-            np.testing.assert_allclose(rb.weights, rs.weights, atol=PARITY_ATOL)
-
-    def test_autograd_roster_dispatches_to_sequential_reference(self):
-        rng = np.random.default_rng(10)
-        k = 2
-        reps = rng.normal(size=(k, 25, 4))
-        res_b = learn_many([_learner(s, backend="autograd", epochs=3) for s in range(k)], reps)
-        res_s = [_learner(s, backend="autograd", epochs=3).learn(reps[s]) for s in range(k)]
-        for rb, rs in zip(res_b, res_s):
-            np.testing.assert_array_equal(rb.weights, rs.weights)
-            assert rb.losses == rs.losses
-
-    def test_mismatched_hyperparams_dispatch_to_sequential(self):
-        rng = np.random.default_rng(11)
-        reps = rng.normal(size=(2, 20, 4))
-        learners = [_learner(0, lr=0.05), _learner(1, lr=0.1)]
-        res_b = learn_many(learners, reps)
-        res_s = [_learner(0, lr=0.05).learn(reps[0]), _learner(1, lr=0.1).learn(reps[1])]
-        for rb, rs in zip(res_b, res_s):
-            np.testing.assert_array_equal(rb.weights, rs.weights)
+    @pytest.mark.parametrize(
+        "setting",
+        [dict(epochs=4), dict(lr=0.1), dict(l2_penalty=0.2), dict(max_weight=3.0),
+         dict(num_functions=2), dict(fraction=0.5), dict(linear=True)],
+        ids=lambda setting: next(iter(setting)),
+    )
+    def test_mismatched_roster_rejected(self, setting):
+        """One stacked loop applies one setting to every seed, so a roster
+        whose learners differ is an error, not K sequential loops."""
+        reps = np.random.default_rng(11).normal(size=(3, 20, 4))
+        learners = [_learner(0), _learner(1, **setting), _learner(2)]
+        with pytest.raises(ValueError, match=r"learners \[1\] differ"):
+            learn_many(learners, reps)
 
     def test_engine_cache_refreshes_across_calls(self):
         """Same-shape consecutive stacks reuse the lead learner's engine."""

@@ -139,10 +139,10 @@ class TestSingleSeedRoundTrip:
         assert artifact.schema == SCHEMA
 
     def test_plain_checkpoint_rejected(self, rng, tmp_path):
-        from repro.nn.checkpoint import save_checkpoint
+        from repro.nn.checkpoint import save_state
 
         model = build_model("gin", FEATURE_DIM, OUT_DIM, rng, hidden_dim=8, num_layers=2)
-        save_checkpoint(model, tmp_path / "plain.npz")
+        save_state(model.state_dict(), tmp_path / "plain.npz", buffers=model.buffer_dict())
         with pytest.raises(ValueError, match="not a model artifact"):
             ModelArtifact.load(tmp_path / "plain.npz")
 
@@ -200,11 +200,11 @@ class TestSeedEnsembleRoundTrip:
 
 class TestFormatVersioning:
     def test_artifact_carries_checkpoint_format_version(self, tmp_path):
-        from repro.nn.checkpoint import CHECKPOINT_FORMAT_VERSION, load_state
+        from repro.nn.checkpoint import CHECKPOINT_FORMAT_VERSION, load_archive
 
         spec = ModelSpec("gin", hidden_dim=8, num_layers=2)
         path = ModelArtifact.from_model(spec.build(SCHEMA), spec, SCHEMA).save(tmp_path / "v.npz")
-        _state, metadata = load_state(path)
+        _state, _buffers, metadata = load_archive(path)
         assert metadata["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert metadata["artifact_format_version"] == ARTIFACT_FORMAT_VERSION
 

@@ -80,8 +80,6 @@ _OP_CASES = {
     "segment_mean": lambda a, b, w, ids: F.segment_mean(a, ids, 3),
     "segment_max": lambda a, b, w, ids: F.segment_max(a, ids, 3),
     "segment_softmax": lambda a, b, w, ids: F.segment_softmax(a, ids, 3),
-    "weighted_gram": lambda a, b, w, ids: F.weighted_gram(a, Tensor(np.abs(b.data[:, 0]) + 0.1, requires_grad=True)),
-    "masked_frobenius": lambda a, b, w, ids: F.masked_frobenius(a @ w, np.ones((6, 3))),
     "seed_linear": lambda a, b, w, ids: F.seed_linear(a, Tensor(np.stack([w.data, w.data * 2]), requires_grad=True)),
     "seed_gather": lambda a, b, w, ids: F.seed_gather(F.stack([a, b], axis=0), ids),
     "seed_gather_per_seed": lambda a, b, w, ids: F.seed_gather(
