@@ -116,43 +116,69 @@ def _run_method_trainer(
 ):
     """:func:`run_method`, but also hands back the trainer (for model export)."""
     info = dataset.info
-    model_rng = np.random.default_rng((seed + 1) * 7919)
     train_rng = np.random.default_rng((seed + 1) * 104729)
+    model = _model_factory(method, dataset, protocol)(seed)
     if method == "ood-gnn":
-        cfg = OODGNNConfig(
-            hidden_dim=protocol.hidden_dim,
-            num_layers=protocol.num_layers,
-            epochs=protocol.epochs,
-            batch_size=protocol.batch_size,
-            lr=protocol.lr,
-            weight_decay=protocol.weight_decay,
-            **protocol.ood_overrides,
-        )
-        model = OODGNN(info.feature_dim, info.model_out_dim, model_rng, config=cfg)
-        trainer = OODGNNTrainer(model, info.task_type, train_rng, metric=info.metric, config=cfg)
+        # The trainer takes its configuration from the model.
+        trainer = OODGNNTrainer(model, info.task_type, train_rng, metric=info.metric)
         trainer.fit(dataset.train, dataset.valid, eval_every=protocol.eval_every)
     else:
-        model = build_model(
-            method,
-            info.feature_dim,
-            info.model_out_dim,
-            model_rng,
-            hidden_dim=protocol.hidden_dim,
-            num_layers=protocol.num_layers,
-            pna_degree_scale=compute_pna_degree_scale(dataset.train),
-        )
-        tcfg = TrainerConfig(
-            epochs=protocol.epochs,
-            batch_size=protocol.batch_size,
-            lr=protocol.lr,
-            weight_decay=protocol.weight_decay,
-            eval_every=protocol.eval_every,
-        )
-        trainer = Trainer(model, info.task_type, tcfg, train_rng, metric=info.metric)
+        trainer = Trainer(model, info.task_type, _trainer_config(protocol), train_rng, metric=info.metric)
         trainer.fit(dataset.train, dataset.valid)
     train_metric = trainer.evaluate(dataset.train)
     test_metrics = {name: trainer.evaluate(split) for name, split in dataset.tests.items()}
     return trainer, train_metric, test_metrics
+
+
+def _ood_gnn_config(protocol: ExperimentProtocol) -> OODGNNConfig:
+    """The OOD-GNN configuration of one experiment."""
+    return OODGNNConfig(
+        hidden_dim=protocol.hidden_dim,
+        num_layers=protocol.num_layers,
+        epochs=protocol.epochs,
+        batch_size=protocol.batch_size,
+        lr=protocol.lr,
+        weight_decay=protocol.weight_decay,
+        **protocol.ood_overrides,
+    )
+
+
+def _trainer_config(protocol: ExperimentProtocol) -> TrainerConfig:
+    """The baseline trainer configuration of one experiment."""
+    return TrainerConfig(
+        epochs=protocol.epochs,
+        batch_size=protocol.batch_size,
+        lr=protocol.lr,
+        weight_decay=protocol.weight_decay,
+        eval_every=protocol.eval_every,
+    )
+
+
+def _model_factory(method: str, dataset: DatasetSplits, protocol: ExperimentProtocol):
+    """``seed -> untrained model``, the one constructor of both training paths.
+
+    OOD-GNN models carry the experiment's :func:`_ood_gnn_config`; PNA's
+    degree scale is the training split's.
+    """
+    info = dataset.info
+    cfg = _ood_gnn_config(protocol) if method == "ood-gnn" else None
+    degree_scale = compute_pna_degree_scale(dataset.train) if method == "pna" else 1.0
+
+    def build(seed: int):
+        rng = np.random.default_rng((seed + 1) * 7919)
+        if method == "ood-gnn":
+            return OODGNN(info.feature_dim, info.model_out_dim, rng, config=cfg)
+        return build_model(
+            method,
+            info.feature_dim,
+            info.model_out_dim,
+            rng,
+            hidden_dim=protocol.hidden_dim,
+            num_layers=protocol.num_layers,
+            pna_degree_scale=degree_scale,
+        )
+
+    return build
 
 
 _FALLBACK_WARNED: set[str] = set()
@@ -182,12 +208,7 @@ def method_spec(method: str, protocol: ExperimentProtocol):
     from repro.serve.artifact import ModelSpec
 
     if method == "ood-gnn":
-        cfg = OODGNNConfig(
-            hidden_dim=protocol.hidden_dim,
-            num_layers=protocol.num_layers,
-            **protocol.ood_overrides,
-        )
-        return ModelSpec.for_ood_gnn(cfg)
+        return ModelSpec.for_ood_gnn(_ood_gnn_config(protocol))
     return ModelSpec(method=method, hidden_dim=protocol.hidden_dim, num_layers=protocol.num_layers)
 
 
@@ -262,47 +283,24 @@ def _run_method_multi_seed_batched(
     train_rng = np.random.default_rng((seeds[0] + 1) * 104729)
     eval_every = protocol.eval_every
     if method == "ood-gnn":
-        cfg = OODGNNConfig(
-            hidden_dim=protocol.hidden_dim,
-            num_layers=protocol.num_layers,
-            epochs=protocol.epochs,
-            batch_size=protocol.batch_size,
-            lr=protocol.lr,
-            weight_decay=protocol.weight_decay,
-            **protocol.ood_overrides,
+        trainer = OODGNNTrainer(
+            None, info.task_type, train_rng, metric=info.metric, config=_ood_gnn_config(protocol)
         )
-        trainer = OODGNNTrainer(None, info.task_type, train_rng, metric=info.metric, config=cfg)
         result = trainer.fit_many(
             dataset.train,
             dataset.valid,
             eval_every=eval_every,
             seeds=seeds,
-            model_factory=lambda seed: OODGNN(
-                info.feature_dim, info.model_out_dim, np.random.default_rng((seed + 1) * 7919), config=cfg
-            ),
+            model_factory=_model_factory(method, dataset, protocol),
             batched_reweight=batched_reweight,
         )
     else:
-        tcfg = TrainerConfig(
-            epochs=protocol.epochs,
-            batch_size=protocol.batch_size,
-            lr=protocol.lr,
-            weight_decay=protocol.weight_decay,
-            eval_every=eval_every,
-        )
-        trainer = Trainer(None, info.task_type, tcfg, train_rng, metric=info.metric)
+        trainer = Trainer(None, info.task_type, _trainer_config(protocol), train_rng, metric=info.metric)
         result = trainer.fit_many(
             dataset.train,
             dataset.valid if eval_every else None,
             seeds=seeds,
-            model_factory=lambda seed: build_model(
-                method,
-                info.feature_dim,
-                info.model_out_dim,
-                np.random.default_rng((seed + 1) * 7919),
-                hidden_dim=protocol.hidden_dim,
-                num_layers=protocol.num_layers,
-            ),
+            model_factory=_model_factory(method, dataset, protocol),
         )
     # Re-stack the trained per-seed models (cheap parameter copies) so the
     # final train/test evaluations also run as one K-wide forward sweep.

@@ -1,4 +1,4 @@
-"""Inference & serving: model artifacts, micro-batched engine, OOD scores.
+"""Inference & serving: model artifacts, micro-batched engine, energy scores.
 
 The deployment layer on top of everything below it (see
 ``docs/ARCHITECTURE.md``, "Inference and serving"):
@@ -6,7 +6,8 @@ The deployment layer on top of everything below it (see
 * :class:`ModelArtifact` / :class:`ModelSpec` / :class:`FeatureSchema` —
   self-describing bundles that rebuild a trained model without user code.
 * :class:`InferenceEngine` — micro-batched, seed-ensembled, tape-free
-  request serving with energy-based OOD scores per response.
+  request serving with the raw energy score of each response's logits
+  (:func:`energy_score`; reported, not thresholded).
 * :mod:`repro.serve.net` — stdlib HTTP front-end with admission control
   (429), per-request deadlines (504), a circuit breaker (503 +
   ``Retry-After``), ``/stats`` telemetry and drain-on-SIGTERM.
@@ -25,7 +26,7 @@ from repro.serve.artifact import ARTIFACT_FORMAT_VERSION, FeatureSchema, ModelSp
 from repro.serve.batcher import BatchBudget, plan_microbatches
 from repro.serve.engine import InferenceEngine, Prediction
 from repro.serve.futures import DeadlineExceeded, EngineStopped, PendingResult, QueueFull
-from repro.serve.ood import EnergyCalibration, energy_score, fit_energy_threshold
+from repro.serve.ood import energy_score
 from repro.serve.stats import ServingStats
 from repro.serve.wire import graph_from_json, result_to_json
 
@@ -42,9 +43,7 @@ __all__ = [
     "DeadlineExceeded",
     "EngineStopped",
     "QueueFull",
-    "EnergyCalibration",
     "energy_score",
-    "fit_energy_threshold",
     "ServingStats",
     "graph_from_json",
     "result_to_json",

@@ -18,11 +18,10 @@ finish, the engine queue flushes.
 
 A request graph is ``{"x": [[...], ...], "edge_index": [[srcs], [dsts]]}``
 (``x`` rows are node feature vectors; ``edge_index`` may be omitted for an
-edgeless graph).  Each response line carries the prediction, per-class
-probabilities, the energy OOD score, and — when calibrated via
-``--calibrate`` or ``--energy-threshold`` — the OOD flag.  Malformed or
-schema-invalid requests answer in place (an ``{"error": ...}`` stream
-line / HTTP 400) and never take the server down.
+edgeless graph).  Each response line carries the prediction, the raw
+output, per-class probabilities and the energy score of the logits.
+Malformed or schema-invalid requests answer in place (an ``{"error":
+...}`` stream line / HTTP 400) and never take the server down.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import threading
 from repro.serve.artifact import ModelArtifact
 from repro.serve.engine import InferenceEngine
 from repro.serve.futures import PendingResult
-from repro.serve.ood import EnergyCalibration
 from repro.serve.wire import graph_from_json, result_to_json
 
 __all__ = ["build_parser", "main"]
@@ -73,19 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput at a documented tolerance), float64 the reference; "
         "'artifact' (default) uses the precision the bundle was saved in",
     )
-    parser.add_argument("--temperature", type=float, default=1.0, help="energy-score temperature T")
-    parser.add_argument(
-        "--calibrate",
-        help="JSON file of held-in graphs; fits the OOD threshold before serving",
-    )
-    parser.add_argument(
-        "--quantile", type=float, default=0.95,
-        help="in-distribution quantile for --calibrate (default 0.95)",
-    )
-    parser.add_argument(
-        "--energy-threshold", type=float, default=None,
-        help="explicit OOD threshold (alternative to --calibrate)",
-    )
     parser.add_argument(
         "--access-log", action="store_true",
         help="--http: log one structured JSON line per request to stderr "
@@ -115,19 +100,7 @@ def main(argv=None) -> int:
         max_graphs=args.max_graphs,
         max_nodes=max_nodes,
         dtype=None if args.dtype == "artifact" else args.dtype,
-        temperature=args.temperature,
     )
-    if args.calibrate:
-        calibration = engine.calibrate(_load_graphs(args.calibrate), quantile=args.quantile)
-        print(
-            f"calibrated OOD threshold {calibration.threshold:.4f} "
-            f"(quantile {calibration.quantile}, T={calibration.temperature})",
-            file=sys.stderr,
-        )
-    elif args.energy_threshold is not None:
-        engine.calibration = EnergyCalibration(
-            threshold=args.energy_threshold, temperature=args.temperature
-        )
 
     if args.input:
         results = engine.predict(_load_graphs(args.input))

@@ -86,8 +86,8 @@ class FeatureSchema:
         numpy gather error (or silent cross-graph read after batch
         offsetting) deep inside the packed forward.  Non-finite features
         are rejected too: JSON decoding accepts ``NaN`` and ``Infinity``,
-        and they would come back as a NaN energy that no OOD threshold
-        flags, in a response body that is not valid JSON.
+        and they would come back as NaN outputs and a NaN energy, in a
+        response body that is not valid JSON.
         """
         if graph.num_features != self.feature_dim:
             raise ValueError(

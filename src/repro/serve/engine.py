@@ -1,4 +1,4 @@
-"""The inference engine: micro-batched, seed-ensembled, OOD-scored serving.
+"""The inference engine: micro-batched, seed-ensembled, energy-scored serving.
 
 :class:`InferenceEngine` takes a :class:`~repro.serve.artifact.ModelArtifact`
 and answers prediction requests:
@@ -21,9 +21,9 @@ and answers prediction requests:
   forward via :func:`~repro.nn.layers.try_stack_seed_modules`; the only
   unstackable roster (FactorGCN) falls back to K sequential forwards with
   the same one-time warning pattern as training.
-* **Energy OOD scores** — every response carries the free energy of its
-  logits (:mod:`repro.serve.ood`), and :meth:`InferenceEngine.calibrate`
-  fits a flagging threshold on held-in validation graphs.
+* **Energy scores** — every response carries the raw free energy of its
+  logits (:mod:`repro.serve.ood`).  It is reported, not thresholded: under
+  a sum readout it tracks graph size, so it does not detect a shift.
 
 Front-ends: :meth:`InferenceEngine.predict` is the synchronous batch API;
 :meth:`start`/:meth:`submit`/:meth:`stop` expose a worker-thread queue whose
@@ -54,7 +54,7 @@ from repro.serve.batcher import BatchBudget, default_max_nodes, plan_microbatche
 from repro.obs.registry import FLAGS, LATENCY_MS_BUCKETS, registry
 from repro.obs.trace import current_trace_id, span
 from repro.serve.futures import DeadlineExceeded, EngineStopped, PendingResult
-from repro.serve.ood import EnergyCalibration, energy_score, fit_energy_threshold
+from repro.serve.ood import energy_score
 
 __all__ = ["Prediction", "InferenceEngine"]
 
@@ -102,9 +102,8 @@ class Prediction:
     ``probs`` the seed-averaged class/task probabilities (None for
     regression); ``label`` the argmax class (multiclass), per-task 0/1
     array or scalar (binary), or the regression value(s); ``energy`` the
-    OOD score (higher = more OOD-looking, None for regression); ``is_ood``
-    the calibrated flag (None when the engine is uncalibrated or the task
-    has no energy).
+    seed-averaged free energy ``-logsumexp`` of the logits (None for
+    regression).
     """
 
     index: int
@@ -112,7 +111,6 @@ class Prediction:
     probs: np.ndarray | None
     label: object
     energy: float | None
-    is_ood: bool | None
 
 
 def _stable_softmax(logits: np.ndarray) -> np.ndarray:
@@ -151,11 +149,6 @@ class InferenceEngine:
         output tolerance — see docs/ARCHITECTURE.md), or ``None``
         (default: the artifact's stored dtype, float64 for in-memory
         models).
-    temperature:
-        Energy-score temperature; must be > 0.
-    calibration:
-        Optional pre-fitted :class:`~repro.serve.ood.EnergyCalibration`;
-        or call :meth:`calibrate` with held-in graphs.
     clock:
         Time source for request deadlines.  Must be **monotonic** — the
         default is :func:`time.monotonic`, never wall-clock
@@ -173,8 +166,6 @@ class InferenceEngine:
         max_graphs: int = 64,
         max_nodes: int | None | str = "auto",
         dtype=None,
-        temperature: float = 1.0,
-        calibration: EnergyCalibration | None = None,
         clock=time.monotonic,
     ):
         if artifact is not None:
@@ -195,10 +186,6 @@ class InferenceEngine:
                 raise ValueError(f"max_nodes must be an int, None or 'auto', got {max_nodes!r}")
             max_nodes = default_max_nodes(self.dtype)
         self.budget = BatchBudget(max_graphs=max_graphs, max_nodes=max_nodes)
-        if not temperature > 0:  # also rejects NaN; fail here, not on every request
-            raise ValueError(f"temperature must be > 0, got {temperature}")
-        self.temperature = temperature
-        self.calibration = calibration
         # Seed ensembles prefer one stacked forward; unstackable rosters
         # warn once and serve K sequential forwards (same fallback pattern
         # as the multi-seed trainers).
@@ -267,7 +254,7 @@ class InferenceEngine:
             # and the ensemble reports the average (the energies of the
             # averaged logits would understate member disagreement).
             energies = np.stack(
-                [energy_score(logits[k], task, self.temperature) for k in range(logits.shape[0])]
+                [energy_score(logits[k], task) for k in range(logits.shape[0])]
             ).mean(axis=0)
         results = []
         for row, request_index in enumerate(indices):
@@ -280,18 +267,13 @@ class InferenceEngine:
             else:
                 values = outputs[row]
                 label = float(values[0]) if values.shape[0] == 1 else values
-            energy = float(energies[row]) if energies is not None else None
-            is_ood = None
-            if energy is not None and self.calibration is not None:
-                is_ood = bool(self.calibration.is_ood(energy))
             results.append(
                 Prediction(
                     index=request_index,
                     output=outputs[row],
                     probs=probs,
                     label=label,
-                    energy=energy,
-                    is_ood=is_ood,
+                    energy=float(energies[row]) if energies is not None else None,
                 )
             )
         return results
@@ -322,23 +304,6 @@ class InferenceEngine:
     def predict_one(self, graph: Graph) -> Prediction:
         """Serve a single graph (one forward, no batching)."""
         return self.predict([graph])[0]
-
-    def energy_scores(self, graphs: list[Graph]) -> np.ndarray:
-        """Energies only, e.g. for calibration sweeps."""
-        if self.schema.task_type == "regression":
-            raise ValueError(
-                "regression artifacts have no logits, so no energy scores to "
-                "compute or calibrate"
-            )
-        return np.array([p.energy for p in self.predict(graphs)], dtype=np.float64)
-
-    def calibrate(self, graphs: list[Graph], quantile: float = 0.95) -> EnergyCalibration:
-        """Fit (and install) the OOD threshold on held-in validation graphs."""
-        calibration = fit_energy_threshold(
-            self.energy_scores(graphs), quantile=quantile, temperature=self.temperature
-        )
-        self.calibration = calibration
-        return calibration
 
     # ------------------------------------------------------------------
     # Worker-thread queue front-end
@@ -409,7 +374,7 @@ class InferenceEngine:
         The recovery verb for "engine serve loop died; restart the
         engine": a loop killed by an unexpected error leaves ``submit``
         failing fast, and ``restart()`` brings the queue front-end back
-        over the *same* models — no artifact reload, no re-calibration.
+        over the *same* models — no artifact reload.
         Also valid on a healthy or never-started engine (it is then just
         a stop/start cycle).
         """

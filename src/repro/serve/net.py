@@ -21,8 +21,8 @@ CLI accepts::
 
     POST /predict   {"x": [[...], ...], "edge_index": [[s], [t]]}
                     or {"graphs": [...], "deadline_ms": 50}
-    GET  /stats     live counters, p50/p99 latency, rolling OOD rate,
-                    breaker state, backend health
+    GET  /stats     live counters, p50/p99 latency, breaker state,
+                    backend health
     GET  /metrics   Prometheus text exposition (process registry +
                     this server's stats and breaker)
     GET  /healthz   200 {"status": "ok"} / 503 {"status": "unhealthy"|"draining"}
@@ -52,12 +52,14 @@ Two failure-control layers sit in front of the backend:
   balancers eject the instance; any other report answers 200 with the
   backend's body.
 * **Circuit breaker** (:class:`CircuitBreaker`): when the recent
-  backend error rate (5xx-class outcomes) trips the threshold, the
+  backend error rate (500s, 503s and timeouts waiting on a wedged
+  backend; not 400s, 429s or expired deadlines) trips the threshold, the
   server stops submitting and sheds new predicts with 503 +
   ``Retry-After`` until the open window elapses; then a few *half-open*
   probe requests are let through — one success closes the breaker, a
-  failure reopens it.  This converts a collapsing backend's pile-up
-  into fast, cheap rejections the client can back off on.
+  failure reopens it, and a neutral probe frees its slot for the next.
+  This converts a collapsing backend's pile-up into fast, cheap
+  rejections the client can back off on.
 
 Shutdown is a **drain**: SIGTERM (or :meth:`ServingServer.drain`) flips
 ``/healthz`` to 503 so load balancers stop routing here, rejects new
@@ -100,12 +102,12 @@ class CircuitBreaker:
     reaches ``error_threshold`` (every request sheds with 503 +
     ``Retry-After`` for ``open_duration`` seconds) → **half-open**
     (up to ``half_open_probes`` requests pass through; the first success
-    closes the breaker, any failure reopens it).
+    closes the breaker, any failure reopens it, and a probe that ends
+    neutral hands its slot back through :meth:`release`).
 
-    Only 5xx-class outcomes count as errors — 400s are the client's
-    fault and 429s are admission control doing its job; neither says the
-    backend is failing.  Thread-safe; ``clock`` is injectable so tests
-    drive the open window deterministically.
+    The server decides which outcomes count as errors
+    (:meth:`ServingServer._breaker_record`).  Thread-safe; ``clock`` is
+    injectable so tests drive the open window deterministically.
     """
 
     CLOSED = "closed"
@@ -178,6 +180,22 @@ class CircuitBreaker:
                     self._opened_at = now
                     self.opens_total += 1
                     self._outcomes.clear()
+
+    def release(self) -> None:
+        """End one admitted request; a half-open probe frees its slot.
+
+        Called once for every request :meth:`allow` admitted, after it is
+        answered.  A probe whose outcome counted has already left
+        half-open, so this hands back the slots of probes that ended
+        neutral (a 400, a 429, an expired deadline); free slots never
+        exceed ``half_open_probes``.  Without it a half-open breaker
+        whose probes all ended neutral would shed every later request.
+        As in :meth:`record`, a straggler admitted before the trip is not
+        told apart from a probe.
+        """
+        with self._lock:
+            if self._state == self.HALF_OPEN:
+                self._probes_left = min(self._probes_left + 1, self.half_open_probes)
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -333,7 +351,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond(404, {"error": f"no such endpoint: {self.path}"})
             return
         server = self.server
-        stats = server.stats
         # Every predict request gets a trace id — the client's, if it sent
         # one — bound to this handler thread and echoed back so the caller
         # can correlate its request with spans and access-log lines.
@@ -354,6 +371,16 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 server._access_log(trace_id, 503, started, graphs=0)
                 return
+        try:
+            self._predict(body, trace_id, headers, started)
+        finally:
+            if breaker is not None:
+                breaker.release()
+
+    def _predict(self, body, trace_id: str, headers: dict, started: float) -> None:
+        """Answer one admitted ``/predict`` request."""
+        server = self.server
+        stats = server.stats
         try:
             request = json.loads(body)
         except (ValueError, TypeError):
@@ -434,21 +461,14 @@ class _Handler(BaseHTTPRequestHandler):
                 results[pos] = self._failure(err)
                 failed.append(pos)
                 continue
-            payload = raw if isinstance(raw, dict) else result_to_json(raw)
-            stats.record_served(
-                clock() - started, energy=payload.get("energy"), is_ood=payload.get("ood")
-            )
-            self.server._breaker_record(200)
-            results[pos] = payload
+            results[pos] = raw if isinstance(raw, dict) else result_to_json(raw)
+            stats.record_served(clock() - started)
+            self.server._breaker_record(None)
         return results, results[min(failed)]["status"] if failed else 200
 
     def _failure(self, err: BaseException) -> dict:
         """Record one graph's failure; its per-position error object."""
         status = _error_status(err)
-        self._record_failure(status)
-        return {"error": str(err), "status": status}
-
-    def _record_failure(self, status: int) -> None:
         stats = self.server.stats
         if status == 400:
             stats.record_bad_request()
@@ -458,7 +478,8 @@ class _Handler(BaseHTTPRequestHandler):
             stats.record_expired()
         else:
             stats.record_error()
-        self.server._breaker_record(status)
+        self.server._breaker_record(err)
+        return {"error": str(err), "status": status}
 
 
 class ServingServer(ThreadingMixIn, HTTPServer):
@@ -500,16 +521,23 @@ class ServingServer(ThreadingMixIn, HTTPServer):
         except Exception as err:  # a broken probe is itself a bad sign
             return {"status": "unhealthy", "detail": f"health probe failed: {err}"}
 
-    def _breaker_record(self, status: int) -> None:
-        """Fold one predict outcome into the breaker (5xx = backend error)."""
+    def _breaker_record(self, err: BaseException | None) -> None:
+        """Fold one predict outcome into the breaker; ``None`` is a success.
+
+        An engine failure (500), a stopped backend (503) and a handler
+        that gave up on a wedged backend (``TimeoutError``, 504) count as
+        backend errors.  A 400 is the client's fault, a 429 admission
+        control doing its job, and an expired deadline
+        (``DeadlineExceeded``, 504) overload shedding: none of them says
+        the backend is failing.  Counting expiries would let an overload
+        open the breaker, which would then shed most of what follows.
+        """
         if self.breaker is None:
             return
-        if status >= 500:
-            self.breaker.record(ok=False)
-        elif status == 200:
+        if err is None:
             self.breaker.record(ok=True)
-        # 400 (client's fault) and 429 (admission doing its job) say
-        # nothing about backend health.
+        elif _error_status(err) >= 500 and not isinstance(err, DeadlineExceeded):
+            self.breaker.record(ok=False)
 
     def _collect_breaker(self):
         """Pull-time breaker metrics for the ``/metrics`` scrape."""

@@ -1,14 +1,10 @@
-"""Live serving telemetry: counters, latency percentiles, OOD-rate drift.
+"""Live serving telemetry: request counters and latency percentiles.
 
 :class:`ServingStats` is the thread-safe sink every networked front-end
-(:mod:`repro.serve.net`) records into, and what ``GET /stats`` snapshots.
-Besides the plain production counters (served / shed / expired / errors),
-it keeps a **rolling energy-OOD-rate** over the last ``window`` responses:
-per-response energy scores (:mod:`repro.serve.ood`) are computed anyway,
-and their flag rate over recent traffic is a live distribution-shift
-monitor — a calibrated threshold flags ~``1 - quantile`` of in-distribution
-traffic, so a rolling rate drifting well above that says the serving
-distribution has moved, without any retraining or labels.
+(:mod:`repro.serve.net`) records into, and what ``GET /stats`` snapshots:
+the production counters (received / served / bad requests / shed /
+expired / errors) and p50/p99 latency over the last ``window`` served
+responses.
 
 All timing uses the monotonic clock (injectable for tests).
 """
@@ -38,15 +34,13 @@ def _percentiles(values, points=(50.0, 99.0)) -> dict[str, float]:
 
 
 class ServingStats:
-    """Thread-safe serving counters with rolling OOD and latency windows.
+    """Thread-safe serving counters with a rolling latency window.
 
     Parameters
     ----------
     window:
-        Number of most-recent responses the rolling OOD-rate and latency
-        percentiles are computed over.  Small enough to react to drift
-        within seconds at production rates, large enough that one flagged
-        request moves the rate by well under a percent.
+        Number of most-recent served responses the latency percentiles
+        are computed over.
     clock:
         Monotonic time source (injectable for deterministic tests).
     """
@@ -54,7 +48,6 @@ class ServingStats:
     def __init__(self, window: int = 512, clock=time.monotonic):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
         self.clock = clock
         self._lock = threading.Lock()
         self._started = clock()
@@ -66,28 +59,17 @@ class ServingStats:
             "expired": 0,       # deadline passed before serving (HTTP 504)
             "errors": 0,        # engine-side failures (HTTP 500)
         }
-        self._ood_flags: deque = deque(maxlen=window)     # per scored response: 0/1
-        self._energies: deque = deque(maxlen=window)
         self._latencies: deque = deque(maxlen=window)     # seconds, served only
-        self._ood_flagged_total = 0
-        self._ood_scored_total = 0
 
     def record_received(self, count: int = 1) -> None:
         with self._lock:
             self._counts["received"] += count
 
-    def record_served(self, latency_s: float, energy: float | None = None, is_ood: bool | None = None) -> None:
-        """Record one answered prediction (and its OOD telemetry, if scored)."""
+    def record_served(self, latency_s: float) -> None:
+        """Record one answered prediction."""
         with self._lock:
             self._counts["served"] += 1
             self._latencies.append(float(latency_s))
-            if energy is not None:
-                self._energies.append(float(energy))
-            if is_ood is not None:
-                flag = 1 if is_ood else 0
-                self._ood_flags.append(flag)
-                self._ood_flagged_total += flag
-                self._ood_scored_total += 1
 
     def record_bad_request(self) -> None:
         with self._lock:
@@ -109,24 +91,8 @@ class ServingStats:
         """One consistent, JSON-serialisable view (the ``/stats`` payload)."""
         with self._lock:
             counts = dict(self._counts)
-            flags = list(self._ood_flags)
-            energies = list(self._energies)
             latencies = list(self._latencies)
-            flagged_total = self._ood_flagged_total
-            scored_total = self._ood_scored_total
             uptime = self.clock() - self._started
-        ood: dict = {
-            "window": self.window,
-            "window_scored": len(flags),
-            "scored_total": scored_total,
-            "flagged_total": flagged_total,
-        }
-        if flags:
-            ood["rolling_rate"] = float(np.mean(flags))
-        if scored_total:
-            ood["lifetime_rate"] = flagged_total / scored_total
-        if energies:
-            ood["rolling_mean_energy"] = float(np.mean(energies))
         latency = {"window": len(latencies)}
         # Percentile keys are always present (zeros pre-traffic) so
         # dashboards and the regression test see a stable payload shape.
@@ -136,7 +102,6 @@ class ServingStats:
         return {
             "uptime_s": uptime,
             "counts": counts,
-            "ood": ood,
             "latency_ms": latency,
         }
 
@@ -158,12 +123,3 @@ class ServingStats:
         yield ("repro_serving_latency_window_ms", "gauge",
                "Rolling served-latency percentiles (window, not cumulative)",
                [({"quantile": key}, latency[key]) for key in latency if key != "window"])
-        ood = snap["ood"]
-        samples = [({"stat": key}, float(ood[key])) for key in
-                   ("window_scored", "scored_total", "flagged_total") if key in ood]
-        if "rolling_rate" in ood:
-            samples.append(({"stat": "rolling_rate"}, ood["rolling_rate"]))
-        if "lifetime_rate" in ood:
-            samples.append(({"stat": "lifetime_rate"}, ood["lifetime_rate"]))
-        yield ("repro_serving_ood", "gauge",
-               "Rolling energy-OOD drift telemetry", samples)

@@ -97,5 +97,4 @@ def result_to_json(result) -> dict:
         "output": np.asarray(result.output).tolist(),
         "probs": None if result.probs is None else np.asarray(result.probs).tolist(),
         "energy": result.energy,
-        "ood": result.is_ood,
     }

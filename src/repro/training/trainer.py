@@ -16,7 +16,7 @@ activations — with a parity guarantee against K sequential
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,8 +63,6 @@ class TrainerConfig:
     weight_decay: float = 0.0
     grad_clip: float = 5.0
     eval_every: int = 0          # 0 = only record train loss
-    patience: int = 0            # 0 = no early stopping
-    verbose: bool = False
 
 
 @dataclass
@@ -155,7 +153,6 @@ class Trainer:
         cfg = self.config
         history = TrainingHistory()
         higher_is_better = self.metric != "rmse"
-        stale = 0
         for epoch in range(cfg.epochs):
             epoch_losses = []
             with span("train.epoch", path="sequential", epoch=epoch), \
@@ -181,13 +178,6 @@ class Trainer:
                 if improved:
                     history.best_metric = score
                     history.best_state = self.model.state_dict()
-                    stale = 0
-                else:
-                    stale += 1
-                    if cfg.patience and stale >= cfg.patience:
-                        break
-            if cfg.verbose:
-                print(f"epoch {epoch + 1:3d}  loss {history.train_loss[-1]:.4f}")
         if history.best_state is not None:
             self.model.load_state_dict(history.best_state)
         return history
@@ -221,25 +211,22 @@ class Trainer:
         mini-batch shuffling, so under deterministic settings (no dropout)
         the batched run reproduces the K sequential runs bit-for-bit: same
         batches, same per-seed losses, gradients, Adam states and clipping
-        decisions.  Early stopping (``config.patience``) is disabled —
-        seeds would stop at different epochs, which a single stacked job
-        cannot express.
+        decisions.
         """
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
         models = [model_factory(seed) for seed in seeds]
         base_rng = copy.deepcopy(self.rng)
-        cfg = replace(self.config, patience=0)
         stacked = try_stack_seed_modules(models) if batched else None
         if stacked is None:
             histories = []
             for model in models:
-                sub = Trainer(model, self.task_type, cfg, copy.deepcopy(base_rng), metric=self.metric)
+                sub = Trainer(model, self.task_type, self.config, copy.deepcopy(base_rng), metric=self.metric)
                 histories.append(sub.fit(train_graphs, valid_graphs))
             return MultiSeedResult(seeds=seeds, models=models, histories=histories)
         return self._fit_many_batched(
-            stacked, models, seeds, cfg, train_graphs, valid_graphs, copy.deepcopy(base_rng)
+            stacked, models, seeds, self.config, train_graphs, valid_graphs, copy.deepcopy(base_rng)
         )
 
     def _fit_many_batched(self, stacked, models, seeds, cfg, train_graphs, valid_graphs, rng) -> MultiSeedResult:
@@ -277,9 +264,6 @@ class Trainer:
                     if improved:
                         history.best_metric = scores[k]
                         history.best_state = stacked.seed_state_dict(k)
-            if cfg.verbose:
-                losses = " ".join(f"{m:.4f}" for m in epoch_means)
-                print(f"epoch {epoch + 1:3d}  loss [{losses}]")
         for k, (model, history) in enumerate(zip(models, histories)):
             stacked.sync_into(k, model)
             if history.best_state is not None:

@@ -9,6 +9,7 @@ from repro.bench import ExperimentProtocol, MethodResult, format_table, format_s
 from repro.bench import runner as bench_runner
 from repro.bench.runner import run_method_multi_seed
 from repro.datasets.base import DatasetInfo, DatasetSplits
+from repro.encoders import compute_pna_degree_scale
 from repro.graph.generators import erdos_renyi
 
 
@@ -102,6 +103,23 @@ class TestBatchedFallbackWarning:
             warnings.simplefilter("always")
             run_method_multi_seed("gin", _tiny_dataset, (0,), protocol, batched=True)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestModelConstruction:
+    def test_pna_degree_scale_is_the_train_splits_on_both_paths(self):
+        """Sequential and seed-batched runs build PNA with the same delta."""
+        protocol = ExperimentProtocol(
+            epochs=1, batch_size=8, hidden_dim=8, num_layers=2, eval_every=0
+        )
+        expected = compute_pna_degree_scale(_tiny_dataset(0).train)
+        assert expected != 1.0
+        for batched in (False, True):
+            result = run_method_multi_seed(
+                "pna", _tiny_dataset, (0,), protocol, batched=batched, keep_models=True
+            )
+            (model,) = result.models
+            scales = [v for k, v in model.buffer_dict().items() if k.endswith("degree_scale")]
+            assert scales and all(scale == expected for scale in scales), (batched, scales)
 
 
 class TestProtocol:

@@ -247,22 +247,7 @@ class TestServe:
             assert line["prediction"] in (0, 1)
             assert len(line["probs"]) == 2
             assert isinstance(line["energy"], float)
-            assert line["ood"] is None  # no calibration requested
-
-    def test_calibrated_file_mode(self, artifact_path, requests_path, capsys):
-        from repro.serve.__main__ import main as serve_main
-
-        code = serve_main([
-            str(artifact_path), "--input", str(requests_path),
-            "--calibrate", str(requests_path), "--quantile", "0.5",
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "calibrated OOD threshold" in captured.err
-        lines = [json.loads(l) for l in captured.out.strip().splitlines()]
-        assert all(isinstance(line["ood"], bool) for line in lines)
-        # Calibrated at the median of the very same requests: some flagged.
-        assert any(line["ood"] for line in lines)
+            assert set(line) == {"prediction", "output", "probs", "energy"}
 
     def test_stdin_streaming_mode(self, artifact_path, requests_path, capsys, monkeypatch):
         import io

@@ -1,4 +1,5 @@
-"""Documentation stays truthful: links resolve, doctest blocks execute.
+"""Documentation stays truthful: links resolve, doctest blocks execute,
+quoted CLI flags exist.
 
 Runs the same checks as ``tools/check_docs.py`` (and the CI docs job) so
 that a broken README example or a dangling cross-reference fails tier-1
@@ -34,6 +35,28 @@ def test_doctest_blocks_execute():
     for doc in check_docs.DOC_FILES:
         problems.extend(check_docs.check_doctests(doc))
     assert not problems, "\n".join(problems)
+
+
+def test_cli_flags_quoted_in_docs_exist():
+    problems = []
+    for doc in check_docs.DOC_FILES:
+        problems.extend(check_docs.check_cli_flags(doc.read_text(), doc.name))
+    assert not problems, "\n".join(problems)
+
+
+def test_cli_flag_check_reports_deleted_flags():
+    text = (
+        "```bash\n"
+        "python -m repro.serve model.npz --input requests.json \\\n"
+        "    --calibrate validation.json   # --not-a-flag: comment\n"
+        "python -m repro.run --dataset triangles --seeds 2 | grep --count ood\n"
+        "```\n"
+        "Prose quotes `python -m repro.run --dataset dd300\n--workers 4` too.\n"
+    )
+    assert check_docs.check_cli_flags(text, "GUIDE.md") == [
+        "GUIDE.md: `python -m repro.serve` has no flag --calibrate",
+        "GUIDE.md: `python -m repro.run` has no flag --workers",
+    ]
 
 
 def test_md_citations_in_code_resolve():

@@ -74,7 +74,7 @@ def rng():
     return np.random.default_rng(91)
 
 
-OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0, "ood": False}
+OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0}
 
 
 class StubBackend:

@@ -1,4 +1,4 @@
-"""Inference engine: micro-batching, seed ensembles, OOD scoring, queue API."""
+"""Inference engine: micro-batching, seed ensembles, energy scores, queue API."""
 
 import threading
 import time
@@ -13,14 +13,12 @@ from repro.graph.data import Graph, GraphBatch
 from repro.graph.generators import erdos_renyi
 from repro.serve import (
     BatchBudget,
-    EnergyCalibration,
     FeatureSchema,
     InferenceEngine,
     ModelArtifact,
     ModelSpec,
     PendingResult,
     energy_score,
-    fit_energy_threshold,
     plan_microbatches,
 )
 
@@ -79,18 +77,7 @@ class TestEnergyScore:
         logits = rng.normal(size=(6, 4))
         from scipy.special import logsumexp
 
-        np.testing.assert_allclose(
-            energy_score(logits, "multiclass", temperature=1.0), -logsumexp(logits, axis=1)
-        )
-
-    def test_temperature_scaling(self, rng):
-        logits = rng.normal(size=(5, 4))
-        t = 2.5
-        from scipy.special import logsumexp
-
-        np.testing.assert_allclose(
-            energy_score(logits, "multiclass", temperature=t), -t * logsumexp(logits / t, axis=1)
-        )
+        np.testing.assert_allclose(energy_score(logits, "multiclass"), -logsumexp(logits, axis=1))
 
     def test_binary_matches_manual_symmetric_logsumexp(self, rng):
         from scipy.special import logsumexp
@@ -123,34 +110,10 @@ class TestEnergyScore:
         with pytest.raises(ValueError, match="regression"):
             energy_score(np.zeros((2, 1)), "regression")
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    def test_rejects_non_positive_temperature(self, temperature):
-        with pytest.raises(ValueError, match="temperature must be > 0"):
-            energy_score(np.zeros((2, 3)), "multiclass", temperature=temperature)
-
     def test_confident_logits_have_lower_energy(self):
         confident = np.array([[10.0, -5.0, -5.0]])
         diffuse = np.array([[0.1, 0.0, -0.1]])
         assert energy_score(confident, "multiclass")[0] < energy_score(diffuse, "multiclass")[0]
-
-
-class TestCalibration:
-    def test_threshold_is_quantile(self, rng):
-        energies = rng.normal(size=500)
-        cal = fit_energy_threshold(energies, quantile=0.9)
-        assert cal.threshold == pytest.approx(np.quantile(energies, 0.9))
-        flagged = cal.is_ood(energies).mean()
-        assert 0.05 < flagged < 0.15
-
-    def test_round_trip(self):
-        cal = EnergyCalibration(threshold=1.5, temperature=2.0, quantile=0.9)
-        assert EnergyCalibration.from_dict(cal.to_dict()) == cal
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            fit_energy_threshold(np.array([]))
-        with pytest.raises(ValueError):
-            fit_energy_threshold(np.ones(3), quantile=1.5)
 
 
 class TestPredict:
@@ -179,17 +142,6 @@ class TestPredict:
         for result in engine.predict(make_graphs(rng, 4)):
             assert result.probs.sum() == pytest.approx(1.0)
             assert result.energy is not None
-            assert result.is_ood is None  # uncalibrated
-
-    def test_calibrated_flags(self, rng):
-        engine, _ = make_engine(rng)
-        graphs = make_graphs(rng, 20)
-        calibration = engine.calibrate(graphs, quantile=0.75)
-        results = engine.predict(graphs)
-        flags = [r.is_ood for r in results]
-        assert any(flags) and not all(flags)
-        manual = [r.energy > calibration.threshold for r in results]
-        assert flags == manual
 
     def test_rejects_wrong_feature_dim(self, rng):
         engine, _ = make_engine(rng)
@@ -204,12 +156,6 @@ class TestPredict:
         graph.x[0, 1] = value
         with pytest.raises(ValueError, match="finite"):
             engine.predict([graph])
-
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    def test_rejects_non_positive_temperature(self, rng, temperature):
-        """A bad temperature fails construction, not every later request."""
-        with pytest.raises(ValueError, match="temperature must be > 0"):
-            make_engine(rng, temperature=temperature)
 
     def test_results_independent_of_budget(self, rng):
         """Packing must not change any answer (bitwise)."""
@@ -426,16 +372,6 @@ class TestTaskTypes:
         schema = FeatureSchema(feature_dim=FEATURE_DIM, out_dim=1, task_type="regression", metric="rmse")
         model = build_model("gcn", FEATURE_DIM, 1, rng, hidden_dim=8, num_layers=2)
         engine = InferenceEngine.from_models([model], schema)
-        engine.calibration = EnergyCalibration(threshold=0.0)
         for r in engine.predict(make_graphs(rng, 3)):
             assert isinstance(r.label, float)
-            assert r.probs is None and r.energy is None and r.is_ood is None
-
-    def test_regression_calibration_raises_clearly(self, rng):
-        schema = FeatureSchema(feature_dim=FEATURE_DIM, out_dim=1, task_type="regression", metric="rmse")
-        model = build_model("gcn", FEATURE_DIM, 1, rng, hidden_dim=8, num_layers=2)
-        engine = InferenceEngine.from_models([model], schema)
-        with pytest.raises(ValueError, match="no energy scores"):
-            engine.calibrate(make_graphs(rng, 3))
-        with pytest.raises(ValueError, match="non-finite"):
-            fit_energy_threshold(np.array([1.0, np.nan]))
+            assert r.probs is None and r.energy is None

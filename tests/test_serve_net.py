@@ -8,7 +8,7 @@ Two layers of coverage for :mod:`repro.serve.net` / :mod:`repro.serve.wire`:
   timing dependence.
 * An end-to-end server over a real :class:`EngineBackend`
   (in-process engine, ephemeral port): predict parity with the engine,
-  batch requests, ``/stats`` counters and rolling OOD telemetry,
+  batch requests, ``/stats`` counters and the latency window,
   ``/healthz`` flipping on drain.
 
 Plus boundary validation of :func:`repro.serve.wire.graph_from_json` —
@@ -180,7 +180,7 @@ class StubBackend:
         self.stopped = True
 
 
-OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0, "ood": False}
+OK = {"prediction": 1, "output": [0.0], "probs": [1.0], "energy": -2.0}
 
 
 @pytest.fixture
@@ -207,7 +207,7 @@ class TestStatusMapping:
         _backend, server = stub_server([OK])
         status, body = http(server.url + "/predict", make_graph_payload(rng))
         assert status == 200
-        assert body["prediction"] == 1 and body["ood"] is False
+        assert body == OK
 
     def test_queue_full_is_429(self, stub_server, rng):
         _backend, server = stub_server([QueueFull("inflight queue at capacity")])
@@ -286,7 +286,7 @@ class TestStatusMapping:
 class TestStatsEndpoint:
     def test_counters_and_windows(self, stub_server, rng):
         _backend, server = stub_server(
-            [OK, {**OK, "ood": True}, QueueFull("shed"), lambda: DeadlineExceeded("late")]
+            [OK, OK, QueueFull("shed"), lambda: DeadlineExceeded("late")]
         )
         good = make_graph_payload(rng)
         for _ in range(4):
@@ -300,24 +300,22 @@ class TestStatsEndpoint:
         assert counts["expired"] == 1
         assert counts["bad_requests"] == 1
         assert counts["received"] == 5
-        ood = stats["ood"]
-        assert ood["window_scored"] == 2 and ood["flagged_total"] == 1
-        assert ood["rolling_rate"] == pytest.approx(0.5)
+        assert stats["latency_ms"]["window"] == 2
         assert stats["latency_ms"]["p50"] >= 0.0
         assert stats["latency_ms"]["p99"] >= stats["latency_ms"]["p50"]
 
-    def test_rolling_ood_rate_tracks_drift(self):
-        """The rolling window forgets old traffic; the lifetime rate doesn't."""
+    def test_latency_window_forgets_old_traffic(self):
+        """The rolling window forgets old latencies; the counters don't."""
         stats = ServingStats(window=4, clock=lambda: 0.0)
         for _ in range(4):
-            stats.record_served(0.001, energy=-5.0, is_ood=False)
-        assert stats.snapshot()["ood"]["rolling_rate"] == 0.0
-        for _ in range(4):  # distribution shifts: window goes fully OOD
-            stats.record_served(0.001, energy=+5.0, is_ood=True)
-        snap = stats.snapshot()["ood"]
-        assert snap["rolling_rate"] == 1.0
-        assert snap["lifetime_rate"] == pytest.approx(0.5)
-        assert snap["rolling_mean_energy"] == pytest.approx(5.0)
+            stats.record_served(0.001)
+        assert stats.snapshot()["latency_ms"]["p99"] == pytest.approx(1.0)
+        for _ in range(4):  # latency shifts: the window holds only slow requests
+            stats.record_served(0.010)
+        snap = stats.snapshot()
+        assert snap["latency_ms"]["window"] == 4
+        assert snap["latency_ms"]["p50"] == pytest.approx(10.0)
+        assert snap["counts"]["served"] == 8
 
     def test_stats_window_validated(self):
         with pytest.raises(ValueError, match="window"):
@@ -428,7 +426,7 @@ class TestEndToEndEngineBackend:
             assert http(server.url + "/predict", make_graph_payload(rng))[0] == 200
         _status, stats = http(server.url + "/stats")
         assert stats["counts"]["served"] == 3
-        assert stats["ood"]["scored_total"] == 0  # uncalibrated: energy only
+        assert set(stats) == {"uptime_s", "counts", "latency_ms", "breaker", "health"}
         assert stats["latency_ms"]["window"] == 3
 
     def test_drain_flips_health_and_stops_engine(self, served_engine, rng):
@@ -550,6 +548,22 @@ class TestCircuitBreaker:
         allowed, retry_after = br.allow()       # third sheds until a verdict
         assert not allowed and retry_after == pytest.approx(1.0)
 
+    def test_release_frees_a_half_open_probe_slot(self):
+        clock = FakeClock()
+        br = self.breaker(clock, half_open_probes=2)
+        for _ in range(4):
+            br.record(False)
+        clock.advance(5.0)
+        assert br.allow()[0] and br.allow()[0]
+        assert not br.allow()[0]
+        br.release()  # a probe ended neutral: its slot is free again
+        assert br.allow()[0]
+        for _ in range(3):
+            br.release()  # never more free slots than probes
+        assert br.allow()[0] and br.allow()[0]
+        assert not br.allow()[0]
+        assert br.state == CircuitBreaker.HALF_OPEN
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="error_threshold"):
             CircuitBreaker(error_threshold=0.0)
@@ -573,9 +587,12 @@ def _stop_server(server):
 
 class TestBreakerOverHttp:
     def test_backend_errors_trip_breaker_and_shed_with_retry_after(self, rng):
-        """Consecutive 500s open the breaker; the next request sheds with
-        503 + a Retry-After header before ever reaching the backend."""
-        backend = StubBackend([lambda: RuntimeError("backend on fire")] * 4)
+        """Consecutive backend errors open the breaker: 500s, and 504s from
+        a handler that gave up on a wedged backend.  The next request sheds
+        with 503 + a Retry-After header before ever reaching the backend."""
+        backend = StubBackend(
+            [lambda: RuntimeError("backend on fire"), lambda: TimeoutError("no answer")] * 2
+        )
         server = serve_http(
             backend,
             breaker=CircuitBreaker(window=8, min_requests=4, error_threshold=0.5,
@@ -583,8 +600,9 @@ class TestBreakerOverHttp:
         )
         try:
             payload = make_graph_payload(rng)
-            for _ in range(4):
+            for _ in range(2):
                 assert http(server.url + "/predict", payload)[0] == 500
+                assert http(server.url + "/predict", payload)[0] == 504
             submitted_before = len(backend.submitted)
             request = urllib.request.Request(
                 server.url + "/predict", data=json.dumps(payload).encode(),
@@ -631,8 +649,9 @@ class TestBreakerOverHttp:
             _stop_server(server)
 
     def test_client_errors_do_not_trip_the_breaker(self, rng):
-        """400s (client's fault) and 429s (admission working) are neutral."""
-        backend = StubBackend([QueueFull("shed")] * 6)
+        """400s (client's fault), 429s (admission working) and 504s on an
+        expired deadline (overload shedding) are neutral."""
+        backend = StubBackend([QueueFull("shed"), lambda: DeadlineExceeded("request expired")] * 3)
         server = serve_http(
             backend,
             breaker=CircuitBreaker(window=8, min_requests=2, error_threshold=0.5,
@@ -643,9 +662,47 @@ class TestBreakerOverHttp:
             for _ in range(3):
                 assert http(server.url + "/predict", {"x": [[1.0], [2.0, 3.0]]})[0] == 400
                 assert http(server.url + "/predict", good)[0] == 429
+                assert http(server.url + "/predict", good)[0] == 504
             _, stats = http(server.url + "/stats")
+            assert stats["counts"]["expired"] == 3
             assert stats["breaker"]["state"] == "closed"
             assert stats["breaker"]["opens_total"] == 0
+        finally:
+            _stop_server(server)
+
+    @pytest.mark.parametrize("probe", ["expired", "shed", "bad-request"])
+    def test_neutral_half_open_probes_free_their_slots(self, rng, probe):
+        """Half-open probes that end neutral hand their slot back: after
+        three of them a good request is still admitted and closes the
+        breaker."""
+        outcome, status = {
+            "expired": (lambda: DeadlineExceeded("request expired"), 504),
+            "shed": (QueueFull("shed"), 429),
+            "bad-request": (None, 400),
+        }[probe]
+        probes = [] if outcome is None else [outcome] * 3
+        backend = StubBackend([lambda: RuntimeError("backend on fire")] * 4 + probes + [OK])
+        clock = FakeClock()
+        server = serve_http(
+            backend,
+            breaker=CircuitBreaker(window=8, min_requests=4, error_threshold=0.5,
+                                   open_duration=5.0, half_open_probes=3, clock=clock),
+        )
+        try:
+            good = make_graph_payload(rng)
+            probe_payload = {"x": [[1.0], [2.0, 3.0]]} if outcome is None else good
+            for _ in range(4):
+                assert http(server.url + "/predict", good)[0] == 500
+            # Each request lands a full open window after the last, so the
+            # good one is admitted whether or not a probe reopened the
+            # breaker; only a probe slot never handed back sheds it.
+            for _ in range(3):
+                clock.advance(5.0)
+                assert http(server.url + "/predict", probe_payload)[0] == status
+            clock.advance(5.0)
+            assert http(server.url + "/predict", good) == (200, OK)
+            _, stats = http(server.url + "/stats")
+            assert stats["breaker"]["state"] == "closed"
         finally:
             _stop_server(server)
 

@@ -77,14 +77,6 @@ class TestTrainer:
         # Restored parameters should reproduce the best validation metric.
         assert trainer.evaluate(graphs[30:]) == pytest.approx(history.best_metric)
 
-    def test_early_stopping_halts(self, rng):
-        graphs = toy_graphs(rng, 40)
-        model = build_model("gcn", 1, 2, np.random.default_rng(0), hidden_dim=8, num_layers=2)
-        cfg = TrainerConfig(epochs=50, batch_size=16, eval_every=1, patience=2)
-        trainer = Trainer(model, "multiclass", cfg, rng)
-        history = trainer.fit(graphs[:30], graphs[30:])
-        assert len(history.train_loss) < 50
-
     def test_rmse_selection_lower_is_better(self, rng):
         graphs = toy_graphs(rng, 30)
         for g in graphs:

@@ -13,6 +13,10 @@ docs/*.md):
   points at an existing file;
 * all ``>>>`` doctest examples execute and produce the documented
   output (``python -m doctest`` semantics);
+* every ``--flag`` of a ``python -m repro.run ...`` or ``python -m
+  repro.serve ...`` command line (in a code block, backslash
+  continuations followed, or in inline code) is an option of that module's
+  ``build_parser()``;
 * every ``*.md`` name cited in a ``src/`` or ``benchmarks/`` Python file
   exists at the repository root or under ``docs/``.
 
@@ -24,6 +28,7 @@ Exit code 0 when everything checks out, 1 otherwise.  Run from anywhere:
 from __future__ import annotations
 
 import doctest
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -36,6 +41,11 @@ _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 _CODE_PATH = re.compile(r"`((?:src|tests|benchmarks|docs|tools)/[A-Za-z0-9_./-]+)`")
 _FENCE = re.compile(r"```.*?```", re.DOTALL)
 _MD_CITATION = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+_INLINE_CODE = re.compile(r"`([^`]+)`")
+_CLI_COMMAND = re.compile(r"python3? -m (repro\.run|repro\.serve)\b(.*)")
+_SHELL_BREAK = re.compile(r"[|;#>]|&&")
+_FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+CLI_MODULES = {"repro.run": "repro.run", "repro.serve": "repro.serve.__main__"}
 CITING_DIRS = ("src", "benchmarks")
 
 
@@ -73,6 +83,31 @@ def check_links(path: Path) -> list[str]:
     return problems
 
 
+def cli_options(command: str) -> set[str]:
+    """Option strings of ``python -m <command>`` (its ``build_parser()``)."""
+    parser = importlib.import_module(CLI_MODULES[command]).build_parser()
+    return set(parser._option_string_actions)
+
+
+def check_cli_flags(text: str, name: str) -> list[str]:
+    """``--flags`` quoted in ``python -m repro.run|serve`` commands that the CLI lacks."""
+    fenced = [block.replace("\\\n", " ") for block in _FENCE.findall(text)]
+    inline = [span.replace("\n", " ") for span in _INLINE_CODE.findall(_FENCE.sub("", text))]
+    problems = []
+    options: dict[str, set[str]] = {}
+    for line in "\n".join(fenced + inline).splitlines():
+        match = _CLI_COMMAND.search(line)
+        if match is None:
+            continue
+        command, args = match.groups()
+        if command not in options:
+            options[command] = cli_options(command)
+        for flag in _FLAG.findall(_SHELL_BREAK.split(args, maxsplit=1)[0]):
+            if flag not in options[command]:
+                problems.append(f"{name}: `python -m {command}` has no flag {flag}")
+    return problems
+
+
 def check_doctests(path: Path) -> list[str]:
     """Failing ``>>>`` examples in the document, if any."""
     results = doctest.testfile(
@@ -102,6 +137,7 @@ def main() -> int:
             problems.append(f"missing documentation file: {doc.relative_to(REPO_ROOT)}")
             continue
         problems.extend(check_links(doc))
+        problems.extend(check_cli_flags(doc.read_text(), doc.name))
         problems.extend(check_doctests(doc))
     if problems:
         print("documentation check FAILED:")
