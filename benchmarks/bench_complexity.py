@@ -17,11 +17,11 @@ import pytest
 from repro.autograd import Tensor
 from repro.core import (
     OODGNN,
-    FusedDecorrelation,
     OODGNNConfig,
     OODGNNTrainer,
     RandomFourierFeatures,
     SampleWeightLearner,
+    SeedFusedDecorrelation,
 )
 from repro.encoders import build_model
 from repro.graph.data import GraphBatch
@@ -85,15 +85,15 @@ def test_ood_gnn_full_step(benchmark, batch):
 def test_weight_learning_scales_linearly_in_batch(benchmark, batch_size):
     """Decorrelation loss + weight gradient is O(n (dQ)^2): linear in samples.
 
-    Times the inner loop's engine in primal form, whose two ``O(n p^2)``
+    Times the inner loop's engine (one seed) in primal form, whose two ``O(n p^2)``
     matmuls are the cost the claim is about (dual form trades them for a
     once-per-batch ``O(n^2 p)`` cache).
     """
     rng = np.random.default_rng(3)
     z = rng.normal(size=(batch_size, 32))
     rff = RandomFourierFeatures(num_functions=5, rng=np.random.default_rng(4))
-    engine = FusedDecorrelation(rff(z), mode="primal")
-    w = np.ones(batch_size)
+    engine = SeedFusedDecorrelation(rff(z)[None], mode="primal")
+    w = np.ones((1, batch_size))
     benchmark(lambda: engine.loss_and_grad(w)[0])
 
 

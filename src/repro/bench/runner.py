@@ -11,10 +11,9 @@ job (``batched=True``, the multi-seed engine of
 ``docs/ARCHITECTURE.md``): the dataset is fixed at the first seed and
 only model initialisation varies, so K encoder forwards/backwards
 collapse into one vectorised pass — and for ``ood-gnn`` the K inner
-reweighting loops run as one seed-batched closed-form job
-(``batched_reweight``, default on).  Supported for the GIN/GCN family
-and ``ood-gnn``; other methods fall back to sequential runs with a
-one-time warning.
+reweighting loops run as one seed-batched closed-form job.  Supported
+for the GIN/GCN family and ``ood-gnn``; other methods fall back to
+sequential runs with a one-time warning.
 """
 
 from __future__ import annotations
@@ -218,7 +217,6 @@ def run_method_multi_seed(
     seeds,
     protocol: ExperimentProtocol,
     batched: bool = False,
-    batched_reweight: bool = True,
     keep_models: bool = False,
 ) -> MethodResult:
     """Repeat :func:`run_method` over seeds with fresh datasets per seed.
@@ -230,18 +228,16 @@ def run_method_multi_seed(
     With ``batched=True`` all seeds train as one vectorised job instead:
     the dataset is fixed at ``dataset_factory(seeds[0])`` and only the
     model initialisation varies across seeds (the std then reports
-    initialisation noise, not data noise).  For ``"ood-gnn"``,
-    ``batched_reweight`` additionally runs Algorithm 1's inner
-    sample-weight loops as one seed-batched closed-form job (default on;
-    pass ``False`` — the CLI's ``--sequential-reweight`` — for the
-    per-seed reference loops).  Methods without a seed-stacked variant
+    initialisation noise, not data noise).  For ``"ood-gnn"``, Algorithm
+    1's inner sample-weight loops also run as one seed-batched
+    closed-form job.  Methods without a seed-stacked variant
     (see :data:`BATCHED_SEED_METHODS`) fall back to the sequential path
     with a one-time ``RuntimeWarning``.
     """
     seeds = tuple(seeds)
     if batched and method in BATCHED_SEED_METHODS:
         return _run_method_multi_seed_batched(
-            method, dataset_factory, seeds, protocol, batched_reweight, keep_models
+            method, dataset_factory, seeds, protocol, keep_models
         )
     if batched:
         _warn_sequential_fallback(method)
@@ -274,7 +270,6 @@ def _run_method_multi_seed_batched(
     dataset_factory,
     seeds: tuple,
     protocol: ExperimentProtocol,
-    batched_reweight: bool = True,
     keep_models: bool = False,
 ) -> MethodResult:
     """All seeds of one method as a single seed-stacked training job."""
@@ -292,7 +287,6 @@ def _run_method_multi_seed_batched(
             eval_every=eval_every,
             seeds=seeds,
             model_factory=_model_factory(method, dataset, protocol),
-            batched_reweight=batched_reweight,
         )
     else:
         trainer = Trainer(None, info.task_type, _trainer_config(protocol), train_rng, metric=info.metric)

@@ -10,12 +10,11 @@ This package implements the paper's contribution:
   engine is verified against.
 * :mod:`repro.core.decorrelation` — the projected sample-weight optimiser
   of Eq. (10) on the closed-form engine; ``learn_many`` runs K seeds'
-  inner loops as one stacked job.
-* :mod:`repro.core.fused` — the closed-form loss/gradient engines behind
-  the inner loop: analytical weight gradients, a precomputed
-  sample-space Gram with blocked streaming evaluation, cached block
-  masks, an in-place Adam, and the seed-batched
-  ``SeedFusedDecorrelation`` variant over ``(K, n, d, Q)`` stacks.
+  inner loops as one stacked job, and ``learn`` is its K = 1 case.
+* :mod:`repro.core.fused` — ``SeedFusedDecorrelation``, the closed-form
+  loss/gradient engine behind the inner loop over ``(K, n, d, Q)``
+  feature stacks: analytical weight gradients, cached sample-space Gram
+  moments, cached block masks, and an in-place Adam.
 * :mod:`repro.core.global_local` — the global-local weight estimator with
   momentum memory groups (Eqs. (8) and (9)).
 * :mod:`repro.core.ood_gnn` — the OOD-GNN model and the Algorithm-1
@@ -28,7 +27,7 @@ multi-seed engine are documented in ``docs/ARCHITECTURE.md``.
 
 from repro.core.rff import RandomFourierFeatures
 from repro.core.hsic import hsic_gaussian, weighted_cross_covariance, pairwise_decorrelation_loss
-from repro.core.fused import FusedDecorrelation, SeedFusedDecorrelation, InPlaceAdam
+from repro.core.fused import SeedFusedDecorrelation, InPlaceAdam
 from repro.core.decorrelation import SampleWeightLearner, learn_many, project_weights
 from repro.core.global_local import GlobalLocalWeightEstimator
 from repro.core.ood_gnn import OODGNN, OODGNNConfig, OODGNNTrainer
@@ -38,7 +37,6 @@ __all__ = [
     "hsic_gaussian",
     "weighted_cross_covariance",
     "pairwise_decorrelation_loss",
-    "FusedDecorrelation",
     "SeedFusedDecorrelation",
     "InPlaceAdam",
     "SampleWeightLearner",

@@ -14,11 +14,12 @@ precomputed once per batch.  It is held to the taped objective
 evaluation and over whole inner-loop trajectories
 (``tests/test_fused_decorrelation.py``).
 
-:func:`learn_many` is the seed-batched entry point: K per-seed learners
-(each owning its own RFF stream) run their inner loops as one stacked
-closed-form job on a :class:`~repro.core.fused.SeedFusedDecorrelation`
-engine, matching K sequential :meth:`SampleWeightLearner.learn` calls to
-1e-8 (``tests/test_seed_batched_reweight.py``).
+:func:`learn_many` is the one inner loop: K per-seed learners (each
+owning its own RFF stream) run as one stacked job on a
+:class:`~repro.core.fused.SeedFusedDecorrelation` engine.
+:meth:`SampleWeightLearner.learn` is its K = 1 case, so a seed of a
+stack and a single-seed call give the same bytes
+(``tests/test_seed_batched_reweight.py``).
 """
 
 from __future__ import annotations
@@ -27,24 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.fused import FusedDecorrelation, InPlaceAdam, SeedFusedDecorrelation
+from repro.core.fused import InPlaceAdam, SeedFusedDecorrelation
 from repro.core.rff import RandomFourierFeatures, map_features_many
 from repro.obs.registry import registry
 from repro.obs.trace import span
 
 __all__ = ["SampleWeightLearner", "learn_many", "project_weights", "WeightLearningResult"]
 
-# One sample per learn() call (not per epoch): the counters live outside
-# the inner loop, so a metrics-on run adds two inc() calls per batch.
+# One sample per inner loop (not per epoch): the counters live outside
+# the epoch loop, so a metrics-on run adds two inc() calls per batch.
 _REWEIGHT_EPOCHS = registry.counter(
-    "repro_reweight_epochs_total",
-    "Inner reweighting epochs run, by path (fused or seed_batched)",
-    ("path",),
+    "repro_reweight_epochs_total", "Inner reweighting epochs run, summed over seeds"
 )
 _REWEIGHT_SECONDS = registry.counter(
-    "repro_reweight_seconds_total",
-    "Wall seconds inside inner reweighting loops, by path (fused or seed_batched)",
-    ("path",),
+    "repro_reweight_seconds_total", "Wall seconds inside inner reweighting loops"
 )
 
 
@@ -54,11 +51,17 @@ def project_weights(weights: np.ndarray, floor: float = 0.0, ceiling: float | No
     Clips below ``floor`` (weights are sample multiplicities, hence
     non-negative), optionally above ``ceiling`` (bounding how hard a
     single sample can dominate a batch), and rescales so the mean is
-    exactly 1, i.e. ``sum_n w_n = N`` as required below Eq. (1).
+    exactly 1, i.e. ``sum_n w_n = N`` as required below Eq. (1).  When the
+    clipped mass is below ``N`` the rescale grows every weight, so entries
+    it lifts past ``ceiling`` are pinned there and the rest rescaled
+    again.  A mean-one vector fits under the ceiling only if
+    ``ceiling >= 1``.
 
     Operates over the last axis: a ``(K, n)`` seed stack is projected
     row-wise, each row exactly as the 1-D call would project it.
     """
+    if ceiling is not None and ceiling < 1.0:
+        raise ValueError(f"ceiling must be >= 1 for mean-one weights, got {ceiling}")
     clipped = np.maximum(np.asarray(weights, dtype=np.float64), floor)
     if ceiling is not None:
         clipped = np.minimum(clipped, ceiling)
@@ -68,7 +71,32 @@ def project_weights(weights: np.ndarray, floor: float = 0.0, ceiling: float | No
     # guards against overflow when rescaling subnormal totals.
     degenerate = total <= 1e-12 * n
     safe_total = np.where(degenerate, 1.0, total)
-    return np.where(degenerate, 1.0, clipped * (n / safe_total))
+    projected = np.where(degenerate, 1.0, clipped * (n / safe_total))
+    if ceiling is None:
+        return projected
+    # Pin the entries the rescale lifted past the ceiling and rescale the
+    # free ones to the mass left, N - ceiling * pinned.  Each round raises
+    # the free entries' scale, so pinned entries stay pinned and the loop
+    # ends within N rounds.  Free entries with (almost) no mass left share
+    # it evenly, at most 1 each since ceiling >= 1.  Rows without pinned
+    # entries recompute exactly the first pass's values.
+    lifted = projected > ceiling
+    pinned = lifted
+    while lifted.any():
+        free = np.where(pinned, 0.0, clipped)
+        free_total = free.sum(axis=-1, keepdims=True)
+        num_pinned = pinned.sum(axis=-1, keepdims=True)
+        target = n - ceiling * num_pinned
+        empty = free_total <= 1e-12 * n
+        rescaled = np.where(
+            empty,
+            target / np.maximum(n - num_pinned, 1),
+            free * (target / np.where(empty, 1.0, free_total)),
+        )
+        projected = np.where(pinned, ceiling, rescaled)
+        lifted = projected > ceiling
+        pinned = pinned | lifted
+    return projected
 
 
 @dataclass
@@ -116,36 +144,23 @@ class SampleWeightLearner:
     ):
         if epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
+        if max_weight < 1.0:
+            raise ValueError(f"max_weight must be >= 1 (weights average to one), got {max_weight}")
         self.rff = rff
         self.epochs = epochs
         self.lr = lr
         self.l2_penalty = l2_penalty
         self.max_weight = max_weight
-        self._engine: FusedDecorrelation | None = None
         self._seed_engine: SeedFusedDecorrelation | None = None
 
-    def _fused_engine(self, feats: np.ndarray) -> FusedDecorrelation:
-        """Fused engine for ``feats``, reusing cached buffers when possible.
+    def _cached_engine(self, feats: np.ndarray) -> SeedFusedDecorrelation:
+        """Engine for a ``(K, n, d, Q)`` stack, reusing cached buffers.
 
-        Consecutive batches of the same shape (the common case: the
+        Consecutive stacks of the same shape (the common case: the
         trainer drops smaller trailing batches) hit
-        :meth:`FusedDecorrelation.refresh`, which recomputes only the
-        feature-dependent Gram and keeps the feature-independent
-        scratch/mask state.
-        """
-        engine = self._engine
-        if engine is not None and feats.shape == (engine.n, engine.num_dims, engine.q):
-            return engine.refresh(feats)
-        self._engine = FusedDecorrelation(feats)
-        return self._engine
-
-    def _fused_seed_engine(self, feats: np.ndarray) -> SeedFusedDecorrelation:
-        """Seed-batched engine for a ``(K, n, d, Q)`` stack, cache-refreshed.
-
-        Mirrors :meth:`_fused_engine`: same-shape stacks (the multi-seed
-        trainer's steady state) reuse the cached Gram/scratch buffers via
-        :meth:`SeedFusedDecorrelation.refresh`.  The cache lives on the
-        lead learner of a :func:`learn_many` roster.
+        :meth:`SeedFusedDecorrelation.refresh`, which recomputes only the
+        feature-dependent caches and keeps the mask and scratch buffers.
+        The cache lives on the lead learner of a :func:`learn_many` roster.
         """
         engine = self._seed_engine
         if engine is not None and feats.shape == (
@@ -170,18 +185,13 @@ class SampleWeightLearner:
         over a full inner loop.
         """
         feats = self.rff(self._prepare(representations))
-        return FusedDecorrelation(feats, mode="primal").loss(weights)
+        weights = np.asarray(weights, dtype=np.float64)
+        return float(SeedFusedDecorrelation(feats[None], mode="primal").loss(weights[None])[0])
 
     def learn(self, representations: np.ndarray, fixed_weights: np.ndarray | None = None) -> WeightLearningResult:
         """Run the inner loop (Algorithm 1, lines 6-8) from uniform weights.
 
-        The per-epoch chain is: normalise the raw weights to mean 1, get
-        loss and analytical gradient from the engine, add the l2-penalty
-        gradient, push both through the normalisation adjoint
-
-            d/d raw_j = (n/s) * (g_j - <raw, g>/s),   s = sum(raw),
-
-        take one in-place Adam step on the local slice, and re-project.
+        The ``K = 1`` case of :func:`learn_many`.
 
         Parameters
         ----------
@@ -198,45 +208,12 @@ class SampleWeightLearner:
         WeightLearningResult
             Projected optimised local weights plus the loss trajectory.
         """
-        z = self._prepare(representations)
-        n_total = z.shape[0]
-        n_fixed = 0 if fixed_weights is None else len(fixed_weights)
-        n_local = n_total - n_fixed
-        if n_local <= 0:
-            raise ValueError("no local rows to optimise")
-
-        local = np.ones(n_local)
-        fixed = np.asarray(fixed_weights, dtype=np.float64) if n_fixed else None
-        optimizer = InPlaceAdam(n_local, lr=self.lr)
-        engine = self._fused_engine(self.rff(z))
-        losses: list[float] = []
-        initial_loss = None
-        with _REWEIGHT_SECONDS.time(path="fused"):
-            for epoch in range(self.epochs):
-                with span("reweight.epoch", path="fused", epoch=epoch, n=n_total):
-                    raw = np.concatenate([fixed, local]) if fixed is not None else local
-                    total = raw.sum()
-                    weights = raw * (n_total / total)
-                    loss, grad = engine.loss_and_grad(weights)
-                    if initial_loss is None:
-                        initial_loss = loss
-                    grad += (2.0 * self.l2_penalty / n_total) * (weights - 1.0)
-                    grad_raw = (grad - (raw @ grad) / total) * (n_total / total)
-                    optimizer.step(local, grad_raw[n_fixed:])
-                    local = project_weights(local, ceiling=self.max_weight)
-                    losses.append(loss)
-        _REWEIGHT_EPOCHS.inc(self.epochs, path="fused")
-
-        return WeightLearningResult(
-            weights=project_weights(local, ceiling=self.max_weight),
-            losses=losses,
-            initial_loss=initial_loss,
-            final_loss=losses[-1],
-        )
+        fixed = None if fixed_weights is None else np.asarray(fixed_weights, dtype=np.float64)[None]
+        return learn_many([self], np.asarray(representations)[None], fixed)[0]
 
 
 # ----------------------------------------------------------------------
-# Seed-batched inner loop
+# The inner loop, over a stack of seeds
 # ----------------------------------------------------------------------
 def _shared_settings(learner: SampleWeightLearner) -> tuple:
     """The settings one stacked inner loop applies to every seed."""
@@ -254,16 +231,23 @@ def learn_many(
 ) -> list[WeightLearningResult]:
     """Run K inner reweighting loops as one seed-batched closed-form job.
 
-    The batched counterpart of K :meth:`SampleWeightLearner.learn` calls —
-    the entry point the multi-seed OOD-GNN trainer feeds its seed-stacked
-    representations into (see ``docs/ARCHITECTURE.md``).
+    The per-epoch chain is: normalise the raw weights to mean 1, get
+    loss and analytical gradient from the engine, add the l2-penalty
+    gradient, push both through the normalisation adjoint
+
+        d/d raw_j = (n/s) * (g_j - <raw, g>/s),   s = sum(raw),
+
+    take one in-place Adam step on the local slice, and re-project.
+    The multi-seed OOD-GNN trainer feeds its seed-stacked representations
+    in here (see ``docs/ARCHITECTURE.md``), and
+    :meth:`SampleWeightLearner.learn` is the ``K = 1`` call.
 
     Parameters
     ----------
     learners:
         One :class:`SampleWeightLearner` per seed.  Each keeps its own RFF
         sampler, so the per-seed random-feature streams are exactly those
-        the sequential path would draw.  The shared settings (epochs, lr,
+        its own :meth:`SampleWeightLearner.learn` call would draw.  The shared settings (epochs, lr,
         l2, projection ceiling and the RFF map's Q, fraction and linear
         switch) must agree across the roster; a ``ValueError`` names the
         learners that differ.
@@ -278,8 +262,8 @@ def learn_many(
     Returns
     -------
     list[WeightLearningResult]
-        Per-seed results, index-aligned with ``learners`` and matching K
-        sequential ``learn`` calls to 1e-8
+        Per-seed results, index-aligned with ``learners``.  Each is byte
+        for byte what that learner's own ``learn`` call would return
         (``tests/test_seed_batched_reweight.py``).
     """
     learners = list(learners)
@@ -311,15 +295,14 @@ def learn_many(
     optimizer = InPlaceAdam(local.shape, lr=lead.lr)
 
     # One set of draws per learner, in seed order — each seed's rng stream
-    # advances exactly as its sequential learn() would — with the cosine
-    # map fused over the stack (bitwise per-seed).
-    engine = lead._fused_seed_engine(map_features_many([learner.rff for learner in learners], z))
+    # advances exactly as its own learn() would — with the cosine map
+    # fused over the stack (bitwise per-seed).
+    engine = lead._cached_engine(map_features_many([learner.rff for learner in learners], z))
     losses = np.empty((lead.epochs, num_seeds))
     initial = None
-    with _REWEIGHT_SECONDS.time(path="seed_batched"):
+    with _REWEIGHT_SECONDS.time():
         for epoch in range(lead.epochs):
-            with span("reweight.epoch", path="seed_batched", epoch=epoch,
-                      n=n_total, K=num_seeds):
+            with span("reweight.epoch", epoch=epoch, n=n_total, K=num_seeds):
                 raw = np.concatenate([fixed, local], axis=1) if fixed is not None else local
                 total = raw.sum(axis=1)
                 weights = raw * (n_total / total)[:, None]
@@ -333,7 +316,7 @@ def learn_many(
                 optimizer.step(local, grad_raw[:, n_fixed:])
                 local = project_weights(local, ceiling=lead.max_weight)
                 losses[epoch] = loss
-    _REWEIGHT_EPOCHS.inc(lead.epochs * num_seeds, path="seed_batched")
+    _REWEIGHT_EPOCHS.inc(lead.epochs * num_seeds)
 
     projected = project_weights(local, ceiling=lead.max_weight)
     return [

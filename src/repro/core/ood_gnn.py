@@ -250,8 +250,8 @@ class OODGNNTrainer:
     def _seed_components(self, seed: int):
         """Per-seed weight learner + global memory, seeded independently.
 
-        Both the batched and the sequential-parity paths of
-        :meth:`fit_many` derive the per-seed RFF streams from
+        Both the batched and the sequential paths of :meth:`fit_many`
+        derive the per-seed RFF streams from
         ``seeded_rng(seed, "multiseed-rff")`` so their inner loops see the
         same random features.
         """
@@ -281,26 +281,21 @@ class OODGNNTrainer:
         seeds,
         model_factory,
         batched: bool = True,
-        batched_reweight: bool = True,
     ) -> MultiSeedResult:
         """Run Algorithm 1 for K seeds over a shared mini-batch stream.
 
         With ``batched=True`` the K encoders/classifiers train as one
         seed-stacked job: line 3's representations and line 9's weighted
         back-propagation are evaluated once over ``(K, |B|, d)`` stacks,
-        and (with ``batched_reweight=True``, the default) lines 4-8 run
-        as one seed-batched closed-form inner loop over the stacked
-        representations (:func:`repro.core.decorrelation.learn_many`) —
-        Algorithm 1 vectorised across seeds end-to-end.
-        ``batched_reweight=False`` is the escape hatch that keeps the
-        encoder stacked but runs the K inner weight loops sequentially
-        per batch (one fused loop per seed, the pre-vectorisation
-        behaviour and the parity reference for the batched inner loop).
-        ``batched=False`` is the fully sequential parity reference: K
-        plain :meth:`fit` runs whose shuffle streams and per-seed RFF
-        streams are copied from the same sources the batched path uses.
-        Models without a seed-stacked variant downgrade to the sequential
-        path with a one-time ``RuntimeWarning``.
+        and lines 4-8 run as one seed-batched closed-form inner loop over
+        the stacked representations
+        (:func:`repro.core.decorrelation.learn_many`) — Algorithm 1
+        vectorised across seeds end-to-end.  ``batched=False`` is the
+        sequential parity reference: K plain :meth:`fit` runs whose
+        shuffle streams and per-seed RFF streams are copied from the same
+        sources the batched path uses.  Both give the same bytes.  Models
+        without a seed-stacked variant downgrade to the sequential path
+        with a one-time ``RuntimeWarning``.
         """
         seeds = tuple(seeds)
         if not seeds:
@@ -319,7 +314,7 @@ class OODGNNTrainer:
             return MultiSeedResult(seeds=seeds, models=models, histories=histories)
         return self._fit_many_batched(
             stacked, models, seeds, train_graphs, valid_graphs, eval_every,
-            copy.deepcopy(base_rng), batched_reweight,
+            copy.deepcopy(base_rng),
         )
 
     def _reweight_many(self, components, z_detached: np.ndarray):
@@ -347,7 +342,6 @@ class OODGNNTrainer:
 
     def _fit_many_batched(
         self, stacked, models, seeds, train_graphs, valid_graphs, eval_every, rng,
-        batched_reweight: bool = True,
     ) -> MultiSeedResult:
         cfg = self.config
         num_seeds = len(models)
@@ -372,16 +366,9 @@ class OODGNNTrainer:
                     weights[:] = 1.0
                     for k, (learner, _estimator) in enumerate(components):
                         decorr[k] = learner.decorrelation_loss(z.data[k], weights[k])
-                elif batched_reweight:
+                else:
                     results = self._reweight_many(components, z.data)
                     for k, result in enumerate(results):
-                        weights[k] = result.weights
-                        decorr[k] = result.final_loss
-                else:
-                    for k, (learner, estimator) in enumerate(components):
-                        z_k = z.data[k]
-                        z_hat, w_global = estimator.concat(z_k, np.ones(len(z_k)))
-                        result = learner.learn(z_hat, fixed_weights=w_global)
                         weights[k] = result.weights
                         decorr[k] = result.final_loss
                 logits = stacked.head(z)

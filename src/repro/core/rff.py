@@ -72,15 +72,7 @@ class RandomFourierFeatures:
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2:
             raise ValueError(f"expected (n, d) representations, got shape {z.shape}")
-        columns = self.select_dimensions(z.shape[1])
-        selected = z[:, columns]
-        if self.linear:
-            return selected[:, :, None]
-        n, d = selected.shape
-        w = self.rng.normal(0.0, 1.0, size=(d, self.num_functions))
-        phi = self.rng.uniform(0.0, 2.0 * np.pi, size=(d, self.num_functions))
-        # (n, d, Q): sqrt(2) cos(w_dq * z_nd + phi_dq)
-        return np.sqrt(2.0) * np.cos(selected[:, :, None] * w[None, :, :] + phi[None, :, :])
+        return map_features_many([self], z[None])[0]
 
 
 def map_features_many(rffs, z: np.ndarray) -> np.ndarray:
@@ -89,10 +81,10 @@ def map_features_many(rffs, z: np.ndarray) -> np.ndarray:
     Per-seed randomness is untouched — sampler ``k`` draws its column
     selection, frequencies and phases from its own rng in exactly the
     order ``rffs[k](z[k])`` would — but the expensive part, the cosine
-    feature map, runs once over the whole stack.  Since the map is purely
-    elementwise, the result is bitwise identical to stacking K separate
-    calls (the seed-batched inner loop leans on this for its parity with
-    sequential loops).  All samplers must share ``num_functions``,
+    feature map, ``sqrt(2) cos(w_dq * z_nd + phi_dq)``, runs once over the
+    whole stack.  Since the map is purely elementwise, the result is
+    bitwise identical to stacking K separate calls (a single call is the
+    ``K = 1`` stack).  All samplers must share ``num_functions``,
     ``fraction`` and ``linear`` so the per-seed feature blocks stack.
     """
     z = np.asarray(z, dtype=np.float64)
@@ -119,8 +111,7 @@ def map_features_many(rffs, z: np.ndarray) -> np.ndarray:
     for k, rff in enumerate(rffs):
         w[k] = rff.rng.normal(0.0, 1.0, size=(d, rff.num_functions))
         phi[k] = rff.rng.uniform(0.0, 2.0 * np.pi, size=(d, rff.num_functions))
-    # The per-seed map, fused in place over the stack (same elementwise op
-    # chain as __call__, so each slice stays bitwise identical to it).
+    # The per-seed map, fused in place over the stack.
     out = np.empty(selected.shape + (lead.num_functions,))
     np.multiply(selected[:, :, :, None], w[:, None, :, :], out=out)
     out += phi[:, None, :, :]

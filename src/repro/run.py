@@ -97,13 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"supported methods: {', '.join(BATCHED_SEED_METHODS)})",
     )
     parser.add_argument(
-        "--sequential-reweight",
-        action="store_true",
-        help="with --batched-seeds and ood-gnn: run Algorithm 1's inner sample-weight "
-        "loops one seed at a time instead of as one seed-batched job (escape hatch / "
-        "parity reference)",
-    )
-    parser.add_argument(
         "--export-artifact",
         metavar="PATH",
         help="after training, save all seeds as one serving artifact "
@@ -148,7 +141,6 @@ def main(argv=None) -> int:
     result = run_method_multi_seed(
         args.method, factory, tuple(range(args.seeds)), protocol,
         batched=args.batched_seeds,
-        batched_reweight=not args.sequential_reweight,
         keep_models=bool(args.export_artifact),
     )
 

@@ -30,11 +30,9 @@ class TestParser:
             build_parser().parse_args(["--dataset", "proteins25", "--method", "transformer"])
 
     def test_reweight_flags(self):
-        args = build_parser().parse_args(
-            ["--dataset", "proteins25", "--batched-seeds", "--sequential-reweight"]
-        )
-        assert args.batched_seeds and args.sequential_reweight
-        assert not build_parser().parse_args(["--dataset", "proteins25"]).sequential_reweight
+        args = build_parser().parse_args(["--dataset", "proteins25", "--batched-seeds"])
+        assert args.batched_seeds
+        assert not build_parser().parse_args(["--dataset", "proteins25"]).batched_seeds
 
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--seeds", "-2"), ("--hidden-dim", "0"),

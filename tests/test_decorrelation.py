@@ -35,6 +35,25 @@ class TestProjectWeights:
         w = project_weights(np.array([100.0, 1.0, 1.0]), ceiling=5.0)
         assert w.max() <= 5.0 * (3 / 7.0) + 1e-9
 
+    def test_rescale_never_lifts_past_ceiling(self):
+        """Clipped mass below n: the rescale grows the weights, so the
+        capped entry is pinned at the ceiling and the rest share the mass."""
+        w = project_weights(np.array([0.01] * 9 + [4.9]), ceiling=5.0)
+        assert w[-1] == 5.0
+        np.testing.assert_allclose(w[:-1], 5.0 / 9)
+        assert w.mean() == pytest.approx(1.0)
+        stack = np.array([[0.01] * 9 + [4.9], [1.0] * 10, [0.0] * 9 + [4.9]])
+        out = project_weights(stack, ceiling=5.0)
+        np.testing.assert_array_equal(out[0], w)
+        np.testing.assert_array_equal(out[1], 1.0)
+        np.testing.assert_allclose(out[2], [5.0 / 9] * 9 + [5.0])
+
+    def test_ceiling_below_one_rejected(self):
+        with pytest.raises(ValueError, match="ceiling"):
+            project_weights(np.ones(4), ceiling=0.5)
+        with pytest.raises(ValueError, match="max_weight"):
+            SampleWeightLearner(RandomFourierFeatures(), max_weight=0.9)
+
     def test_all_negative_resets_to_uniform(self):
         w = project_weights(np.array([-1.0, -2.0]))
         np.testing.assert_allclose(w, 1.0)

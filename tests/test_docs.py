@@ -59,6 +59,20 @@ def test_cli_flag_check_reports_deleted_flags():
     ]
 
 
+def test_prose_flag_check_reports_deleted_flags():
+    """A bare ``--flag [value]`` span must name an option of some CLI."""
+    text = (
+        "Train with `--batched-seeds`, serve with `--dtype float32`, and report\n"
+        "`--top 10` rows.  `--temperature` and `--calibrate data.json`\n"
+        "are gone; `make --help-me` and `--seeds 8 --batched-seeds` are not bare.\n"
+        "```bash\n--not-checked-in-fences\n```\n"
+    )
+    assert check_docs.check_cli_flags(text, "GUIDE.md") == [
+        "GUIDE.md: no `repro.run`, `repro.serve` or `repro.obs` option --temperature",
+        "GUIDE.md: no `repro.run`, `repro.serve` or `repro.obs` option --calibrate",
+    ]
+
+
 def test_md_citations_in_code_resolve():
     assert check_docs.check_md_citations() == []
 

@@ -4,7 +4,9 @@ The engine (`repro.core.fused`) must be numerically indistinguishable
 from the taped objective: loss and analytical gradient to 1e-8 across
 shapes, weight vectors and feature-map settings, full inner-loop
 trajectories against the taped oracle (`reweight_reference.py`), and an
-Adam update rule that matches `repro.nn.optim.Adam` bit for bit.
+Adam update rule that matches `repro.nn.optim.Adam` bit for bit.  The
+engine runs here at K = 1, the single-seed case `learn` uses; the stacked
+case is held to it byte for byte by `test_seed_batched_reweight.py`.
 """
 
 import numpy as np
@@ -14,13 +16,13 @@ from reweight_reference import TapedWeightLearner
 from repro.autograd.grad_check import numerical_gradient
 from repro.autograd.tensor import Tensor
 from repro.core import (
-    FusedDecorrelation,
     InPlaceAdam,
     OODGNN,
     OODGNNConfig,
     OODGNNTrainer,
     RandomFourierFeatures,
     SampleWeightLearner,
+    SeedFusedDecorrelation,
 )
 from repro.core.fused import DUAL_MODE_AUTO_MAX_GRAM_ELEMENTS
 from repro.core.hsic import cached_block_offdiagonal_mask, pairwise_decorrelation_loss
@@ -38,6 +40,21 @@ SHAPES = [
     (100, 3, 1),    # n > 8p, primal in auto mode
     (200, 4, 2),    # n > 8p, primal in auto mode
 ]
+
+
+class SingleSeedEngine:
+    """The engine at K = 1, with the seed axis stripped from its results."""
+
+    def __init__(self, feats, mode="auto"):
+        self.stack = SeedFusedDecorrelation(np.asarray(feats)[None], mode=mode)
+        self.mode = self.stack.mode
+
+    def loss_and_grad(self, w):
+        loss, grad = self.stack.loss_and_grad(np.asarray(w)[None])
+        return float(loss[0]), grad[0]
+
+    def loss(self, w):
+        return float(self.stack.loss(np.asarray(w)[None])[0])
 
 
 def reference_loss_and_grad(feats, w):
@@ -64,7 +81,7 @@ class TestEngineParity:
         n, d, q = shape
         rng = np.random.default_rng(hash(shape) % 2**31)
         feats = rng.normal(size=(n, d, q))
-        engine = FusedDecorrelation(feats, mode=mode)
+        engine = SingleSeedEngine(feats, mode=mode)
         for name, w in weight_vectors(rng, n).items():
             ref_loss, ref_grad = reference_loss_and_grad(feats, w)
             loss, grad = engine.loss_and_grad(w)
@@ -85,7 +102,7 @@ class TestEngineParity:
             feats = rff(z)
             w = rng.uniform(0.3, 2.0, size=30)
             ref_loss, ref_grad = reference_loss_and_grad(feats, w)
-            loss, grad = FusedDecorrelation(feats, mode=mode).loss_and_grad(w)
+            loss, grad = SingleSeedEngine(feats, mode=mode).loss_and_grad(w)
             assert loss == pytest.approx(ref_loss, abs=PARITY_ATOL)
             np.testing.assert_allclose(grad, ref_grad, atol=PARITY_ATOL)
 
@@ -94,7 +111,7 @@ class TestEngineParity:
         """Central differences certify the closed-form gradient directly."""
         rng = np.random.default_rng(11)
         feats = rng.normal(size=(10, 3, 2))
-        engine = FusedDecorrelation(feats, mode=mode)
+        engine = SingleSeedEngine(feats, mode=mode)
         w = Tensor(rng.uniform(0.5, 1.5, size=10), requires_grad=True)
         _, analytic = engine.loss_and_grad(w.data)
         numeric = numerical_gradient(lambda: Tensor(np.asarray(engine.loss(w.data))), w)
@@ -102,21 +119,21 @@ class TestEngineParity:
 
     def test_auto_mode_selection(self):
         rng = np.random.default_rng(0)
-        assert FusedDecorrelation(rng.normal(size=(16, 4, 2)), mode="auto").mode == "dual"
-        assert FusedDecorrelation(rng.normal(size=(100, 3, 1)), mode="auto").mode == "primal"
+        assert SingleSeedEngine(rng.normal(size=(16, 4, 2)), mode="auto").mode == "dual"
+        assert SingleSeedEngine(rng.normal(size=(100, 3, 1)), mode="auto").mode == "primal"
         big_n = int(np.sqrt(DUAL_MODE_AUTO_MAX_GRAM_ELEMENTS)) + 1
         assert big_n > 8 * 6  # memory preference aside, ratio rule already picks primal
-        assert FusedDecorrelation(rng.normal(size=(big_n, 3, 2)), mode="auto").mode == "primal"
+        assert SingleSeedEngine(rng.normal(size=(big_n, 3, 2)), mode="auto").mode == "primal"
 
     def test_input_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            FusedDecorrelation(rng.normal(size=(5, 3)))
+            SingleSeedEngine(rng.normal(size=(5, 3)))
         with pytest.raises(ValueError):
-            FusedDecorrelation(rng.normal(size=(5, 1, 2)))
+            SingleSeedEngine(rng.normal(size=(5, 1, 2)))
         with pytest.raises(ValueError):
-            FusedDecorrelation(rng.normal(size=(5, 3, 2)), mode="nope")
-        engine = FusedDecorrelation(rng.normal(size=(5, 3, 2)))
+            SingleSeedEngine(rng.normal(size=(5, 3, 2)), mode="nope")
+        engine = SingleSeedEngine(rng.normal(size=(5, 3, 2)))
         with pytest.raises(ValueError):
             engine.loss(np.ones(4))
 

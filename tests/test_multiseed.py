@@ -510,11 +510,10 @@ class TestSequentialFallbackWarning:
 
 
 class TestOODGNNFitManyParity:
-    def _fit(self, batched, graphs, cfg, batched_reweight=True):
+    def _fit(self, batched, graphs, cfg):
         trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(3), config=cfg)
         return trainer.fit_many(
             graphs[:32], graphs[32:], eval_every=2, seeds=SEEDS, batched=batched,
-            batched_reweight=batched_reweight,
             model_factory=lambda s: OODGNN(1, 2, np.random.default_rng((s + 1) * 7919), config=cfg),
         )
 
@@ -524,44 +523,24 @@ class TestOODGNNFitManyParity:
             reweight_epochs=3, warmup_fraction=0.25,
         )
 
-    def test_sequential_reweight_matches_sequential(self):
-        """The escape hatch preserves the PR-2 near-bitwise parity contract."""
-        graphs = toy_graphs(40)
-        cfg = self._config()
-        res_b = self._fit(True, graphs, cfg, batched_reweight=False)
-        res_s = self._fit(False, graphs, cfg)
-        for k in range(len(SEEDS)):
-            hb, hs = res_b.histories[k], res_s.histories[k]
-            np.testing.assert_allclose(hb.train_loss, hs.train_loss, rtol=1e-9)
-            np.testing.assert_allclose(hb.decorrelation_loss, hs.decorrelation_loss, rtol=1e-9)
-            np.testing.assert_allclose(hb.final_weights, hs.final_weights, rtol=1e-8, atol=1e-10)
-            pb = dict(res_b.models[k].named_parameters())
-            ps = dict(res_s.models[k].named_parameters())
-            for name in pb:
-                np.testing.assert_allclose(
-                    pb[name].data, ps[name].data, rtol=1e-8, atol=1e-11, err_msg=f"seed {k} {name}"
-                )
-
     def test_batched_reweight_matches_sequential(self):
-        """The default seed-batched inner loop tracks the sequential runs.
+        """The seed-batched inner loop reproduces the sequential runs exactly.
 
-        The stacked closed-form loop matches per-seed loops to ~1e-8 per
-        inner epoch (asserted directly in tests/test_seed_batched_reweight.py);
-        over a full training run those rounding-level differences compound
-        slightly, hence the marginally looser end-to-end bounds here.
+        Each sequential ``fit`` runs its inner loops as the K = 1 case of
+        the stacked loop, and a seed of a stack gives the bytes of its
+        K = 1 run (tests/test_seed_batched_reweight.py), so histories and
+        trained parameters are equal bit for bit.
         """
         graphs = toy_graphs(40)
         cfg = self._config()
-        res_b = self._fit(True, graphs, cfg, batched_reweight=True)
+        res_b = self._fit(True, graphs, cfg)
         res_s = self._fit(False, graphs, cfg)
         for k in range(len(SEEDS)):
             hb, hs = res_b.histories[k], res_s.histories[k]
-            np.testing.assert_allclose(hb.train_loss, hs.train_loss, rtol=1e-7)
-            np.testing.assert_allclose(hb.decorrelation_loss, hs.decorrelation_loss, rtol=1e-7)
-            np.testing.assert_allclose(hb.final_weights, hs.final_weights, rtol=1e-6, atol=1e-8)
+            np.testing.assert_array_equal(hb.train_loss, hs.train_loss)
+            np.testing.assert_array_equal(hb.decorrelation_loss, hs.decorrelation_loss)
+            np.testing.assert_array_equal(hb.final_weights, hs.final_weights)
             pb = dict(res_b.models[k].named_parameters())
             ps = dict(res_s.models[k].named_parameters())
             for name in pb:
-                np.testing.assert_allclose(
-                    pb[name].data, ps[name].data, rtol=1e-6, atol=1e-8, err_msg=f"seed {k} {name}"
-                )
+                np.testing.assert_array_equal(pb[name].data, ps[name].data, err_msg=f"seed {k} {name}")

@@ -183,8 +183,8 @@ class TestInstrumentationInvariance:
 
     @pytest.mark.parametrize(
         "fit_many",
-        [None, dict(batched=True), dict(batched=True, batched_reweight=False), dict(batched=False)],
-        ids=["fit-k1", "fit-many-batched-k2", "fit-many-seq-reweight-k2", "fit-many-unbatched-k2"],
+        [None, dict(batched=True), dict(batched=False)],
+        ids=["fit-k1", "fit-many-batched-k2", "fit-many-unbatched-k2"],
     )
     def test_trained_parameters_bitwise_equal(self, fit_many):
         plain = self._trained_params(False, fit_many)

@@ -6,7 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
-from repro.core.decorrelation import project_weights
+from repro.core.decorrelation import SampleWeightLearner, learn_many, project_weights
+from repro.core.fused import SeedFusedDecorrelation
+from repro.core.rff import RandomFourierFeatures
 from repro.core.hsic import block_offdiagonal_mask, pairwise_decorrelation_loss
 from repro.graph.utils import undirected_edge_index, coalesce_edges, is_undirected, degrees, count_triangles
 from repro.training.metrics import roc_auc
@@ -83,13 +85,14 @@ class TestWeightProjectionProperties:
 
     @given(
         weights=arrays(
-            np.float64, shape=st.integers(2, 30), elements=st.floats(1.0, 100, allow_nan=False)
+            np.float64, shape=st.integers(2, 30), elements=st.floats(0.0, 100, allow_nan=False)
         ),
         ceiling=st.floats(1.0, 50.0, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
     def test_ceiling_respected(self, weights, ceiling):
-        """With clipped mass >= n the rescale shrinks, so the cap survives it."""
+        """The cap holds after the rescale, also when the clipped mass is
+        below n and the rescale grows every weight."""
         out = project_weights(weights, ceiling=ceiling)
         assert out.max() <= ceiling + 1e-9
         np.testing.assert_allclose(out.mean(), 1.0, atol=1e-9)
@@ -136,17 +139,60 @@ class TestFusedParityProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_fused_loss_and_grad_match_tape(self, n, d, q, seed):
-        from repro.core.fused import FusedDecorrelation
-
+        """At K = 1, the single-seed case ``learn`` runs."""
         rng = np.random.default_rng(seed)
         feats = rng.normal(size=(n, d, q))
         w = Tensor(rng.uniform(0.2, 2.0, size=n), requires_grad=True)
         ref = pairwise_decorrelation_loss(feats, w)
         ref.backward()
         for mode in ("primal", "dual"):
-            loss, grad = FusedDecorrelation(feats, mode=mode).loss_and_grad(w.data)
-            np.testing.assert_allclose(loss, float(ref.data), atol=1e-8)
-            np.testing.assert_allclose(grad, w.grad, atol=1e-8)
+            loss, grad = SeedFusedDecorrelation(feats[None], mode=mode).loss_and_grad(w.data[None])
+            np.testing.assert_allclose(loss[0], float(ref.data), atol=1e-8)
+            np.testing.assert_allclose(grad[0], w.grad, atol=1e-8)
+
+
+class TestSeedStackProperties:
+    """Seed k of a K-stack gives the bytes of its own K = 1 run."""
+
+    @given(
+        k=st.integers(2, 5),
+        n=st.integers(3, 24),
+        d=st.integers(2, 5),
+        q=st.integers(1, 3),
+        mode=st.sampled_from(["primal", "dual", "auto"]),
+        n_fixed=st.integers(0, 12),
+        constant=st.lists(st.booleans(), min_size=5, max_size=5),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stack_seed_equals_k1_run(self, k, n, d, q, mode, n_fixed, constant, seed):
+        rng = np.random.default_rng(seed)
+        n_fixed = min(n_fixed, n - 1)
+        constant = np.array(constant[:k])
+        # The engine, in the drawn mode, on features with constant-row seeds.
+        feats = rng.normal(size=(k, n, d, q))
+        feats[constant] = feats[constant][:, :1]
+        w = rng.uniform(0.2, 2.0, size=(k, n))
+        loss, grad = SeedFusedDecorrelation(feats, mode=mode).loss_and_grad(w)
+        for i in range(k):
+            ref_loss, ref_grad = SeedFusedDecorrelation(feats[i:i + 1], mode=mode).loss_and_grad(w[i:i + 1])
+            assert loss[i] == ref_loss[0]
+            np.testing.assert_array_equal(grad[i], ref_grad[0])
+        # The whole inner loop, with fixed global rows on top.
+        reps = rng.normal(size=(k, n, d))
+        reps[constant] = 1.0
+        fixed = rng.uniform(0.5, 1.5, size=(k, n_fixed)) if n_fixed else None
+
+        def learner(i):
+            rff = RandomFourierFeatures(num_functions=q, rng=np.random.default_rng(seed + i))
+            return SampleWeightLearner(rff, epochs=3, lr=0.1, l2_penalty=0.05)
+
+        stacked = learn_many([learner(i) for i in range(k)], reps, fixed_weights=fixed)
+        for i, result in enumerate(stacked):
+            single = learner(i).learn(reps[i], fixed_weights=None if fixed is None else fixed[i])
+            assert result.initial_loss == single.initial_loss
+            assert result.losses == single.losses
+            np.testing.assert_array_equal(result.weights, single.weights)
 
 
 class TestGraphProperties:

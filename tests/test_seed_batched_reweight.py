@@ -1,24 +1,22 @@
-"""Seed-batched inner reweighting loop: parity with K sequential loops.
+"""Seed-batched inner reweighting loop: seed k of a stack is its K = 1 run.
 
 The contracts under test (see docs/ARCHITECTURE.md):
 
-* `SeedFusedDecorrelation` over a ``(K, n, d, Q)`` stack matches K scalar
-  `FusedDecorrelation` engines to 1e-8 (loss, gradient) in both primal
-  and dual modes, including degenerate inputs (constant features, a
-  single local row under fixed globals).
-* `learn_many` matches K sequential `SampleWeightLearner.learn` calls to
-  1e-8 (loss trajectories, final weights) for K in {1, 3, 8}, and
+* `SeedFusedDecorrelation` over a ``(K, n, d, Q)`` stack gives, for each
+  seed, the bytes of a K = 1 engine on that seed's features (loss,
+  gradient) in primal, dual and auto modes, including degenerate inputs
+  (constant features).
+* `learn_many` gives, for each seed, the bytes of that learner's own
+  `SampleWeightLearner.learn` call (loss trajectories, final weights)
+  for K in {1, 3, 8}, with fixed global rows and a single local row, and
   rejects rosters whose shared settings differ.
-* Blocked-Gram dual evaluation is bitwise identical to the unblocked
-  path for any block size, and dual mode runs n = 4096 without a
-  Gram-size cap.
+* Dual mode runs n = 4096 without a Gram-size cap.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    FusedDecorrelation,
     InPlaceAdam,
     RandomFourierFeatures,
     SampleWeightLearner,
@@ -39,6 +37,20 @@ def _weight_stack(rng, k, n):
     return w
 
 
+def _k1_loss_and_grad(feats, w, mode):
+    """One seed evaluated by a K = 1 engine."""
+    loss, grad = SeedFusedDecorrelation(feats[None], mode=mode).loss_and_grad(w[None])
+    return loss[0], grad[0]
+
+
+def _assert_same_result(rb, rs):
+    """Two inner-loop results equal bit for bit."""
+    assert rb.initial_loss == rs.initial_loss
+    assert rb.final_loss == rs.final_loss == rb.losses[-1]
+    np.testing.assert_array_equal(rb.losses, rs.losses)
+    np.testing.assert_array_equal(rb.weights, rs.weights)
+
+
 def _learner(seed, **kwargs):
     params = dict(epochs=5, lr=0.05, l2_penalty=0.05)
     params.update(kwargs)
@@ -55,21 +67,37 @@ class TestSeedEngineParity:
     @pytest.mark.parametrize("k", SEED_COUNTS)
     @pytest.mark.parametrize("mode", ["primal", "dual", "auto"])
     def test_matches_k_scalar_engines(self, k, mode):
+        """Each seed of the stack equals a K = 1 engine on its features, bitwise."""
         rng = np.random.default_rng(k)
         feats = _feature_stack(k, seed=k)
         engine = SeedFusedDecorrelation(feats, mode=mode)
         w = _weight_stack(rng, k, feats.shape[1])
         loss, grad = engine.loss_and_grad(w)
         assert loss.shape == (k,) and grad.shape == w.shape
-        np.testing.assert_allclose(engine.loss(w), loss, atol=PARITY_ATOL)
+        np.testing.assert_array_equal(engine.loss(w), loss)
         for i in range(k):
-            ref_loss, ref_grad = FusedDecorrelation(feats[i], mode=mode).loss_and_grad(w[i])
-            assert loss[i] == pytest.approx(ref_loss, abs=PARITY_ATOL), (mode, i)
-            np.testing.assert_allclose(grad[i], ref_grad, atol=PARITY_ATOL, err_msg=f"{mode}/{i}")
+            ref_loss, ref_grad = _k1_loss_and_grad(feats[i], w[i], mode)
+            assert loss[i] == ref_loss, (mode, i)
+            np.testing.assert_array_equal(grad[i], ref_grad, err_msg=f"{mode}/{i}")
+
+    @pytest.mark.parametrize("mode", ["primal", "dual"])
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_seed_slices_exact_at_training_widths(self, mode, d):
+        """p = d*Q = 160 and 320: the primal loss sums p^2 elements, past
+        einsum's 8192-element buffer, where an einsum reduction splits
+        differently at K = 1 than in a stack."""
+        rng = np.random.default_rng(d)
+        feats = rng.normal(size=(3, 64, d, 5))
+        w = _weight_stack(rng, 3, 64)
+        loss, grad = SeedFusedDecorrelation(feats, mode=mode).loss_and_grad(w)
+        for i in range(3):
+            ref_loss, ref_grad = _k1_loss_and_grad(feats[i], w[i], mode)
+            assert loss[i] == ref_loss, (mode, i)
+            np.testing.assert_array_equal(grad[i], ref_grad)
 
     @pytest.mark.parametrize("mode", ["primal", "dual"])
     def test_constant_features_parity_and_uniform_zero(self, mode):
-        """Degenerate case: constant features still track the scalar engines.
+        """Degenerate case: constant features still match their K = 1 runs.
 
         With uniform weights the weighted rows centre to zero, so the
         loss vanishes exactly; non-uniform weights keep a nonzero loss
@@ -81,9 +109,9 @@ class TestSeedEngineParity:
         w = np.random.default_rng(0).uniform(0.5, 1.5, size=(3, 10))
         loss, grad = engine.loss_and_grad(w)
         for i in range(3):
-            ref_loss, ref_grad = FusedDecorrelation(feats[i], mode=mode).loss_and_grad(w[i])
-            assert loss[i] == pytest.approx(ref_loss, abs=PARITY_ATOL)
-            np.testing.assert_allclose(grad[i], ref_grad, atol=PARITY_ATOL)
+            ref_loss, ref_grad = _k1_loss_and_grad(feats[i], w[i], mode)
+            assert loss[i] == ref_loss
+            np.testing.assert_array_equal(grad[i], ref_grad)
 
     def test_refresh_reuses_buffers_and_tracks_features(self):
         rng = np.random.default_rng(5)
@@ -114,25 +142,13 @@ class TestSeedEngineParity:
             engine.loss(np.ones(5))
 
     def test_scalar_engine_rejects_single_sample(self):
+        """The single-seed (K = 1) engine needs two samples too."""
         with pytest.raises(ValueError, match="two samples"):
-            FusedDecorrelation(np.random.default_rng(0).normal(size=(1, 3, 2)))
+            SeedFusedDecorrelation(np.random.default_rng(0).normal(size=(1, 1, 3, 2)))
 
 
 class TestBlockedGram:
-    @pytest.mark.parametrize("block_rows", [1, 3, 7, 16, 1000])
-    def test_blocked_matches_unblocked_exactly(self, block_rows):
-        """Each row lives in exactly one block -> bitwise-identical results."""
-        rng = np.random.default_rng(13)
-        feats = rng.normal(size=(40, 5, 2))
-        w = rng.uniform(0.3, 2.0, size=40)
-        full = FusedDecorrelation(feats, mode="dual")
-        assert full.block_rows == 40  # default budget covers the batch: one block
-        blocked = FusedDecorrelation(feats, mode="dual", block_rows=block_rows)
-        loss_f, grad_f = full.loss_and_grad(w)
-        loss_b, grad_b = blocked.loss_and_grad(w)
-        assert loss_b == loss_f
-        np.testing.assert_array_equal(grad_b, grad_f)
-        assert blocked.loss(w) == full.loss(w)
+    """The dual mode's per-batch Gram caches."""
 
     def test_seed_engine_carries_no_quadratic_scratch(self):
         """The moment-form dual path caches Gram moments, not P/R blocks.
@@ -152,22 +168,16 @@ class TestBlockedGram:
         assert engine._ppt.shape == (4, 4 * (3 * 4 // 2), 30)
 
     def test_dual_mode_runs_large_batch_without_cap(self):
-        """n = 4096 dual evaluation: the former hard Gram cap is gone."""
+        """n = 4096 dual evaluation on the K = 1 engine: no Gram-size cap."""
         rng = np.random.default_rng(99)
-        feats = rng.normal(size=(4096, 2, 2))
-        engine = FusedDecorrelation(feats, mode="dual")
-        assert engine.block_rows < engine.n  # the scratch budget forces blocking
-        loss, grad = engine.loss_and_grad(np.ones(4096))
-        assert np.isfinite(loss) and np.isfinite(grad).all()
+        feats = rng.normal(size=(1, 4096, 2, 2))
+        w = np.ones((1, 4096))
+        loss, grad = SeedFusedDecorrelation(feats, mode="dual").loss_and_grad(w)
+        assert np.isfinite(loss).all() and np.isfinite(grad).all()
         # Spot-check against the primal evaluation of the same objective.
-        ref_loss, ref_grad = FusedDecorrelation(feats, mode="primal").loss_and_grad(np.ones(4096))
-        assert loss == pytest.approx(ref_loss, abs=PARITY_ATOL)
+        ref_loss, ref_grad = SeedFusedDecorrelation(feats, mode="primal").loss_and_grad(w)
+        np.testing.assert_allclose(loss, ref_loss, atol=PARITY_ATOL)
         np.testing.assert_allclose(grad, ref_grad, atol=PARITY_ATOL)
-
-    def test_invalid_block_rows_rejected(self):
-        feats = np.random.default_rng(0).normal(size=(10, 3, 2))
-        with pytest.raises(ValueError, match="block_rows"):
-            FusedDecorrelation(feats, mode="dual", block_rows=0)
 
 
 class TestLearnManyParity:
@@ -178,10 +188,7 @@ class TestLearnManyParity:
         res_b = learn_many([_learner(s) for s in range(k)], reps)
         res_s = [_learner(s).learn(reps[s]) for s in range(k)]
         for rb, rs in zip(res_b, res_s):
-            assert rb.initial_loss == pytest.approx(rs.initial_loss, abs=PARITY_ATOL)
-            np.testing.assert_allclose(rb.losses, rs.losses, atol=PARITY_ATOL)
-            np.testing.assert_allclose(rb.weights, rs.weights, atol=PARITY_ATOL)
-            assert rb.final_loss == rb.losses[-1]
+            _assert_same_result(rb, rs)
 
     def test_matches_sequential_with_fixed_global_weights(self):
         rng = np.random.default_rng(7)
@@ -192,8 +199,7 @@ class TestLearnManyParity:
         res_s = [_learner(s).learn(reps[s], fixed_weights=fixed[s]) for s in range(k)]
         for rb, rs in zip(res_b, res_s):
             assert rb.weights.shape == (32,)
-            np.testing.assert_allclose(rb.losses, rs.losses, atol=PARITY_ATOL)
-            np.testing.assert_allclose(rb.weights, rs.weights, atol=PARITY_ATOL)
+            _assert_same_result(rb, rs)
 
     def test_single_local_row_under_fixed_globals(self):
         """Degenerate n_local = 1: the stacked loop still matches learn()."""
@@ -205,8 +211,7 @@ class TestLearnManyParity:
         res_s = [_learner(s).learn(reps[s], fixed_weights=fixed[s]) for s in range(k)]
         for rb, rs in zip(res_b, res_s):
             assert rb.weights.shape == (1,)
-            np.testing.assert_allclose(rb.weights, rs.weights, atol=PARITY_ATOL)
-            np.testing.assert_allclose(rb.losses, rs.losses, atol=PARITY_ATOL)
+            _assert_same_result(rb, rs)
 
     def test_constant_representations_stay_uniform(self):
         """Degenerate features: zero loss, zero gradient, weights stay one."""
@@ -215,8 +220,7 @@ class TestLearnManyParity:
         res_b = learn_many([_learner(s) for s in range(k)], reps)
         res_s = [_learner(s).learn(reps[s]) for s in range(k)]
         for rb, rs in zip(res_b, res_s):
-            np.testing.assert_allclose(rb.weights, rs.weights, atol=PARITY_ATOL)
-            np.testing.assert_allclose(rb.losses, rs.losses, atol=PARITY_ATOL)
+            _assert_same_result(rb, rs)
             np.testing.assert_allclose(rb.weights, 1.0, atol=1e-6)
 
     @pytest.mark.parametrize(
@@ -249,7 +253,7 @@ class TestLearnManyParity:
             f.rff(np.zeros((30, 5)))  # advance streams past the first call
         res_ref = [f.learn(reps2[k]) for k, f in enumerate(fresh)]
         for rb, rs in zip(res, res_ref):
-            np.testing.assert_allclose(rb.weights, rs.weights, atol=PARITY_ATOL)
+            _assert_same_result(rb, rs)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least one learner"):

@@ -17,6 +17,9 @@ docs/*.md):
   repro.serve ...`` command line (in a code block, backslash
   continuations followed, or in inline code) is an option of that module's
   ``build_parser()``;
+* every inline-code span that is a bare ``--flag [value]`` (a flag
+  quoted in prose) names an option of ``repro.run``, ``repro.serve`` or
+  a ``repro.obs`` subcommand;
 * every ``*.md`` name cited in a ``src/`` or ``benchmarks/`` Python file
   exists at the repository root or under ``docs/``.
 
@@ -27,6 +30,7 @@ Exit code 0 when everything checks out, 1 otherwise.  Run from anywhere:
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import importlib
 import re
@@ -45,6 +49,7 @@ _INLINE_CODE = re.compile(r"`([^`]+)`")
 _CLI_COMMAND = re.compile(r"python3? -m (repro\.run|repro\.serve)\b(.*)")
 _SHELL_BREAK = re.compile(r"[|;#>]|&&")
 _FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+_BARE_FLAG = re.compile(r"--[A-Za-z][\w-]*(?: [^\s-]\S*)?")
 CLI_MODULES = {"repro.run": "repro.run", "repro.serve": "repro.serve.__main__"}
 CITING_DIRS = ("src", "benchmarks")
 
@@ -89,11 +94,31 @@ def cli_options(command: str) -> set[str]:
     return set(parser._option_string_actions)
 
 
+def prose_flag_options() -> set[str]:
+    """Option strings a bare flag in prose may name: ``repro.run``,
+    ``repro.serve`` and every ``repro.obs`` subcommand."""
+    options = cli_options("repro.run") | cli_options("repro.serve")
+    obs = importlib.import_module("repro.obs.__main__").build_parser()
+    for action in obs._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= set(sub._option_string_actions)
+    return options
+
+
 def check_cli_flags(text: str, name: str) -> list[str]:
-    """``--flags`` quoted in ``python -m repro.run|serve`` commands that the CLI lacks."""
+    """``--flags`` quoted in docs that no CLI has: in ``python -m
+    repro.run|serve`` commands, and as bare ``--flag [value]`` spans."""
     fenced = [block.replace("\\\n", " ") for block in _FENCE.findall(text)]
     inline = [span.replace("\n", " ") for span in _INLINE_CODE.findall(_FENCE.sub("", text))]
     problems = []
+    bare = [span.split()[0] for span in inline if _BARE_FLAG.fullmatch(span.strip())]
+    if bare:
+        options = prose_flag_options()
+        problems.extend(
+            f"{name}: no `repro.run`, `repro.serve` or `repro.obs` option {flag}"
+            for flag in bare if flag not in options
+        )
     options: dict[str, set[str]] = {}
     for line in "\n".join(fenced + inline).splitlines():
         match = _CLI_COMMAND.search(line)
