@@ -58,6 +58,12 @@ def test_gin_forward_backward(benchmark, batch):
     benchmark(step)
 
 
+def _reweight(trainer, z):
+    """Lines 4-8 of Algorithm 1 with the trainer's learner and global memory."""
+    z_hat, w_global = trainer.estimator.concat(z, np.ones(len(z)))
+    return trainer.weight_learner.learn(z_hat, fixed_weights=w_global)
+
+
 def test_ood_gnn_full_step(benchmark, batch):
     """OOD-GNN step: encoder + weight learning (20 inner epochs) + update.
 
@@ -66,15 +72,16 @@ def test_ood_gnn_full_step(benchmark, batch):
     cfg = OODGNNConfig(hidden_dim=32, num_layers=3, batch_size=32, reweight_epochs=20, warmup_fraction=0.0)
     model = OODGNN(1, 2, np.random.default_rng(1), config=cfg)
     trainer = OODGNNTrainer(model, "multiclass", np.random.default_rng(2), config=cfg)
+    opt = Adam(model.parameters(), lr=cfg.lr)
 
     def step():
         z = model.representations(batch)
-        result = trainer._reweight(z.data)
+        result = _reweight(trainer, z.data)
         logits = model.head(z)
-        trainer.optimizer.zero_grad()
+        opt.zero_grad()
         loss = cross_entropy(logits, batch.y, weights=Tensor(result.weights))
         loss.backward()
-        trainer.optimizer.step()
+        opt.step()
         trainer.estimator.update(z.data, result.weights)
         return float(loss.data)
 
@@ -125,7 +132,7 @@ def test_step_cost_independent_of_dataset_size(benchmark, dataset_size):
 
     def step():
         z = model.representations(batch)
-        result = trainer._reweight(z.data)
+        result = _reweight(trainer, z.data)
         trainer.estimator.update(z.data, result.weights)
         return result.final_loss
 

@@ -18,8 +18,8 @@ This package implements the paper's contribution:
 * :mod:`repro.core.global_local` — the global-local weight estimator with
   momentum memory groups (Eqs. (8) and (9)).
 * :mod:`repro.core.ood_gnn` — the OOD-GNN model and the Algorithm-1
-  training procedure (single-seed ``fit`` and the batched multi-seed
-  ``fit_many``).
+  training procedure: one seed-stacked epoch loop, of which ``fit`` is
+  the K = 1 case and the batched multi-seed ``fit_many`` stacks K seeds.
 
 The closed-form mathematics of the inner loop and the design of the
 multi-seed engine are documented in ``docs/ARCHITECTURE.md``.

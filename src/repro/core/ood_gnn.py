@@ -9,6 +9,10 @@ with a two-layer MLP classifier.  Training alternates:
    decorrelation loss while global weights stay fixed (Eq. (10));
 4. back-propagate the *weighted* prediction loss (Eq. (11));
 5. momentum-update the global memory (Eq. (9)).
+
+One epoch loop runs these steps on a seed-stacked model (see
+``docs/ARCHITECTURE.md``): :meth:`OODGNNTrainer.fit` is its K = 1 case and
+:meth:`OODGNNTrainer.fit_many` stacks K seeds.
 """
 
 from __future__ import annotations
@@ -20,10 +24,14 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.graph.data import Graph
-from repro.nn.layers import try_stack_seed_modules
-from repro.nn.losses import weighted_prediction_loss, seed_prediction_loss
-from repro.nn.optim import Adam, clip_grad_norm, clip_grad_norm_per_seed
-from repro.encoders.base import StackedEncoder, GraphEncoder
+from repro.nn.layers import stack_seed_modules
+# The loop calls its steps through this module's globals, which the
+# repository benchmark's tracer (perfbench/tracing.py) replaces by name.
+# The tracer also wraps weighted_prediction_loss and clip_grad_norm, which
+# nothing here calls; they stay importable so its patches find them.
+from repro.nn.losses import weighted_prediction_loss, seed_prediction_loss  # noqa: F401
+from repro.nn.optim import Adam, clip_grad_norm, clip_grad_norm_per_seed  # noqa: F401
+from repro.encoders.base import StackedEncoder
 from repro.encoders.conv import GINConv
 from repro.encoders.models import GraphClassifier
 from repro.core.rff import RandomFourierFeatures
@@ -31,7 +39,7 @@ from repro.core.decorrelation import SampleWeightLearner, learn_many
 from repro.core.global_local import GlobalLocalWeightEstimator
 from repro.training.loop import iterate_minibatches, evaluate_model, evaluate_model_per_seed
 from repro.training.seed import seeded_rng
-from repro.training.trainer import MultiSeedResult
+from repro.training.trainer import MultiSeedResult, record_validation, restore_best
 
 __all__ = ["OODGNN", "OODGNNConfig", "OODGNNTrainer", "OODGNNHistory"]
 
@@ -101,29 +109,22 @@ class OODGNN(GraphClassifier):
 
     Structurally identical to the GIN baseline — the paper's point is that
     the gains come from the reweighting objective, not extra capacity
-    (Section 4.8 parameter counts).
+    (Section 4.8 parameter counts).  Other backbones train through the
+    ERM :class:`~repro.training.trainer.Trainer`.
     """
 
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        rng: np.random.Generator,
-        config: OODGNNConfig | None = None,
-        encoder: GraphEncoder | None = None,
-    ):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, config: OODGNNConfig | None = None):
         config = config or OODGNNConfig()
-        if encoder is None:
-            encoder = StackedEncoder(
-                in_dim,
-                config.hidden_dim,
-                config.num_layers,
-                lambda i, o: GINConv(i, o, rng),
-                rng,
-                readout=config.readout,
-                dropout=config.dropout,
-                batch_norm=False,  # GINConv MLPs already batch-normalise
-            )
+        encoder = StackedEncoder(
+            in_dim,
+            config.hidden_dim,
+            config.num_layers,
+            lambda i, o: GINConv(i, o, rng),
+            rng,
+            readout=config.readout,
+            dropout=config.dropout,
+            batch_norm=False,  # GINConv MLPs already batch-normalise
+        )
         super().__init__(encoder, out_dim, rng)
         self.config = config
 
@@ -137,12 +138,16 @@ class OODGNNHistory:
     valid_metric: list = field(default_factory=list)
     final_weights: np.ndarray | None = None                 # last epoch's learned local weights
     weight_snapshots: list = field(default_factory=list)    # all local weights of the last epoch
-    best_state: dict | None = None
+    best_state: tuple | None = None                         # (parameters, buffers) of the best epoch
     best_metric: float | None = None
 
 
 class OODGNNTrainer:
-    """Algorithm 1: iterative optimisation of weights, encoder, classifier."""
+    """Algorithm 1: iterative optimisation of weights, encoder, classifier.
+
+    One epoch loop serves both entry points: :meth:`fit` runs it on this
+    trainer's model as a stack of one seed, :meth:`fit_many` on K seeds.
+    """
 
     def __init__(
         self,
@@ -159,108 +164,19 @@ class OODGNNTrainer:
         self.rng = rng
         self.metric = metric
         self.config = config or model.config
-        cfg = self.config
-        self.optimizer = (
-            Adam(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-            if model is not None
-            else None
-        )
         # NOTE: this integers() draw advances the trainer rng; the batched
         # multi-seed path replays it so its shuffle stream stays aligned
         # with sequential trainers built from rng copies.
-        rff = RandomFourierFeatures(
-            num_functions=cfg.rff_functions,
-            fraction=cfg.rff_fraction,
-            linear=cfg.linear_decorrelation,
-            rng=np.random.default_rng(rng.integers(2**31)),
-        )
-        self.weight_learner = SampleWeightLearner(
-            rff,
-            epochs=cfg.reweight_epochs,
-            lr=cfg.weight_lr,
-            l2_penalty=cfg.weight_l2,
-            max_weight=cfg.max_weight,
-        )
-        self.estimator = GlobalLocalWeightEstimator(cfg.global_groups, cfg.momentum)
+        self.weight_learner, self.estimator = self._components(np.random.default_rng(rng.integers(2**31)))
 
-    def _reweight(self, z_local: np.ndarray):
-        """Lines 4-8 of Algorithm 1: learn local weights for this batch."""
-        z_hat, w_global = self.estimator.concat(z_local, np.ones(len(z_local)))
-        return self.weight_learner.learn(z_hat, fixed_weights=w_global)
-
-    def fit(self, train_graphs: list[Graph], valid_graphs: list[Graph] | None = None, eval_every: int = 0) -> OODGNNHistory:
-        """Run Algorithm 1 for ``config.epochs`` epochs."""
-        cfg = self.config
-        history = OODGNNHistory()
-        higher_is_better = self.metric != "rmse"
-        warmup_epochs = int(round(cfg.warmup_fraction * cfg.epochs))
-        for epoch in range(cfg.epochs):
-            epoch_losses, epoch_decorr, epoch_weights = [], [], []
-            last_epoch = epoch == cfg.epochs - 1
-            warming_up = epoch < warmup_epochs
-            for batch in iterate_minibatches(train_graphs, cfg.batch_size, rng=self.rng, drop_last=True):
-                # Line 3: local representations Z^(l) (tape kept for Eq. 11).
-                z = self.model.representations(batch)
-                # Lines 4-8: learn sample weights on detached representations
-                # (uniform during warmup — an untrained encoder's
-                # representations carry no dependence structure to remove).
-                if warming_up:
-                    weights = np.ones(batch.num_graphs)
-                    decorr_loss = self.weight_learner.decorrelation_loss(z.data, weights)
-                else:
-                    result = self._reweight(z.data)
-                    weights = result.weights
-                    decorr_loss = result.final_loss
-                # Line 9: weighted prediction loss, back-propagation.
-                logits = self.model.head(z)
-                self.optimizer.zero_grad()
-                loss = weighted_prediction_loss(logits, batch.y, self.task_type, weights=Tensor(weights))
-                loss.backward()
-                clip_grad_norm(self.model.parameters(), cfg.grad_clip)
-                self.optimizer.step()
-                # Line 10: momentum update of the global memory.
-                self.estimator.update(z.data, weights)
-                epoch_losses.append(float(loss.data))
-                epoch_decorr.append(decorr_loss)
-                if last_epoch:
-                    epoch_weights.append(weights)
-            history.train_loss.append(float(np.mean(epoch_losses)))
-            history.decorrelation_loss.append(float(np.mean(epoch_decorr)))
-            if last_epoch and epoch_weights:
-                history.weight_snapshots = epoch_weights
-                history.final_weights = np.concatenate(epoch_weights)
-            if valid_graphs and eval_every and (epoch + 1) % eval_every == 0:
-                score = evaluate_model(self.model, valid_graphs, self.metric)
-                history.valid_metric.append(score)
-                improved = (
-                    history.best_metric is None
-                    or (higher_is_better and score > history.best_metric)
-                    or (not higher_is_better and score < history.best_metric)
-                )
-                if improved:
-                    history.best_metric = score
-                    history.best_state = self.model.state_dict()
-        if history.best_state is not None:
-            self.model.load_state_dict(history.best_state)
-        return history
-
-    # ------------------------------------------------------------------
-    # Batched multi-seed training (see docs/ARCHITECTURE.md)
-    # ------------------------------------------------------------------
-    def _seed_components(self, seed: int):
-        """Per-seed weight learner + global memory, seeded independently.
-
-        Both the batched and the sequential paths of :meth:`fit_many`
-        derive the per-seed RFF streams from
-        ``seeded_rng(seed, "multiseed-rff")`` so their inner loops see the
-        same random features.
-        """
+    def _components(self, rff_rng: np.random.Generator):
+        """A weight learner drawing its random features from ``rff_rng``, and an empty global memory."""
         cfg = self.config
         rff = RandomFourierFeatures(
             num_functions=cfg.rff_functions,
             fraction=cfg.rff_fraction,
             linear=cfg.linear_decorrelation,
-            rng=seeded_rng(seed, "multiseed-rff"),
+            rng=rff_rng,
         )
         learner = SampleWeightLearner(
             rff,
@@ -269,8 +185,20 @@ class OODGNNTrainer:
             l2_penalty=cfg.weight_l2,
             max_weight=cfg.max_weight,
         )
-        estimator = GlobalLocalWeightEstimator(cfg.global_groups, cfg.momentum)
-        return learner, estimator
+        return learner, GlobalLocalWeightEstimator(cfg.global_groups, cfg.momentum)
+
+    def fit(self, train_graphs: list[Graph], valid_graphs: list[Graph] | None = None, eval_every: int = 0) -> OODGNNHistory:
+        """Run Algorithm 1 for ``config.epochs`` epochs.
+
+        The K = 1 case of the seed-stacked loop: this trainer's model, rng,
+        weight learner and global memory are its one seed.  Each call
+        starts from a fresh Adam state.
+        """
+        (history,) = self._fit_stacked(
+            [self.model], [(self.weight_learner, self.estimator)],
+            train_graphs, valid_graphs, eval_every, self.rng,
+        )
+        return history
 
     def fit_many(
         self,
@@ -291,31 +219,32 @@ class OODGNNTrainer:
         the stacked representations
         (:func:`repro.core.decorrelation.learn_many`) — Algorithm 1
         vectorised across seeds end-to-end.  ``batched=False`` is the
-        sequential parity reference: K plain :meth:`fit` runs whose
-        shuffle streams and per-seed RFF streams are copied from the same
-        sources the batched path uses.  Both give the same bytes.  Models
-        without a seed-stacked variant downgrade to the sequential path
-        with a one-time ``RuntimeWarning``.
+        sequential parity reference: K :meth:`fit` runs whose shuffle
+        streams and per-seed RFF streams (``seeded_rng(seed,
+        "multiseed-rff")``) come from the same sources the batched path
+        uses.  Both give the same bytes.  A factory whose models have no
+        seed-stacked variant raises :class:`~repro.nn.layers.SeedStackingError`.
         """
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
         models = [model_factory(seed) for seed in seeds]
-        base_rng = copy.deepcopy(self.rng)
-        stacked = try_stack_seed_modules(models) if batched else None
-        if stacked is None:
+        if not batched:
             histories = []
             for seed, model in zip(seeds, models):
                 sub = OODGNNTrainer(
-                    model, self.task_type, copy.deepcopy(base_rng), metric=self.metric, config=self.config
+                    model, self.task_type, copy.deepcopy(self.rng), metric=self.metric, config=self.config
                 )
-                sub.weight_learner, sub.estimator = self._seed_components(seed)
+                sub.weight_learner, sub.estimator = self._components(seeded_rng(seed, "multiseed-rff"))
                 histories.append(sub.fit(train_graphs, valid_graphs, eval_every=eval_every))
             return MultiSeedResult(seeds=seeds, models=models, histories=histories)
-        return self._fit_many_batched(
-            stacked, models, seeds, train_graphs, valid_graphs, eval_every,
-            copy.deepcopy(base_rng),
-        )
+        rng = copy.deepcopy(self.rng)
+        # Replay the rff-seeding draw the sequential OODGNNTrainer.__init__
+        # makes, so both paths shuffle mini-batches from the same stream.
+        rng.integers(2**31)
+        components = [self._components(seeded_rng(seed, "multiseed-rff")) for seed in seeds]
+        histories = self._fit_stacked(models, components, train_graphs, valid_graphs, eval_every, rng)
+        return MultiSeedResult(seeds=seeds, models=models, histories=histories)
 
     def _reweight_many(self, components, z_detached: np.ndarray):
         """Lines 4-8 for all K seeds as one seed-batched inner loop.
@@ -340,26 +269,31 @@ class OODGNNTrainer:
         learners = [learner for learner, _estimator in components]
         return learn_many(learners, np.stack(z_hats), fixed_weights=fixed)
 
-    def _fit_many_batched(
-        self, stacked, models, seeds, train_graphs, valid_graphs, eval_every, rng,
-    ) -> MultiSeedResult:
+    def _fit_stacked(self, models, components, train_graphs, valid_graphs, eval_every, rng) -> list[OODGNNHistory]:
+        """Algorithm 1 on the seed stack of ``models``; one history per seed.
+
+        ``components[k]`` is seed k's (weight learner, global memory) and
+        ``rng`` shuffles the shared mini-batch stream.  Each model ends
+        with its seed's trained parameters and batch-norm statistics, or
+        with its best validation epoch's when ``eval_every`` selects one.
+        """
         cfg = self.config
         num_seeds = len(models)
-        # Replay the rff-seeding draw the sequential OODGNNTrainer.__init__
-        # makes, so both paths shuffle mini-batches from the same stream.
-        rng.integers(2**31)
-        components = [self._seed_components(seed) for seed in seeds]
+        stacked = stack_seed_modules(models)
         params = stacked.parameters()
         optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         histories = [OODGNNHistory() for _ in models]
-        higher_is_better = self.metric != "rmse"
         warmup_epochs = int(round(cfg.warmup_fraction * cfg.epochs))
         for epoch in range(cfg.epochs):
             epoch_losses, epoch_decorr, epoch_weights = [], [], []
             last_epoch = epoch == cfg.epochs - 1
             warming_up = epoch < warmup_epochs
             for batch in iterate_minibatches(train_graphs, cfg.batch_size, rng=rng, drop_last=True):
-                z = stacked.representations(batch)                       # (K, |B|, d)
+                # Line 3: local representations Z^(l), (K, |B|, d), tape kept for Eq. 11.
+                z = stacked.representations(batch)
+                # Lines 4-8: learn sample weights on detached representations
+                # (uniform during warmup — an untrained encoder's
+                # representations carry no dependence structure to remove).
                 weights = np.empty((num_seeds, batch.num_graphs))
                 decorr = np.empty(num_seeds)
                 if warming_up:
@@ -371,6 +305,7 @@ class OODGNNTrainer:
                     for k, result in enumerate(results):
                         weights[k] = result.weights
                         decorr[k] = result.final_loss
+                # Line 9: weighted prediction loss, back-propagation.
                 logits = stacked.head(z)
                 optimizer.zero_grad()
                 total, per_seed = seed_prediction_loss(
@@ -379,6 +314,7 @@ class OODGNNTrainer:
                 total.backward()
                 clip_grad_norm_per_seed(params, cfg.grad_clip)
                 optimizer.step()
+                # Line 10: momentum update of the global memories.
                 for k, (_learner, estimator) in enumerate(components):
                     estimator.update(z.data[k], weights[k])
                 epoch_losses.append(per_seed)
@@ -396,21 +332,13 @@ class OODGNNTrainer:
                     history.final_weights = np.concatenate(history.weight_snapshots)
             if valid_graphs and eval_every and (epoch + 1) % eval_every == 0:
                 scores = evaluate_model_per_seed(stacked, valid_graphs, self.metric)
-                for k, history in enumerate(histories):
-                    history.valid_metric.append(scores[k])
-                    improved = (
-                        history.best_metric is None
-                        or (higher_is_better and scores[k] > history.best_metric)
-                        or (not higher_is_better and scores[k] < history.best_metric)
-                    )
-                    if improved:
-                        history.best_metric = scores[k]
-                        history.best_state = stacked.seed_state_dict(k)
+                for k, (model, history) in enumerate(zip(models, histories)):
+                    stacked.sync_into(k, model)
+                    record_validation(history, scores[k], self.metric, model)
         for k, (model, history) in enumerate(zip(models, histories)):
             stacked.sync_into(k, model)
-            if history.best_state is not None:
-                model.load_state_dict(history.best_state)
-        return MultiSeedResult(seeds=seeds, models=models, histories=histories)
+            restore_best(model, history)
+        return histories
 
     def evaluate(self, graphs: list[Graph], metric: str | None = None) -> float:
         """Metric of the trained model (testing stage uses Phi*, R* as-is)."""
@@ -420,7 +348,7 @@ class OODGNNTrainer:
         """Save the trained OOD-GNN as a deployable serving artifact.
 
         The :class:`~repro.serve.artifact.ModelSpec` is derived from the
-        trainer's config when not given explicitly (the architecture is
+        model's config when not given explicitly (the architecture is
         fully determined by ``hidden_dim`` / ``num_layers`` / ``readout``
         / ``dropout``); ``schema`` is the dataset's
         :class:`~repro.serve.artifact.FeatureSchema`.  Returns the path
@@ -431,5 +359,5 @@ class OODGNNTrainer:
         if self.model is None:
             raise ValueError("trainer has no model to export (fit_many results export via MultiSeedResult)")
         if spec is None:
-            spec = ModelSpec.for_ood_gnn(self.config)
+            spec = ModelSpec.for_ood_gnn(self.model.config)
         return ModelArtifact.from_model(self.model, spec, schema, metadata=metadata).save(path)

@@ -444,15 +444,15 @@ _SEQUENTIAL_FALLBACK_WARNED: set[str] = set()
 def try_stack_seed_modules(modules: list[Module], context: str = "training") -> Module | None:
     """:func:`stack_seed_modules`, or ``None`` plus a one-time warning.
 
-    The multi-seed trainers (and the serving engine's seed-ensemble path)
-    use this to downgrade gracefully: when a roster has no seed-stacked
+    The ERM multi-seed trainer and the serving engine's seed-ensemble
+    path use this to downgrade gracefully: when a roster has no seed-stacked
     variant (an architecture outside the registry, e.g. FactorGCN), they
     fall back to K sequential passes instead of crashing — but never
     silently.  The warning names the unsupported encoder (via the
     registry's :class:`SeedStackingError`) and is emitted once per encoder
     type *and context* per process, so a long sweep logs one line, not one
     per batch.  ``context`` names the caller's workload in the message
-    (``"training"`` for the multi-seed trainers, ``"serving"`` for the
+    (``"training"`` for the ERM multi-seed trainer, ``"serving"`` for the
     inference engine).  Any other exception — including a plain
     ``TypeError`` from a buggy stacker — propagates.
     """

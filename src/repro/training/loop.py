@@ -51,15 +51,23 @@ def iterate_minibatches(
         yield GraphBatch.from_graphs([graphs[i] for i in chunk])
 
 
-def predict(model, graphs: list[Graph], batch_size: int = 256) -> np.ndarray:
-    """Model outputs (logits / regression values) for a list of graphs."""
+def _eval_outputs(model, graphs: list[Graph], batch_size: int) -> list[np.ndarray]:
+    """Per-batch eval-mode outputs; the model ends in the mode it started in."""
+    was_training = model.training
     model.eval()
     outputs = []
-    with no_grad():
-        for batch in iterate_minibatches(graphs, batch_size):
-            outputs.append(model(batch).data)
-    model.train()
-    return np.concatenate(outputs, axis=0)
+    try:
+        with no_grad():
+            for batch in iterate_minibatches(graphs, batch_size):
+                outputs.append(model(batch).data)
+    finally:
+        model.train(was_training)
+    return outputs
+
+
+def predict(model, graphs: list[Graph], batch_size: int = 256) -> np.ndarray:
+    """Model outputs (logits / regression values) for a list of graphs."""
+    return np.concatenate(_eval_outputs(model, graphs, batch_size), axis=0)
 
 
 def stack_targets(graphs: list[Graph]) -> np.ndarray:
@@ -78,13 +86,7 @@ def evaluate_model(model, graphs: list[Graph], metric: str, batch_size: int = 25
 
 def predict_per_seed(model, graphs: list[Graph], batch_size: int = 256) -> np.ndarray:
     """Stacked outputs ``(K, n, out)`` of a seed-stacked model."""
-    model.eval()
-    outputs = []
-    with no_grad():
-        for batch in iterate_minibatches(graphs, batch_size):
-            outputs.append(model(batch).data)
-    model.train()
-    return np.concatenate(outputs, axis=1)
+    return np.concatenate(_eval_outputs(model, graphs, batch_size), axis=1)
 
 
 def evaluate_model_per_seed(model, graphs: list[Graph], metric: str, batch_size: int = 256) -> list[float]:

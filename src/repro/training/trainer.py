@@ -71,8 +71,31 @@ class TrainingHistory:
 
     train_loss: list = field(default_factory=list)
     valid_metric: list = field(default_factory=list)
-    best_state: dict | None = None
+    best_state: tuple | None = None   # (parameters, buffers) of the best validation epoch
     best_metric: float | None = None
+
+
+def record_validation(history, score: float, metric: str, model) -> None:
+    """Append a validation score; snapshot ``model`` if it is the best so far.
+
+    ``rmse`` improves downwards, every other metric upwards.  The snapshot
+    holds the buffers as well as the parameters: batch-norm running
+    statistics move at every training step, and the restored model must
+    be the one that scored ``best_metric``.
+    """
+    history.valid_metric.append(score)
+    best = history.best_metric
+    if best is None or (score < best if metric == "rmse" else score > best):
+        history.best_metric = score
+        history.best_state = (model.state_dict(), model.buffer_dict())
+
+
+def restore_best(model, history) -> None:
+    """Load the snapshot :func:`record_validation` kept, if it kept one."""
+    if history.best_state is not None:
+        parameters, buffers = history.best_state
+        model.load_state_dict(parameters)
+        model.load_buffer_dict(buffers)
 
 
 @dataclass
@@ -147,12 +170,12 @@ class Trainer:
         """Train for ``config.epochs`` epochs; returns the loss history.
 
         When validation graphs and ``eval_every`` are provided, tracks the
-        best validation metric and snapshots the best parameters (restored
-        at the end, the usual model-selection protocol).
+        best validation metric and snapshots the best parameters and
+        batch-norm statistics (restored at the end, the usual
+        model-selection protocol).
         """
         cfg = self.config
         history = TrainingHistory()
-        higher_is_better = self.metric != "rmse"
         for epoch in range(cfg.epochs):
             epoch_losses = []
             with span("train.epoch", path="sequential", epoch=epoch), \
@@ -169,17 +192,8 @@ class Trainer:
             history.train_loss.append(float(np.mean(epoch_losses)))
             if valid_graphs and cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
                 score = evaluate_model(self.model, valid_graphs, self.metric)
-                history.valid_metric.append(score)
-                improved = (
-                    history.best_metric is None
-                    or (higher_is_better and score > history.best_metric)
-                    or (not higher_is_better and score < history.best_metric)
-                )
-                if improved:
-                    history.best_metric = score
-                    history.best_state = self.model.state_dict()
-        if history.best_state is not None:
-            self.model.load_state_dict(history.best_state)
+                record_validation(history, score, self.metric, self.model)
+        restore_best(self.model, history)
         return history
 
     def fit_many(
@@ -233,7 +247,6 @@ class Trainer:
         params = stacked.parameters()
         optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         histories = [TrainingHistory() for _ in models]
-        higher_is_better = self.metric != "rmse"
         num_seeds = len(models)
         for epoch in range(cfg.epochs):
             epoch_losses = []  # one (K,) row per batch
@@ -254,20 +267,12 @@ class Trainer:
                 history.train_loss.append(float(epoch_means[k]))
             if valid_graphs and cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
                 scores = evaluate_model_per_seed(stacked, valid_graphs, self.metric)
-                for k, history in enumerate(histories):
-                    history.valid_metric.append(scores[k])
-                    improved = (
-                        history.best_metric is None
-                        or (higher_is_better and scores[k] > history.best_metric)
-                        or (not higher_is_better and scores[k] < history.best_metric)
-                    )
-                    if improved:
-                        history.best_metric = scores[k]
-                        history.best_state = stacked.seed_state_dict(k)
+                for k, (model, history) in enumerate(zip(models, histories)):
+                    stacked.sync_into(k, model)
+                    record_validation(history, scores[k], self.metric, model)
         for k, (model, history) in enumerate(zip(models, histories)):
             stacked.sync_into(k, model)
-            if history.best_state is not None:
-                model.load_state_dict(history.best_state)
+            restore_best(model, history)
         return MultiSeedResult(seeds=seeds, models=models, histories=histories)
 
     def evaluate(self, graphs: list[Graph], metric: str | None = None) -> float:

@@ -9,6 +9,8 @@ engine runs here at K = 1, the single-seed case `learn` uses; the stacked
 case is held to it byte for byte by `test_seed_batched_reweight.py`.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.core import (
     SampleWeightLearner,
     SeedFusedDecorrelation,
 )
+from repro.core import ood_gnn
 from repro.core.fused import DUAL_MODE_AUTO_MAX_GRAM_ELEMENTS
 from repro.core.hsic import cached_block_offdiagonal_mask, pairwise_decorrelation_loss
 from repro.graph.generators import erdos_renyi
@@ -248,13 +251,30 @@ def _fit_history(engine, seed=13):
     )
     model = OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
     trainer = OODGNNTrainer(model, "multiclass", np.random.default_rng(seed + 1), config=cfg)
-    if engine == "autograd":
-        fused = trainer.weight_learner
-        trainer.weight_learner = TapedWeightLearner(
-            fused.rff, epochs=fused.epochs, lr=fused.lr,
-            l2_penalty=fused.l2_penalty, max_weight=fused.max_weight,
-        )
-    return trainer.fit(_toy_graphs(seed + 2))
+    graphs = _toy_graphs(seed + 2)
+    if engine == "fused":
+        return trainer.fit(graphs)
+    fused = trainer.weight_learner
+    trainer.weight_learner = TapedWeightLearner(
+        fused.rff, epochs=fused.epochs, lr=fused.lr,
+        l2_penalty=fused.l2_penalty, max_weight=fused.max_weight,
+    )
+    rosters = []
+
+    def taped_roster(learners, representations, fixed_weights=None):
+        # The trainer's loop hands every inner loop to learn_many as a
+        # roster; run each seed's own (taped) learn instead.
+        rosters.append([type(learner) for learner in learners])
+        return [
+            learner.learn(z, None if fixed_weights is None else fixed_weights[k])
+            for k, (learner, z) in enumerate(zip(learners, representations))
+        ]
+
+    with mock.patch.object(ood_gnn, "learn_many", taped_roster):
+        history = trainer.fit(graphs)
+    # 30 graphs in batches of 10, and 2 of the 3 epochs past warmup.
+    assert rosters == [[TapedWeightLearner]] * 6
+    return history
 
 
 class TestTrainerDeterminism:

@@ -20,7 +20,7 @@ from repro.encoders import build_model, SeedGraphClassifier
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
 from repro.nn import layers as nn_layers
-from repro.nn.layers import stack_seed_modules, try_stack_seed_modules
+from repro.nn.layers import SeedStackingError, stack_seed_modules, try_stack_seed_modules
 from repro.nn.losses import seed_prediction_loss, weighted_prediction_loss
 from repro.nn.module import Module
 from repro.nn.optim import clip_grad_norm, clip_grad_norm_per_seed
@@ -480,33 +480,19 @@ class TestSequentialFallbackWarning:
         serving = str(relevant[1].message)
         assert "_UnstackableClassifier" in serving and "serving" in serving
 
-    def test_ood_gnn_fit_many_falls_back_with_warning(self):
-        from repro.encoders.base import StackedEncoder
-        from repro.encoders.conv import FactorGCNConv
-
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
+    def test_ood_gnn_fit_many_rejects_unstackable_roster(self):
+        """OOD-GNN trains on a seed stack only, so a FactorGCN roster raises
+        in both modes instead of falling back."""
         cfg = OODGNNConfig(
             hidden_dim=8, num_layers=2, epochs=1, batch_size=12,
             reweight_epochs=2, warmup_fraction=1.0,
         )
-
-        def factory(seed):
-            rng = np.random.default_rng((seed + 1) * 7919)
-            encoder = StackedEncoder(1, 8, 2, lambda i, o: FactorGCNConv(i, o, 2, rng), rng)
-            return OODGNN(1, 2, rng, config=cfg, encoder=encoder)
-
         trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(3), config=cfg)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = trainer.fit_many(
-                toy_graphs(24), seeds=(0, 1), model_factory=factory, batched=True
-            )
-        assert any(
-            issubclass(w.category, RuntimeWarning) and "FactorGCNConv" in str(w.message)
-            for w in caught
-        )
-        assert len(result.models) == 2
-        assert all(len(h.train_loss) == 1 for h in result.histories)
+        for batched in (True, False):
+            with pytest.raises(SeedStackingError, match="FactorGCNConv"):
+                trainer.fit_many(
+                    toy_graphs(24), seeds=(0, 1), model_factory=self._factorgcn_factory, batched=batched
+                )
 
 
 class TestOODGNNFitManyParity:
@@ -526,10 +512,10 @@ class TestOODGNNFitManyParity:
     def test_batched_reweight_matches_sequential(self):
         """The seed-batched inner loop reproduces the sequential runs exactly.
 
-        Each sequential ``fit`` runs its inner loops as the K = 1 case of
-        the stacked loop, and a seed of a stack gives the bytes of its
-        K = 1 run (tests/test_seed_batched_reweight.py), so histories and
-        trained parameters are equal bit for bit.
+        Each sequential ``fit`` is the K = 1 case of the same stacked
+        loop, inner loop included, and a seed of a stack gives the bytes
+        of its K = 1 run (tests/test_seed_batched_reweight.py), so
+        histories and trained parameters are equal bit for bit.
         """
         graphs = toy_graphs(40)
         cfg = self._config()

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
 from repro.encoders import build_model
+from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
+from repro.nn.layers import BatchNorm1d
 from repro.training import Trainer, TrainerConfig, iterate_minibatches, predict, evaluate_model
 from repro.training.seed import seeded_rng
 
@@ -88,6 +91,70 @@ class TestTrainer:
         assert history.best_metric == min(history.valid_metric)
 
 
+class TestModelSelection:
+    """The restored model is the one that scored ``best_metric``.
+
+    Batch-norm running statistics move at every step, so restoring the
+    best epoch's parameters without its statistics evaluates a model that
+    never existed during training.
+    """
+
+    EPOCHS = 6
+
+    @staticmethod
+    def _graphs():
+        rng = np.random.default_rng(0)
+        graphs = []
+        for _ in range(48):
+            g = erdos_renyi(int(rng.integers(5, 11)), 0.4, rng)
+            g.y = np.array([float(g.num_edges) / 10 + rng.normal()])
+            graphs.append(g)
+        return graphs[:32], graphs[32:]
+
+    def _train(self, method, path, seeds, train, valid):
+        rng = np.random.default_rng(1)
+        if method == "gin":
+            cfg = TrainerConfig(epochs=self.EPOCHS, batch_size=8, lr=0.05, eval_every=1)
+            factory = lambda s: build_model("gin", 1, 1, np.random.default_rng(s), hidden_dim=8, num_layers=2)
+            if path == "fit":
+                trainer = Trainer(factory(seeds[0]), "regression", cfg, rng, metric="rmse")
+                return [trainer.fit(train, valid)], [trainer.model]
+            result = Trainer(None, "regression", cfg, rng, metric="rmse").fit_many(
+                train, valid, seeds=seeds, model_factory=factory
+            )
+            return result.histories, result.models
+        cfg = OODGNNConfig(
+            hidden_dim=8, num_layers=2, epochs=self.EPOCHS, batch_size=8, lr=0.05,
+            reweight_epochs=2, warmup_fraction=0.5,
+        )
+        factory = lambda s: OODGNN(1, 1, np.random.default_rng(s), config=cfg)
+        if path == "fit":
+            trainer = OODGNNTrainer(factory(seeds[0]), "regression", rng, metric="rmse")
+            return [trainer.fit(train, valid, eval_every=1)], [trainer.model]
+        result = OODGNNTrainer(None, "regression", rng, metric="rmse", config=cfg).fit_many(
+            train, valid, eval_every=1, seeds=seeds, model_factory=factory
+        )
+        return result.histories, result.models
+
+    @pytest.mark.parametrize(
+        "method, path, seeds",
+        [
+            ("gin", "fit", (4,)),
+            ("gin", "fit_many", (3, 4)),
+            ("ood-gnn", "fit", (4,)),
+            ("ood-gnn", "fit_many", (2, 3)),
+        ],
+    )
+    def test_restored_model_reproduces_best_metric(self, method, path, seeds):
+        train, valid = self._graphs()
+        histories, models = self._train(method, path, seeds, train, valid)
+        for history, model in zip(histories, models):
+            assert len(history.valid_metric) == self.EPOCHS
+            # A later epoch moved the statistics after the best one.
+            assert history.valid_metric.index(history.best_metric) < self.EPOCHS - 1
+            assert evaluate_model(model, valid, "rmse") == history.best_metric
+
+
 class TestEvaluationHelpers:
     def test_predict_shapes(self, rng):
         graphs = toy_graphs(rng, 10)
@@ -100,6 +167,19 @@ class TestEvaluationHelpers:
         model = build_model("gin", 1, 2, np.random.default_rng(0), hidden_dim=8, num_layers=2)
         predict(model, graphs)
         assert model.training
+
+    def test_evaluate_keeps_eval_mode(self, rng):
+        """Evaluating a model in eval mode leaves it there, so later forwards
+        do not move its batch-norm statistics."""
+        graphs = toy_graphs(rng, 6)
+        model = build_model("gin", 1, 2, np.random.default_rng(0), hidden_dim=8, num_layers=2).eval()
+        evaluate_model(model, graphs, "accuracy")
+        assert not any(m.training for m in model.modules())
+        before = model.buffer_dict()
+        model(GraphBatch.from_graphs(graphs))
+        assert any(isinstance(m, BatchNorm1d) for m in model.modules())
+        for name, value in model.buffer_dict().items():
+            np.testing.assert_array_equal(value, before[name], err_msg=name)
 
     def test_evaluate_model_accuracy(self, rng):
         graphs = toy_graphs(rng, 10)
