@@ -6,7 +6,6 @@ from repro.bench.runner import (
     run_method_multi_seed,
     method_spec,
     MethodResult,
-    BATCHED_SEED_METHODS,
 )
 from repro.bench.tables import format_table, format_series
 
@@ -16,7 +15,6 @@ __all__ = [
     "run_method_multi_seed",
     "method_spec",
     "MethodResult",
-    "BATCHED_SEED_METHODS",
     "format_table",
     "format_series",
 ]

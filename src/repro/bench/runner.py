@@ -11,14 +11,12 @@ job (``batched=True``, the multi-seed engine of
 ``docs/ARCHITECTURE.md``): the dataset is fixed at the first seed and
 only model initialisation varies, so K encoder forwards/backwards
 collapse into one vectorised pass — and for ``ood-gnn`` the K inner
-reweighting loops run as one seed-batched closed-form job.  Supported
-for the GIN/GCN family and ``ood-gnn``; other methods fall back to
-sequential runs with a one-time warning.
+reweighting loops run as one seed-batched closed-form job.  Every method
+of the roster runs batched.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,24 +34,7 @@ __all__ = [
     "run_method",
     "run_method_multi_seed",
     "method_spec",
-    "BATCHED_SEED_METHODS",
 ]
-
-# Methods with seed-stacked variants (see repro.nn.layers.stack_seed_modules).
-# Everything in the zoo except FactorGCN, whose per-factor GEMV attention has
-# no bitwise-safe batched equivalent and stays sequential.
-BATCHED_SEED_METHODS = (
-    "gcn",
-    "gcn-virtual",
-    "gin",
-    "gin-virtual",
-    "pna",
-    "topkpool",
-    "sagpool",
-    "gat",
-    "sage",
-    "ood-gnn",
-)
 
 
 @dataclass
@@ -180,22 +161,6 @@ def _model_factory(method: str, dataset: DatasetSplits, protocol: ExperimentProt
     return build
 
 
-_FALLBACK_WARNED: set[str] = set()
-
-
-def _warn_sequential_fallback(method: str) -> None:
-    """One-time warning that a batched request runs sequentially."""
-    if method not in _FALLBACK_WARNED:
-        _FALLBACK_WARNED.add(method)
-        warnings.warn(
-            f"method {method!r} has no seed-stacked variant "
-            f"(batched seeds support: {', '.join(BATCHED_SEED_METHODS)}); "
-            "falling back to sequential per-seed runs",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def method_spec(method: str, protocol: ExperimentProtocol):
     """The serving :class:`~repro.serve.artifact.ModelSpec` of one experiment.
 
@@ -230,17 +195,13 @@ def run_method_multi_seed(
     model initialisation varies across seeds (the std then reports
     initialisation noise, not data noise).  For ``"ood-gnn"``, Algorithm
     1's inner sample-weight loops also run as one seed-batched
-    closed-form job.  Methods without a seed-stacked variant
-    (see :data:`BATCHED_SEED_METHODS`) fall back to the sequential path
-    with a one-time ``RuntimeWarning``.
+    closed-form job.
     """
     seeds = tuple(seeds)
-    if batched and method in BATCHED_SEED_METHODS:
+    if batched:
         return _run_method_multi_seed_batched(
             method, dataset_factory, seeds, protocol, keep_models
         )
-    if batched:
-        _warn_sequential_fallback(method)
     trains, tests, models = [], [], []
     for seed in seeds:
         dataset = dataset_factory(seed)

@@ -422,8 +422,8 @@ class SeedHierarchicalPoolEncoder(GraphEncoder):
     sizes); the per-seed surviving connectivity travels as a
     :class:`~repro.graph.utils.SeedEdgeIndex`, which the stacked convs
     consume as one flat disjoint-union scatter (``supports_seed_edges``).
-    Stacking is refused for conv types that cannot run on per-seed
-    connectivity, falling back to sequential per-seed runs.
+    Stacking a conv type that cannot run on per-seed connectivity raises
+    :class:`~repro.nn.layers.SeedStackingError`.
     """
 
     def __init__(self, embed, convs, pools, out_dim: int, num_seeds: int):

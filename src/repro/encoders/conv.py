@@ -45,6 +45,7 @@ __all__ = [
     "SeedGCNConv",
     "SeedGINConv",
     "SeedPNAConv",
+    "SeedFactorGCNConv",
 ]
 
 
@@ -357,6 +358,11 @@ class FactorGCNConv(Module):
         """Mean pairwise cosine similarity of the factor attention vectors.
 
         Lower is more disentangled; surfaced for diagnostics and tests.
+        It reads the attention of this conv's last plain forward, 0.0
+        before one.  Training and its validation run on a seed stack
+        (:class:`SeedFactorGCNConv` records nothing), so after
+        ``Trainer.fit`` that is the last plain evaluation, such as
+        ``Trainer.evaluate``, not the last training batch.
         """
         if self._last_attention is None or self._last_attention.shape[1] == 0:
             return 0.0
@@ -366,3 +372,53 @@ class FactorGCNConv(Module):
         sim = unit @ unit.T
         upper = sim[np.triu_indices(len(a), k=1)]
         return float(upper.mean()) if upper.size else 0.0
+
+
+class SeedFactorGCNConv(Module):
+    """Seed-stacked :class:`FactorGCNConv`: shared edges, per-seed factors.
+
+    Each factor's edge scores are one ``(K, E, 2h) @ (K, 2h, 1)`` matmul,
+    which numpy runs as K GEMVs over contiguous slices, the GEMV the plain
+    conv calls; gathers and scatters are the seed-axis primitives.  So the
+    stack is bitwise equal to K sequential :class:`FactorGCNConv` forwards
+    and backwards.  ``edge_scores`` is ``(K, num_factors, 2h)``.
+    """
+
+    def __init__(self, factor_transforms: list[SeedLinear], edge_scores: np.ndarray):
+        super().__init__()
+        self.num_factors = len(factor_transforms)
+        self.factor_transforms = factor_transforms
+        for i, lin in enumerate(factor_transforms):
+            self._modules[f"factor_{i}"] = lin
+        self.edge_scores = Parameter(edge_scores, name="edge_scores")
+
+    @classmethod
+    def from_layers(cls, convs: list[FactorGCNConv]) -> "SeedFactorGCNConv":
+        transforms = [
+            SeedLinear.from_layers([c.factor_transforms[f] for c in convs])
+            for f in range(convs[0].num_factors)
+        ]
+        return cls(transforms, np.stack([c.edge_scores.data for c in convs]))
+
+    def forward(self, x: Tensor, edges) -> Tensor:
+        edge_index, num_nodes = edges.edge_index, edges.num_nodes
+        if edge_index.size:
+            src, dst = edge_index
+            endpoints = F.concatenate([F.seed_gather(x, src), F.seed_gather(x, dst)], axis=2)
+        else:
+            endpoints = None
+        outputs = []
+        for f in range(self.num_factors):
+            h = self.factor_transforms[f](x)
+            if endpoints is not None:
+                weights = self.edge_scores[:, f].unsqueeze(2)
+                score = (endpoints @ weights).leaky_relu(0.2).sigmoid()  # (K, E, 1)
+                agg = F.seed_segment_sum(F.seed_gather(h, src) * score, dst, num_nodes)
+                denom = F.seed_segment_sum(score, dst, num_nodes) + 1e-9
+                outputs.append(h + agg / denom)
+            else:
+                outputs.append(h)
+        return F.concatenate(outputs, axis=2)
+
+
+register_seed_stacker(FactorGCNConv)(SeedFactorGCNConv.from_layers)

@@ -14,7 +14,7 @@ matching stacked module via a type-dispatched registry that other layers
 
 from __future__ import annotations
 
-import warnings
+from itertools import zip_longest
 
 import numpy as np
 
@@ -40,19 +40,17 @@ __all__ = [
     "SeedMLP",
     "register_seed_stacker",
     "stack_seed_modules",
-    "try_stack_seed_modules",
     "SeedStackingError",
     "fused_sequential_forward",
 ]
 
 
 class SeedStackingError(TypeError):
-    """A module roster has no seed-stacked variant (or is heterogeneous).
+    """A module roster cannot be stacked along a seed axis.
 
-    Subclasses ``TypeError`` for backwards compatibility; kept distinct so
-    :func:`try_stack_seed_modules` downgrades only this signal to a warned
-    sequential fallback — an accidental ``TypeError`` raised from inside a
-    registered stacker still propagates as the bug it is.
+    Raised when no stacker is registered for the module type, or when the
+    roster mixes types or parameter/buffer layouts.  A ``TypeError``,
+    since the roster's types and shapes are what is wrong.
     """
 
 _ACTIVATIONS = {}
@@ -408,70 +406,69 @@ def register_seed_stacker(cls):
     return wrap
 
 
+def _named_types(module: Module, prefix: str = ""):
+    """Yield ``(dotted path, type)`` for ``module`` and every descendant."""
+    yield prefix.rstrip("."), type(module)
+    for name, child in module._modules.items():
+        yield from _named_types(child, f"{prefix}{name}.")
+
+
+def _layout(module: Module) -> list[tuple[str, tuple]]:
+    """``(dotted name, shape)`` of every parameter and buffer, in traversal order."""
+    params = [(name, p.data.shape) for name, p in module.named_parameters()]
+    return params + [(name, np.shape(value)) for name, value in module.named_buffers()]
+
+
+def _describe(entry) -> str:
+    return "nothing there" if entry is None else f"{entry[0]!r} of shape {entry[1]}"
+
+
+def _check_roster(modules: list[Module]) -> None:
+    """Raise :class:`SeedStackingError` at the first difference from ``modules[0]``.
+
+    Submodule types are compared path by path, then the dotted name and
+    shape of every parameter and buffer.  A stacker builds from the first
+    module's structure, so a seed whose depth or widths differ would
+    otherwise stack into a model that is not its own.
+    """
+    template_types = dict(_named_types(modules[0]))
+    template_layout = _layout(modules[0])
+    for k, module in enumerate(modules[1:], start=1):
+        for path, kind in _named_types(module):
+            ours = template_types.get(path, kind)
+            if ours is not kind:
+                where = f" at {path!r}" if path else ""
+                raise SeedStackingError(
+                    f"cannot stack heterogeneous modules: {ours.__name__} vs {kind.__name__}{where}"
+                )
+        for ours, theirs in zip_longest(template_layout, _layout(module)):
+            if ours != theirs:
+                raise SeedStackingError(
+                    f"cannot stack {type(module).__name__} modules: module 0 has "
+                    f"{_describe(ours)}, module {k} has {_describe(theirs)}"
+                )
+
+
 def stack_seed_modules(modules: list[Module]) -> Module:
     """Stack K structurally identical per-seed modules into one batched module.
 
-    Raises :class:`SeedStackingError` (a ``TypeError``) when no stacker
-    covers the module type.  The registry spans the full encoder roster —
-    GIN/GCN, attention (GAT/SAGE), PNA, virtual-node and hierarchical
-    pooling assemblies; unregistered architectures (e.g. FactorGCN, whose
-    per-edge GEMV scores have no bitwise-safe batched equivalent) fall
-    back to sequential multi-seed runs.
+    Raises :class:`SeedStackingError` (a ``TypeError``) when the modules
+    differ in submodule types or in their parameter and buffer names and
+    shapes, or when no stacker covers the module type.  The registry spans
+    the whole encoder roster.
     """
     modules = list(modules)
     if not modules:
         raise ValueError("need at least one module to stack")
-    template = modules[0]
-    for m in modules[1:]:
-        if type(m) is not type(template):
-            raise SeedStackingError(
-                f"cannot stack heterogeneous modules: {type(template).__name__} vs {type(m).__name__}"
-            )
-    for klass in type(template).__mro__:
+    _check_roster(modules)
+    for klass in type(modules[0]).__mro__:
         stacker = _SEED_STACKERS.get(klass)
         if stacker is not None:
             return stacker(modules)
     raise SeedStackingError(
-        f"no multi-seed stacker registered for {type(template).__name__}; "
-        "register one with register_seed_stacker or run this architecture "
-        "with batched=False (sequential per-seed)"
+        f"no multi-seed stacker registered for {type(modules[0]).__name__}; "
+        "register one with register_seed_stacker"
     )
-
-
-_SEQUENTIAL_FALLBACK_WARNED: set[str] = set()
-
-
-def try_stack_seed_modules(modules: list[Module], context: str = "training") -> Module | None:
-    """:func:`stack_seed_modules`, or ``None`` plus a one-time warning.
-
-    The ERM multi-seed trainer and the serving engine's seed-ensemble
-    path use this to downgrade gracefully: when a roster has no seed-stacked
-    variant (an architecture outside the registry, e.g. FactorGCN), they
-    fall back to K sequential passes instead of crashing — but never
-    silently.  The warning names the unsupported encoder (via the
-    registry's :class:`SeedStackingError`) and is emitted once per encoder
-    type *and context* per process, so a long sweep logs one line, not one
-    per batch.  ``context`` names the caller's workload in the message
-    (``"training"`` for the ERM multi-seed trainer, ``"serving"`` for the
-    inference engine).  Any other exception — including a plain
-    ``TypeError`` from a buggy stacker — propagates.
-    """
-    modules = list(modules)
-    try:
-        return stack_seed_modules(modules)
-    except SeedStackingError as err:
-        template = modules[0] if modules else None
-        encoder = getattr(template, "encoder", template)
-        key = f"{context}/{type(template).__name__}/{type(encoder).__name__}"
-        if key not in _SEQUENTIAL_FALLBACK_WARNED:
-            _SEQUENTIAL_FALLBACK_WARNED.add(key)
-            warnings.warn(
-                f"multi-seed batching unavailable for {type(encoder).__name__} "
-                f"({err}); falling back to sequential per-seed {context}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return None
 
 
 class SeedLinear(Module):

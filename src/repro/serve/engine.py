@@ -15,12 +15,10 @@ and answers prediction requests:
   :class:`~repro.graph.data.Topology` builds every conv operator once,
   shares it across the layers of that forward and is freed with the
   batch; nothing derived from a topology outlives its forward.
-* **Seed ensembles** — a K-seed artifact serves the ensemble: stackable
-  rosters (the whole encoder zoo — GCN/GIN families, GAT, SAGE, PNA,
-  virtual-node and hierarchical-pooling models) run one seed-stacked
-  forward via :func:`~repro.nn.layers.try_stack_seed_modules`; the only
-  unstackable roster (FactorGCN) falls back to K sequential forwards with
-  the same one-time warning pattern as training.
+* **Seed ensembles** — a K-seed artifact serves the ensemble as one
+  seed-stacked forward (:func:`~repro.nn.layers.stack_seed_modules`
+  covers the whole encoder roster); a K = 1 artifact serves its plain
+  model, which is faster than a stack of one.
 * **Energy scores** — every response carries the raw free energy of its
   logits (:mod:`repro.serve.ood`).  It is reported, not thresholded: under
   a sum readout it tracks graph size, so it does not detect a shift.
@@ -48,7 +46,7 @@ import numpy as np
 
 from repro.autograd.tensor import as_compute_dtype, compute_dtype, inference_mode
 from repro.graph.data import Graph, GraphBatch
-from repro.nn.layers import try_stack_seed_modules
+from repro.nn.layers import stack_seed_modules
 from repro.serve.artifact import FeatureSchema, ModelArtifact
 from repro.serve.batcher import BatchBudget, default_max_nodes, plan_microbatches
 from repro.obs.registry import FLAGS, LATENCY_MS_BUCKETS, registry
@@ -186,14 +184,9 @@ class InferenceEngine:
                 raise ValueError(f"max_nodes must be an int, None or 'auto', got {max_nodes!r}")
             max_nodes = default_max_nodes(self.dtype)
         self.budget = BatchBudget(max_graphs=max_graphs, max_nodes=max_nodes)
-        # Seed ensembles prefer one stacked forward; unstackable rosters
-        # warn once and serve K sequential forwards (same fallback pattern
-        # as the multi-seed trainers).
-        self._stacked = (
-            try_stack_seed_modules(self.models, context="serving")
-            if len(self.models) > 1
-            else None
-        )
+        # A seed ensemble serves one stacked forward; a roster that cannot
+        # stack raises SeedStackingError here, before any request.
+        self._stacked = stack_seed_modules(self.models) if len(self.models) > 1 else None
         if self._stacked is not None:
             # Stacked constructors coerce to the default (float64) dtype;
             # re-apply the engine precision to the stacked parameter bank.
@@ -235,9 +228,7 @@ class InferenceEngine:
         with inference_mode(), compute_dtype(self.dtype):
             if self._stacked is not None:
                 return self._stacked(batch).data
-            if len(self.models) == 1:
-                return self.models[0](batch).data[None]
-            return np.stack([model(batch).data for model in self.models])
+            return self.models[0](batch).data[None]
 
     def _combine(self, indices, logits: np.ndarray) -> list[Prediction]:
         """Ensemble-average one packed batch back into per-request results."""

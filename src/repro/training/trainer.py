@@ -5,12 +5,12 @@ Trains any :class:`~repro.encoders.models.GraphClassifier` with the plain
 uses.  The OOD-GNN trainer in :mod:`repro.core.ood_gnn` extends this loop
 with sample reweighting.
 
-:meth:`Trainer.fit_many` is the batched multi-seed engine (see
-``docs/ARCHITECTURE.md``): K independently initialised models train as one
-vectorised job — parameters stacked along a leading seed axis, every
-forward/backward evaluated once over seed-leading ``(K, n, h)``
-activations — with a parity guarantee against K sequential
-:meth:`Trainer.fit` runs that share the same mini-batch stream.
+One epoch loop serves both entry points (see ``docs/ARCHITECTURE.md``):
+it trains a seed stack, with parameters stacked along a leading seed axis
+and every forward/backward evaluated once over seed-leading ``(K, n, h)``
+activations.  :meth:`Trainer.fit` runs it on one model at K = 1 and
+:meth:`Trainer.fit_many` on K seeds; seed k of a stack trains bit for
+bit as its own :meth:`Trainer.fit` over the same mini-batch stream would.
 """
 
 from __future__ import annotations
@@ -21,28 +21,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.data import Graph
-from repro.nn.layers import try_stack_seed_modules
-from repro.nn.losses import weighted_prediction_loss, seed_prediction_loss
-from repro.nn.optim import Adam, clip_grad_norm, clip_grad_norm_per_seed
+from repro.nn.layers import stack_seed_modules
+from repro.nn.losses import seed_prediction_loss
+from repro.nn.optim import Adam, clip_grad_norm_per_seed
 from repro.obs.registry import registry
 from repro.obs.trace import span
 from repro.training.loop import iterate_minibatches, evaluate_model, evaluate_model_per_seed
 
 # Sampled once per epoch / per fit call — far off the per-batch hot path.
-_TRAIN_EPOCHS = registry.counter(
-    "repro_train_epochs_total",
-    "Training epochs completed, by path (sequential / seed_batched)",
-    ("path",),
-)
-_TRAIN_BATCHES = registry.counter(
-    "repro_train_batches_total",
-    "Mini-batch optimisation steps taken, by path",
-    ("path",),
-)
+_TRAIN_EPOCHS = registry.counter("repro_train_epochs_total", "Training epochs completed")
+_TRAIN_BATCHES = registry.counter("repro_train_batches_total", "Mini-batch optimisation steps taken")
 _TRAIN_SECONDS = registry.counter(
-    "repro_train_seconds_total",
-    "Wall seconds inside fit/fit_many epoch loops, by path",
-    ("path",),
+    "repro_train_seconds_total", "Wall seconds inside fit/fit_many epoch loops"
 )
 
 __all__ = ["Trainer", "TrainerConfig", "TrainingHistory", "MultiSeedResult"]
@@ -108,8 +98,8 @@ class MultiSeedResult:
         The seeds, in order.
     models:
         Per-seed models carrying the final (best, when validation model
-        selection ran) parameters — and, for batched runs, the per-seed
-        batch-norm statistics synced back from the stacked model.
+        selection ran) parameters and batch-norm statistics, synced back
+        from the seed stack they trained in.
     histories:
         One per-seed history (:class:`TrainingHistory` or the OOD-GNN
         variant), index-aligned with ``seeds``.
@@ -141,9 +131,10 @@ class Trainer:
     Parameters
     ----------
     model:
-        A :class:`GraphClassifier` (or anything with the same interface).
-        May be ``None`` when the trainer is only used for
-        :meth:`fit_many`, which builds its models from a factory.
+        A :class:`GraphClassifier`, or any model
+        :func:`~repro.nn.layers.stack_seed_modules` can stack.  May be
+        ``None`` when the trainer is only used for :meth:`fit_many`, which
+        builds its models from a factory.
     task_type:
         ``"multiclass"``, ``"binary"`` or ``"regression"`` (Table 1).
     metric:
@@ -156,44 +147,18 @@ class Trainer:
         self.config = config
         self.rng = rng
         self.metric = metric
-        self.optimizer = (
-            Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-            if model is not None
-            else None
-        )
-
-    def _batch_loss(self, batch):
-        logits = self.model(batch)
-        return weighted_prediction_loss(logits, batch.y, self.task_type)
 
     def fit(self, train_graphs: list[Graph], valid_graphs: list[Graph] | None = None) -> TrainingHistory:
         """Train for ``config.epochs`` epochs; returns the loss history.
 
+        The K = 1 case of the seed-stacked loop: this trainer's model and
+        rng are its one seed.  Each call starts from a fresh Adam state.
         When validation graphs and ``eval_every`` are provided, tracks the
         best validation metric and snapshots the best parameters and
         batch-norm statistics (restored at the end, the usual
         model-selection protocol).
         """
-        cfg = self.config
-        history = TrainingHistory()
-        for epoch in range(cfg.epochs):
-            epoch_losses = []
-            with span("train.epoch", path="sequential", epoch=epoch), \
-                    _TRAIN_SECONDS.time(path="sequential"):
-                for batch in iterate_minibatches(train_graphs, cfg.batch_size, rng=self.rng):
-                    self.optimizer.zero_grad()
-                    loss = self._batch_loss(batch)
-                    loss.backward()
-                    clip_grad_norm(self.model.parameters(), cfg.grad_clip)
-                    self.optimizer.step()
-                    epoch_losses.append(float(loss.data))
-            _TRAIN_EPOCHS.inc(path="sequential")
-            _TRAIN_BATCHES.inc(len(epoch_losses), path="sequential")
-            history.train_loss.append(float(np.mean(epoch_losses)))
-            if valid_graphs and cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
-                score = evaluate_model(self.model, valid_graphs, self.metric)
-                record_validation(history, score, self.metric, self.model)
-        restore_best(self.model, history)
+        (history,) = self._fit_stacked([self.model], train_graphs, valid_graphs, self.rng)
         return history
 
     def fit_many(
@@ -215,11 +180,10 @@ class Trainer:
         batched:
             ``True`` (default) stacks the K models along a leading seed
             axis and trains them in one vectorised job; ``False`` runs K
-            plain sequential :meth:`fit` calls — the parity reference.
-            Architectures without seed-stacked variants (attention,
-            virtual-node, hierarchical pooling) downgrade to the
-            sequential path with a one-time ``RuntimeWarning`` naming the
-            encoder.
+            :meth:`fit` calls — the sequential parity reference.  A
+            model type with no seed stacker raises
+            :class:`~repro.nn.layers.SeedStackingError` in both modes, and
+            so does a batched roster whose seeds differ in depth or width.
 
         Both paths consume identical copies of this trainer's rng for
         mini-batch shuffling, so under deterministic settings (no dropout)
@@ -231,27 +195,30 @@ class Trainer:
         if not seeds:
             raise ValueError("need at least one seed")
         models = [model_factory(seed) for seed in seeds]
-        base_rng = copy.deepcopy(self.rng)
-        stacked = try_stack_seed_modules(models) if batched else None
-        if stacked is None:
-            histories = []
-            for model in models:
-                sub = Trainer(model, self.task_type, self.config, copy.deepcopy(base_rng), metric=self.metric)
-                histories.append(sub.fit(train_graphs, valid_graphs))
-            return MultiSeedResult(seeds=seeds, models=models, histories=histories)
-        return self._fit_many_batched(
-            stacked, models, seeds, self.config, train_graphs, valid_graphs, copy.deepcopy(base_rng)
-        )
+        if batched:
+            histories = self._fit_stacked(models, train_graphs, valid_graphs, copy.deepcopy(self.rng))
+        else:
+            histories = [
+                self._fit_stacked([model], train_graphs, valid_graphs, copy.deepcopy(self.rng))[0]
+                for model in models
+            ]
+        return MultiSeedResult(seeds=seeds, models=models, histories=histories)
 
-    def _fit_many_batched(self, stacked, models, seeds, cfg, train_graphs, valid_graphs, rng) -> MultiSeedResult:
+    def _fit_stacked(self, models, train_graphs, valid_graphs, rng) -> list[TrainingHistory]:
+        """Train the seed stack of ``models``; one history per seed.
+
+        ``rng`` shuffles the shared mini-batch stream.  Each model ends
+        with its seed's trained parameters and batch-norm statistics, or
+        with its best validation epoch's when ``eval_every`` selects one.
+        """
+        cfg = self.config
+        stacked = stack_seed_modules(models)
         params = stacked.parameters()
         optimizer = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
         histories = [TrainingHistory() for _ in models]
-        num_seeds = len(models)
         for epoch in range(cfg.epochs):
             epoch_losses = []  # one (K,) row per batch
-            with span("train.epoch", path="seed_batched", epoch=epoch, K=num_seeds), \
-                    _TRAIN_SECONDS.time(path="seed_batched"):
+            with span("train.epoch", epoch=epoch, K=len(models)), _TRAIN_SECONDS.time():
                 for batch in iterate_minibatches(train_graphs, cfg.batch_size, rng=rng):
                     optimizer.zero_grad()
                     logits = stacked(batch)
@@ -260,8 +227,8 @@ class Trainer:
                     clip_grad_norm_per_seed(params, cfg.grad_clip)
                     optimizer.step()
                     epoch_losses.append(per_seed)
-            _TRAIN_EPOCHS.inc(path="seed_batched")
-            _TRAIN_BATCHES.inc(len(epoch_losses), path="seed_batched")
+            _TRAIN_EPOCHS.inc()
+            _TRAIN_BATCHES.inc(len(epoch_losses))
             epoch_means = np.mean(epoch_losses, axis=0)
             for k, history in enumerate(histories):
                 history.train_loss.append(float(epoch_means[k]))
@@ -273,7 +240,7 @@ class Trainer:
         for k, (model, history) in enumerate(zip(models, histories)):
             stacked.sync_into(k, model)
             restore_best(model, history)
-        return MultiSeedResult(seeds=seeds, models=models, histories=histories)
+        return histories
 
     def evaluate(self, graphs: list[Graph], metric: str | None = None) -> float:
         """Metric of the current model on ``graphs``."""

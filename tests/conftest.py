@@ -11,8 +11,6 @@ in suites collected from ``tests/`` alone.
 
 from encoder_specs import (  # noqa: F401  (re-exported for the parity suites)
     ENCODER_SPECS,
-    STACKABLE_SPECS,
-    UNSTACKABLE_SPECS,
     EncoderSpec,
     encoder_spec,
     spec_params,

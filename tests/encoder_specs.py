@@ -6,12 +6,12 @@ test suite.  ``test_multiseed.py`` (batched-vs-sequential bitwise parity),
 ``test_dtype.py`` (float32 tolerance bounds) all parametrise over it instead
 of keeping private roster lists.
 
-Each spec records whether the architecture has a registered seed stacker
-(``repro.nn.layers.register_seed_stacker``).  The import-time check below
-fails collection loudly whenever a model registered in
-``repro.encoders.available_models`` is missing from the spec list (or vice
-versa), so growing the zoo without extending the parity suites is
-impossible to do silently.
+Every architecture has a registered seed stacker
+(``repro.nn.layers.register_seed_stacker``), so every suite runs the whole
+roster.  The import-time check below fails collection loudly whenever a
+model registered in ``repro.encoders.available_models`` is missing from
+the spec list (or vice versa), so growing the zoo without extending the
+parity suites is impossible to do silently.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ from repro.encoders import available_models, build_model
 
 @dataclass(frozen=True)
 class EncoderSpec:
-    """One encoder roster entry: registry name + seed-stacking capability."""
+    """One encoder roster entry: a `build_model` name and its build options."""
 
     name: str
-    #: True when the architecture has a registered multi-seed stacker, i.e.
-    #: `stack_seed_modules` produces a batched (K, ...) model for it.
-    stackable: bool
     #: Extra `build_model` keyword arguments this architecture needs.
     build_kwargs: dict = field(default_factory=dict)
 
@@ -55,27 +52,14 @@ class EncoderSpec:
         return make
 
 
-#: The full roster, in `available_models()` order.  FactorGCN is the one
-#: deliberate hole in the seed-stacking registry: its per-factor attention
-#: contracts `(n, 2h) @ (2h,)` as a GEMV, which has no batched equivalent
-#: that is bitwise-identical to the sequential GEMV, so it stays on the
-#: sequential fallback path (and doubles as the real-encoder fallback
-#: example in the warning tests).
-ENCODER_SPECS = (
-    EncoderSpec("gcn", stackable=True),
-    EncoderSpec("gcn-virtual", stackable=True),
-    EncoderSpec("gin", stackable=True),
-    EncoderSpec("gin-virtual", stackable=True),
-    EncoderSpec("factorgcn", stackable=False),
-    EncoderSpec("pna", stackable=True),
-    EncoderSpec("topkpool", stackable=True),
-    EncoderSpec("sagpool", stackable=True),
-    EncoderSpec("gat", stackable=True),
-    EncoderSpec("sage", stackable=True),
+#: The full roster, in `available_models()` order.
+ENCODER_SPECS = tuple(
+    EncoderSpec(name)
+    for name in (
+        "gcn", "gcn-virtual", "gin", "gin-virtual", "factorgcn",
+        "pna", "topkpool", "sagpool", "gat", "sage",
+    )
 )
-
-STACKABLE_SPECS = tuple(spec for spec in ENCODER_SPECS if spec.stackable)
-UNSTACKABLE_SPECS = tuple(spec for spec in ENCODER_SPECS if not spec.stackable)
 
 # Loud completeness check: the spec registry must mirror the model registry
 # exactly.  Raising here aborts pytest collection with a clear message.
@@ -86,8 +70,7 @@ if sorted(_spec_names) != sorted(available_models()):
     raise RuntimeError(
         "tests/conftest.py ENCODER_SPECS is out of sync with "
         f"repro.encoders.available_models(): missing specs for {_missing}, "
-        f"stale specs {_extra}.  Add an EncoderSpec (with an explicit "
-        "stackable flag) for every registered encoder."
+        f"stale specs {_extra}.  Add an EncoderSpec for every registered encoder."
     )
 if len(set(_spec_names)) != len(_spec_names):
     raise RuntimeError("tests/conftest.py ENCODER_SPECS contains duplicate names")

@@ -1,12 +1,9 @@
 """Bench support: table/series formatting and the experiment protocol."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.bench import ExperimentProtocol, MethodResult, format_table, format_series
-from repro.bench import runner as bench_runner
 from repro.bench.runner import run_method_multi_seed
 from repro.datasets.base import DatasetInfo, DatasetSplits
 from repro.encoders import compute_pna_degree_scale
@@ -73,36 +70,6 @@ def _tiny_dataset(seed: int) -> DatasetSplits:
         info=info, train=graphs(16, 4, 7), valid=graphs(6, 4, 7),
         tests={"Test": graphs(6, 7, 10)},
     )
-
-
-class TestBatchedFallbackWarning:
-    def test_unsupported_method_warns_once_and_runs_sequentially(self):
-        """batched=True with a non-stackable method downgrades loudly."""
-        bench_runner._FALLBACK_WARNED.clear()
-        protocol = ExperimentProtocol(
-            epochs=1, batch_size=8, hidden_dim=8, num_layers=2, eval_every=0
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_method_multi_seed("factorgcn", _tiny_dataset, (0,), protocol, batched=True)
-            run_method_multi_seed("factorgcn", _tiny_dataset, (0,), protocol, batched=True)
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning) and "'factorgcn'" in str(w.message)
-        ]
-        assert len(relevant) == 1
-        assert "sequential" in str(relevant[0].message)
-        assert result.method == "factorgcn"
-
-    def test_supported_method_stays_silent(self):
-        bench_runner._FALLBACK_WARNED.clear()
-        protocol = ExperimentProtocol(
-            epochs=1, batch_size=8, hidden_dim=8, num_layers=2, eval_every=0
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_method_multi_seed("gin", _tiny_dataset, (0,), protocol, batched=True)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestModelConstruction:

@@ -154,7 +154,7 @@ class TestAllocatorPolicy:
 class TestStartupImports:
     def test_train_and_serve_import_neither_networkx_nor_scipy(self, tmp_path):
         """A fresh interpreter trains (one seed, then two batched seeds with
-        two encoders), exports and serves, then checks that no networkx,
+        three encoders), exports and serves, then checks that no networkx,
         scipy, multiprocessing or ctypes.util module was imported.  networkx
         and scipy.cluster are used only by callers outside the entry points,
         and scipy's sparse kernels load without scipy.sparse; importing all
@@ -183,7 +183,8 @@ class TestStartupImports:
             job = ["--dataset", "triangles", "--epochs", "1", "--scale", "0.15",
                    "--hidden-dim", "8", "--num-layers", "2"]
             assert main(job + ["--seeds", "1", "--export-artifact", artifact]) == 0
-            for method in ("ood-gnn", "gin-virtual"):  # gin-virtual: seed_gather backward
+            # gin-virtual: seed_gather backward; factorgcn: per-factor edge scores
+            for method in ("ood-gnn", "gin-virtual", "factorgcn"):
                 assert main(job + ["--method", method, "--seeds", "2", "--batched-seeds"]) == 0
             assert serve_main([artifact, "--input", requests]) == 0
             print(json.dumps(sorted(

@@ -1,5 +1,5 @@
 """Documentation stays truthful: links resolve, doctest blocks execute,
-quoted CLI flags exist.
+quoted CLI flags and code names exist.
 
 Runs the same checks as ``tools/check_docs.py`` (and the CI docs job) so
 that a broken README example or a dangling cross-reference fails tier-1
@@ -70,6 +70,31 @@ def test_prose_flag_check_reports_deleted_flags():
     assert check_docs.check_cli_flags(text, "GUIDE.md") == [
         "GUIDE.md: no `repro.run`, `repro.serve` or `repro.obs` option --temperature",
         "GUIDE.md: no `repro.run`, `repro.serve` or `repro.obs` option --calibrate",
+    ]
+
+
+def test_code_names_quoted_in_docs_exist():
+    words = check_docs.code_words()
+    problems = []
+    for doc in check_docs.DOC_FILES:
+        problems.extend(check_docs.check_code_names(doc.read_text(), doc.name, words))
+    assert not problems, "\n".join(problems)
+
+
+def test_code_name_check_reports_made_up_names(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text(
+        "class SeedLinear:\n    def from_layers(self): ...\n\ndef stack_seed_modules(): ...\n"
+    )
+    text = (
+        "Stack with `stack_seed_modules()` or `repro.nn.layers.SeedLinear.from_layers`;\n"
+        "`try_stack_modules` and `SeedFactorConv` are made up.  `Trainer`,\n"
+        "`FLAGS`, `repro.run` and `x + y` are not checked.\n"
+        "```python\nnot_checked_in_fences()\n```\n"
+    )
+    assert check_docs.check_code_names(text, "GUIDE.md", check_docs.code_words(tmp_path)) == [
+        "GUIDE.md: `try_stack_modules` names nothing in the code",
+        "GUIDE.md: `SeedFactorConv` names nothing in the code",
     ]
 
 

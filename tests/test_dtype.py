@@ -182,18 +182,6 @@ class TestEngineDtype:
         assert np.isfinite(s32).all()
         np.testing.assert_allclose(s32, s64, rtol=1e-3, atol=1e-4)
 
-    def test_float32_unstackable_roster_falls_back(self):
-        from repro.nn import layers as nn_layers
-
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
-        graphs = _graphs(3, seed=5)
-        models = [_model("factorgcn", seed=s).eval() for s in range(2)]
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            engine = InferenceEngine.from_models(models, _SCHEMA, dtype="float32")
-        predictions = engine.predict(graphs)
-        assert all(np.isfinite(p.output).all() for p in predictions)
-        assert predictions[0].output.dtype == np.float32
-
 
 class TestArtifactDtype:
     def _artifact(self):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from encoder_specs import ENCODER_SPECS, STACKABLE_SPECS, spec_params
+from encoder_specs import ENCODER_SPECS, spec_params
 from repro.autograd import Tensor, functional as F, inference_mode
 from repro.autograd.tensor import compute_dtype
 from repro.encoders import build_model
@@ -186,7 +186,7 @@ class TestRosterFusedEagerParity:
         batch = _feature_batch(np.random.default_rng(9))
         self._assert_parity(lambda: spec.factory(5, 3)(0), batch, spec.name)
 
-    @pytest.mark.parametrize("spec", spec_params(STACKABLE_SPECS))
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
     def test_seed_stacked(self, spec):
         batch = _feature_batch(np.random.default_rng(10))
         self._assert_parity(

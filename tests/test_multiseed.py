@@ -12,19 +12,21 @@ import warnings
 import numpy as np
 import pytest
 
-from encoder_specs import ENCODER_SPECS, STACKABLE_SPECS, encoder_spec, spec_params
+from encoder_specs import ENCODER_SPECS, encoder_spec, spec_params
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
+from repro.core import ood_gnn as ood_gnn_module
 from repro.encoders import build_model, SeedGraphClassifier
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.nn import layers as nn_layers
-from repro.nn.layers import SeedStackingError, stack_seed_modules, try_stack_seed_modules
+from repro.nn.layers import SeedStackingError, stack_seed_modules
 from repro.nn.losses import seed_prediction_loss, weighted_prediction_loss
 from repro.nn.module import Module
 from repro.nn.optim import clip_grad_norm, clip_grad_norm_per_seed
+from repro.serve import FeatureSchema, InferenceEngine
 from repro.training import Trainer, TrainerConfig, evaluate_model, evaluate_model_per_seed
+from repro.training import trainer as trainer_module
 
 SEEDS = (0, 1, 2)
 
@@ -115,10 +117,7 @@ class TestSeedStacking:
         np.testing.assert_array_equal(fresh(batch).data, ref(batch).data)
 
     def test_unsupported_architecture_raises(self):
-        models = [
-            build_model("factorgcn", 1, 2, np.random.default_rng(s), hidden_dim=8, num_layers=2)
-            for s in SEEDS
-        ]
+        models = [_UnregisteredClassifier(s) for s in SEEDS]
         with pytest.raises(TypeError, match="no multi-seed stacker"):
             stack_seed_modules(models)
 
@@ -136,28 +135,19 @@ class TestSeedStacking:
 
 
 class TestRosterParity:
-    """The full-zoo contract: every stackable spec is bitwise batched==sequential.
+    """The full-zoo contract: every encoder is bitwise batched==sequential.
 
     Parametrised over the shared :data:`conftest.ENCODER_SPECS` registry so
-    a new encoder cannot be registered without declaring (and proving) its
-    seed-stacking behaviour here.
+    a new encoder cannot be registered without proving its seed stacker
+    here.
     """
 
-    def test_stackable_flags_match_registry(self):
-        """Each spec's `stackable` flag agrees with the live stacker registry."""
-        for spec in ENCODER_SPECS:
-            models = [spec.factory(1, 2)(s) for s in (0, 1)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                stacked = try_stack_seed_modules(models)
-            assert (stacked is not None) == spec.stackable, spec.name
-
-    @pytest.mark.parametrize("spec", spec_params(STACKABLE_SPECS))
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
     def test_forward_matches_per_seed_models_bitwise(self, spec):
         batch = GraphBatch.from_graphs(toy_graphs(12))
         models = [spec.factory(1, 2)(s) for s in SEEDS]
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any fallback warning fails the test
+            warnings.simplefilter("error")  # any warning fails the test
             stacked = stack_seed_modules(models)
             logits = stacked(batch)
         assert logits.shape == (len(SEEDS), batch.num_graphs, 2)
@@ -166,7 +156,7 @@ class TestRosterParity:
                 model(batch).data, logits.data[k], err_msg=f"{spec.name} seed {k}"
             )
 
-    @pytest.mark.parametrize("spec", spec_params(STACKABLE_SPECS))
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
     def test_gradients_match_per_seed_models_bitwise(self, spec):
         batch = GraphBatch.from_graphs(toy_graphs(12))
         models = [spec.factory(1, 2)(s) for s in SEEDS]
@@ -182,7 +172,7 @@ class TestRosterParity:
                     stacked_params[name].grad[k], p.grad, err_msg=f"{spec.name} {name} seed {k}"
                 )
 
-    @pytest.mark.parametrize("spec", spec_params(STACKABLE_SPECS))
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
     def test_fit_many_batched_matches_sequential_bitwise(self, spec):
         graphs = toy_graphs(24)
         results = {}
@@ -201,10 +191,8 @@ class TestRosterParity:
             assert_params_equal(results[True].models[k], results[False].models[k])
 
     def test_eight_seed_gat_roster_trains_batched_without_fallback(self):
-        """ISSUE 7 acceptance: a default `fit_many` on an 8-seed GAT roster
-        runs the batched engine end to end with no sequential-fallback
-        warning."""
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
+        """A default `fit_many` on an 8-seed GAT roster trains as one stack
+        and raises no warning."""
         trainer = Trainer(
             None, "multiclass", TrainerConfig(epochs=1, batch_size=12),
             np.random.default_rng(3),
@@ -387,11 +375,10 @@ class TestFitManyParity:
             trainer.fit_many(toy_graphs(8), seeds=(), model_factory=gin_factory)
 
 
-class _UnstackableClassifier(Module):
+class _UnregisteredClassifier(Module):
     """Synthetic model type with no registered seed stacker.
 
-    Wraps a perfectly stackable GIN so the sequential fallback path still
-    trains/serves normally; only the *type* is outside the registry.
+    Wraps a GIN; only the *type* is outside the registry.
     """
 
     def __init__(self, seed):
@@ -402,96 +389,63 @@ class _UnstackableClassifier(Module):
         return self.inner(batch)
 
 
-class TestSequentialFallbackWarning:
-    """Unsupported encoders downgrade to sequential runs — loudly, once.
+def _no_epochs(*_args, **_kwargs):
+    raise AssertionError("an epoch started before the roster was checked")
 
-    FactorGCN is the real-roster example (its per-factor GEMV attention is
-    deliberately unregistered, see conftest.ENCODER_SPECS); the synthetic
-    `_UnstackableClassifier` exercises the same path for a model type the
-    registry has never heard of, in both training and serving contexts.
-    """
 
-    _factorgcn_factory = staticmethod(encoder_spec("factorgcn").factory(1, 2))
+class TestRosterRejection:
+    """A roster that cannot stack raises SeedStackingError before any work."""
 
-    def _fit(self, graphs, batched, factory=None):
-        trainer = Trainer(
-            None, "multiclass", TrainerConfig(epochs=2, batch_size=12), np.random.default_rng(3)
-        )
-        return trainer.fit_many(
-            graphs, seeds=SEEDS, model_factory=factory or self._factorgcn_factory,
-            batched=batched,
-        )
+    SCHEMA = FeatureSchema(
+        feature_dim=1, out_dim=2, task_type="multiclass", metric="accuracy",
+        num_classes=2, dataset="unit-test",
+    )
+    # The build option that varies by seed, its values, and the first difference.
+    MISMATCHES = {
+        "depth": ("num_layers", (2, 3), r"encoder\.convs\.2\."),
+        "width": ("hidden_dim", (8, 16), r"'encoder\.embed\.weight' of shape \(1, 16\)"),
+    }
 
-    def test_try_stack_warns_once_naming_the_encoder(self):
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
-        models = [self._factorgcn_factory(s) for s in SEEDS]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert try_stack_seed_modules(models) is None
-            assert try_stack_seed_modules(models) is None  # second call stays silent
-        relevant = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(relevant) == 1
-        message = str(relevant[0].message)
-        assert "FactorGCNConv" in message and "sequential" in message
+    @staticmethod
+    def _factory(option, values, model):
+        def make(seed):
+            kwargs = dict(hidden_dim=8, num_layers=2)
+            kwargs[option] = values[seed]
+            if model == "ood-gnn":
+                cfg = OODGNNConfig(**kwargs, epochs=1, batch_size=12, reweight_epochs=2)
+                return OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
+            return build_model("gin", 1, 2, np.random.default_rng(seed), **kwargs)
 
-    def test_fit_many_falls_back_with_warning_and_matches_sequential(self):
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
-        graphs = toy_graphs(24)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res_b = self._fit(graphs, batched=True)
-        assert any(
-            issubclass(w.category, RuntimeWarning) and "sequential" in str(w.message)
-            for w in caught
-        )
-        res_s = self._fit(graphs, batched=False)
-        for k in range(len(SEEDS)):
-            assert res_b.histories[k].train_loss == res_s.histories[k].train_loss
-            assert_params_equal(res_b.models[k], res_s.models[k])
+        return make
 
-    def test_synthetic_module_fit_many_warns_once_and_matches_sequential(self):
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
-        graphs = toy_graphs(24)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res_b = self._fit(graphs, batched=True, factory=_UnstackableClassifier)
-            self._fit(graphs, batched=True, factory=_UnstackableClassifier)
-        relevant = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning) and "_UnstackableClassifier" in str(w.message)
-        ]
-        assert len(relevant) == 1  # keyed once per context/model pair
-        assert "training" in str(relevant[0].message)
-        res_s = self._fit(graphs, batched=False, factory=_UnstackableClassifier)
-        for k in range(len(SEEDS)):
-            assert_params_equal(res_b.models[k], res_s.models[k])
+    @pytest.mark.parametrize("mismatch", ["depth", "width"])
+    def test_mismatched_roster_raises_before_training(self, mismatch, monkeypatch):
+        option, values, difference = self.MISMATCHES[mismatch]
+        monkeypatch.setattr(trainer_module, "iterate_minibatches", _no_epochs)
+        monkeypatch.setattr(ood_gnn_module, "iterate_minibatches", _no_epochs)
+        erm = Trainer(None, "multiclass", TrainerConfig(epochs=1, batch_size=12), np.random.default_rng(3))
+        with pytest.raises(SeedStackingError, match=difference):
+            erm.fit_many(toy_graphs(24), seeds=(0, 1), model_factory=self._factory(option, values, "gin"))
+        cfg = OODGNNConfig(hidden_dim=8, num_layers=2, epochs=1, batch_size=12, reweight_epochs=2)
+        ood = OODGNNTrainer(None, "multiclass", np.random.default_rng(3), config=cfg)
+        with pytest.raises(SeedStackingError, match=difference):
+            ood.fit_many(toy_graphs(24), seeds=(0, 1), model_factory=self._factory(option, values, "ood-gnn"))
+        models = [self._factory(option, values, "gin")(seed) for seed in (0, 1)]
+        with pytest.raises(SeedStackingError, match=difference):
+            InferenceEngine.from_models(models, self.SCHEMA)
 
-    def test_synthetic_module_serving_context_warns_separately(self):
-        """The serving context has its own one-time warning key and wording."""
-        nn_layers._SEQUENTIAL_FALLBACK_WARNED.clear()
-        models = [_UnstackableClassifier(s) for s in (0, 1)]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert try_stack_seed_modules(models, context="training") is None
-            assert try_stack_seed_modules(models, context="serving") is None
-            assert try_stack_seed_modules(models, context="serving") is None
-        relevant = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(relevant) == 2  # one per context, never per call
-        serving = str(relevant[1].message)
-        assert "_UnstackableClassifier" in serving and "serving" in serving
-
-    def test_ood_gnn_fit_many_rejects_unstackable_roster(self):
-        """OOD-GNN trains on a seed stack only, so a FactorGCN roster raises
-        in both modes instead of falling back."""
+    def test_ood_gnn_fit_many_rejects_unregistered_roster(self):
+        """OOD-GNN trains on a seed stack only, so a roster of an
+        unregistered type raises in both modes."""
         cfg = OODGNNConfig(
             hidden_dim=8, num_layers=2, epochs=1, batch_size=12,
             reweight_epochs=2, warmup_fraction=1.0,
         )
         trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(3), config=cfg)
         for batched in (True, False):
-            with pytest.raises(SeedStackingError, match="FactorGCNConv"):
+            with pytest.raises(SeedStackingError, match="_UnregisteredClassifier"):
                 trainer.fit_many(
-                    toy_graphs(24), seeds=(0, 1), model_factory=self._factorgcn_factory, batched=batched
+                    toy_graphs(24), seeds=(0, 1), model_factory=_UnregisteredClassifier, batched=batched
                 )
 
 

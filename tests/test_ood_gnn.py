@@ -5,6 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from encoder_specs import ENCODER_SPECS, spec_params
 from ood_gnn_reference import plain_fit
 from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
 from repro.encoders.conv import GINConv
@@ -12,7 +13,7 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.data import GraphBatch
 from repro.obs import FLAGS, clear_trace, disable_tracing, enable_tracing, profile_mode
 from repro.serve.artifact import FeatureSchema, ModelArtifact
-from repro.training import predict
+from repro.training import Trainer, TrainerConfig, predict
 
 
 @pytest.fixture
@@ -236,6 +237,10 @@ class TestOuterLoopOracle:
             np.testing.assert_array_equal(stacked.estimator.global_weights(), plain.estimator.global_weights())
 
 
+FIT_MODES = [None, dict(batched=True), dict(batched=False)]
+FIT_MODE_IDS = ["fit-k1", "fit-many-batched-k2", "fit-many-unbatched-k2"]
+
+
 class TestInstrumentationInvariance:
     """Metrics, tracing and profiling on vs all off: bitwise-equal parameters."""
 
@@ -255,31 +260,55 @@ class TestInstrumentationInvariance:
             FLAGS.metrics, FLAGS.tracing = metrics, tracing
             clear_trace()
 
-    def _trained_params(self, instrumented, fit_many):
+    def _trained_params(self, instrumented, train):
+        with self._instrumentation(instrumented):
+            models = train()
+        return [dict(model.named_parameters()) for model in models]
+
+    def _assert_invariant(self, train, num_models):
+        plain = self._trained_params(False, train)
+        instrumented = self._trained_params(True, train)
+        assert len(plain) == len(instrumented) == num_models
+        for params, params_instrumented in zip(plain, instrumented):
+            assert params.keys() == params_instrumented.keys()
+            for name, param in params.items():
+                np.testing.assert_array_equal(param.data, params_instrumented[name].data, err_msg=name)
+
+    @pytest.mark.parametrize("fit_many", FIT_MODES, ids=FIT_MODE_IDS)
+    def test_trained_parameters_bitwise_equal(self, fit_many):
         graphs = toy_dataset(np.random.default_rng(5), n=24)
         # One warmup epoch (the history-only decorrelation_loss diagnostic)
         # and one reweighting epoch (the inner loop).
         cfg = tiny_config(epochs=2, warmup_fraction=0.5)
         factory = lambda seed: OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
-        with self._instrumentation(instrumented):
-            if fit_many is None:
-                models = [factory(0)]
-                OODGNNTrainer(models[0], "multiclass", np.random.default_rng(1), config=cfg).fit(graphs)
-            else:
-                trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(1), config=cfg)
-                models = trainer.fit_many(graphs, seeds=(0, 1), model_factory=factory, **fit_many).models
-        return [dict(model.named_parameters()) for model in models]
 
-    @pytest.mark.parametrize(
-        "fit_many",
-        [None, dict(batched=True), dict(batched=False)],
-        ids=["fit-k1", "fit-many-batched-k2", "fit-many-unbatched-k2"],
-    )
-    def test_trained_parameters_bitwise_equal(self, fit_many):
-        plain = self._trained_params(False, fit_many)
-        instrumented = self._trained_params(True, fit_many)
-        assert len(plain) == len(instrumented) == (1 if fit_many is None else 2)
-        for params, params_instrumented in zip(plain, instrumented):
-            assert params.keys() == params_instrumented.keys()
-            for name, param in params.items():
-                np.testing.assert_array_equal(param.data, params_instrumented[name].data, err_msg=name)
+        def train():
+            if fit_many is None:
+                model = factory(0)
+                OODGNNTrainer(model, "multiclass", np.random.default_rng(1), config=cfg).fit(graphs)
+                return [model]
+            trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(1), config=cfg)
+            return trainer.fit_many(graphs, seeds=(0, 1), model_factory=factory, **fit_many).models
+
+        self._assert_invariant(train, 1 if fit_many is None else 2)
+
+    @pytest.mark.parametrize("fit_many", FIT_MODES, ids=FIT_MODE_IDS)
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
+    def test_erm_trained_parameters_bitwise_equal(self, spec, fit_many):
+        """The ERM trainer over the whole roster, validating every epoch."""
+        graphs = toy_dataset(np.random.default_rng(5), n=24)
+        train_graphs, valid_graphs = graphs[:16], graphs[16:]
+        cfg = TrainerConfig(epochs=2, batch_size=8, eval_every=1)
+        factory = spec.factory(1, 2)
+
+        def train():
+            if fit_many is None:
+                model = factory(0)
+                Trainer(model, "multiclass", cfg, np.random.default_rng(1)).fit(train_graphs, valid_graphs)
+                return [model]
+            trainer = Trainer(None, "multiclass", cfg, np.random.default_rng(1))
+            return trainer.fit_many(
+                train_graphs, valid_graphs, seeds=(0, 1), model_factory=factory, **fit_many
+            ).models
+
+        self._assert_invariant(train, 1 if fit_many is None else 2)

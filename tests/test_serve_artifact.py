@@ -26,12 +26,10 @@ SCHEMA = FeatureSchema(
     metric="accuracy", num_classes=OUT_DIM, dataset="unit-test",
 )
 
-# Roster lists come from the shared spec registry (tests/encoder_specs.py):
-# everything except FactorGCN has a seed-stacked variant.
-from encoder_specs import STACKABLE_SPECS, UNSTACKABLE_SPECS
+# The roster comes from the shared spec registry (tests/encoder_specs.py).
+from encoder_specs import ENCODER_SPECS
 
-STACKABLE = tuple(spec.name for spec in STACKABLE_SPECS)
-UNSTACKABLE = tuple(spec.name for spec in UNSTACKABLE_SPECS)
+ROSTER = tuple(spec.name for spec in ENCODER_SPECS)
 
 
 def make_graphs(rng, count=8):
@@ -94,7 +92,7 @@ class TestSpecSchema:
 
 
 class TestSingleSeedRoundTrip:
-    @pytest.mark.parametrize("method", STACKABLE + UNSTACKABLE)
+    @pytest.mark.parametrize("method", ROSTER)
     def test_bitwise_logits_across_roster(self, method, rng, tmp_path):
         spec = ModelSpec(method, hidden_dim=8, num_layers=2)
         model = spec.build(SCHEMA)
@@ -148,7 +146,7 @@ class TestSingleSeedRoundTrip:
 
 
 class TestSeedEnsembleRoundTrip:
-    @pytest.mark.parametrize("method", STACKABLE)
+    @pytest.mark.parametrize("method", ROSTER)
     def test_stacked_seed_state_dict_to_artifact_bitwise(self, method, rng, tmp_path):
         """seed_state_dict(k) -> per-seed artifact -> reload -> bitwise logits.
 
@@ -172,9 +170,9 @@ class TestSeedEnsembleRoundTrip:
         for model, clone in zip(models, rebuilt):
             np.testing.assert_array_equal(predict(model, graphs), predict(clone, graphs))
 
-    @pytest.mark.parametrize("method", UNSTACKABLE)
+    @pytest.mark.parametrize("method", ROSTER)
     def test_from_models_ensemble_round_trip(self, method, rng, tmp_path):
-        """Unstackable rosters bundle via from_models and round-trip bitwise."""
+        """Per-seed models bundle via from_models and round-trip bitwise."""
         spec = ModelSpec(method, hidden_dim=8, num_layers=2)
         graphs = make_graphs(rng)
         models = []

@@ -201,21 +201,15 @@ class TestSeedEnsembles:
         expected = np.stack([energy_score(member_logits[k], "multiclass") for k in range(2)]).mean(axis=0)
         np.testing.assert_allclose([r.energy for r in results], expected, atol=1e-10)
 
-    def test_unstackable_roster_warns_once_and_serves(self, rng):
+    def test_factorgcn_ensemble_output_is_member_mean_bitwise(self, rng):
         models = [
             build_model("factorgcn", FEATURE_DIM, OUT_DIM, np.random.default_rng(k), hidden_dim=8, num_layers=2)
             for k in range(2)
         ]
-        import repro.nn.layers as layers
-
-        layers._SEQUENTIAL_FALLBACK_WARNED.discard("serving/GraphClassifier/StackedEncoder")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             engine = InferenceEngine.from_models(models, SCHEMA)
-            InferenceEngine.from_models(models, SCHEMA)  # second engine: no new warning
-        serving_warnings = [w for w in caught if "serving" in str(w.message)]
-        assert len(serving_warnings) == 1
-        assert engine._stacked is None
+        assert engine._stacked is not None
         graphs = make_graphs(rng, 5)
         results = engine.predict(graphs)
         with inference_mode():
@@ -223,7 +217,7 @@ class TestSeedEnsembles:
                 [m.eval()(GraphBatch.from_graphs(graphs)).data for m in models]
             )
         for i, result in enumerate(results):
-            np.testing.assert_allclose(result.output, member_logits[:, i].mean(axis=0), atol=1e-12)
+            np.testing.assert_array_equal(result.output, member_logits[:, i].mean(axis=0))
 
     def test_artifact_to_engine_ensemble(self, rng, tmp_path):
         spec = ModelSpec("gin", hidden_dim=8, num_layers=2)

@@ -11,7 +11,7 @@ clear error instead of silently doing nothing.
 import numpy as np
 import pytest
 
-from encoder_specs import ENCODER_SPECS, STACKABLE_SPECS, spec_params
+from encoder_specs import ENCODER_SPECS, spec_params
 from repro.autograd import Tensor, functional as F, inference_mode, no_grad, is_grad_enabled
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
@@ -180,7 +180,7 @@ class TestEncoderParity:
         np.testing.assert_array_equal(taped.data, tape_free.data)
         assert taped._parents and not tape_free._parents
 
-    @pytest.mark.parametrize("spec", spec_params(STACKABLE_SPECS))
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
     def test_seed_stacked_forward_bitwise(self, spec, rng):
         """The serving path: a stacked roster's eval forward is bitwise
         identical with and without the tape."""

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from encoder_specs import ENCODER_SPECS
+from erm_reference import plain_fit
 from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
 from repro.encoders import build_model
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.nn.layers import BatchNorm1d
+from repro.nn.layers import BatchNorm1d, Dropout
 from repro.training import Trainer, TrainerConfig, iterate_minibatches, predict, evaluate_model
 from repro.training.seed import seeded_rng
 
@@ -89,6 +91,73 @@ class TestTrainer:
         trainer = Trainer(model, "regression", cfg, rng, metric="rmse")
         history = trainer.fit(graphs[:20], graphs[20:])
         assert history.best_metric == min(history.valid_metric)
+
+
+def _oracle_graphs(task):
+    """24 training and 8 validation graphs labelled for ``task``."""
+    rng = np.random.default_rng(11)
+    graphs = []
+    for i in range(32):
+        g = erdos_renyi(int(rng.integers(5, 10)), 0.7 if i % 2 else 0.15, rng)
+        if task == "multiclass":
+            g.y = i % 2
+        elif task == "binary":
+            # The second task is unlabelled (NaN) on every third graph.
+            g.y = np.array([float(i % 2), np.nan if i % 3 == 0 else float(i % 4 < 2)])
+        else:
+            g.y = np.array([float(g.num_edges)])
+        graphs.append(g)
+    return graphs[:24], graphs[24:]
+
+
+def _roster_with_dropout():
+    """Every encoder at dropout 0, and at 0.2 where it builds a Dropout."""
+    cases = []
+    for spec in ENCODER_SPECS:
+        cases.append(pytest.param(spec, 0.0, id=spec.name))
+        model = spec.build(1, 2, np.random.default_rng(0), dropout=0.2)
+        if any(isinstance(m, Dropout) for m in model.modules()):
+            cases.append(pytest.param(spec, 0.2, id=f"{spec.name}-dropout"))
+    return cases
+
+
+class TestPlainLoopOracle:
+    """``fit``, the K = 1 case of the stacked loop, against the plain loop
+    of ``tests/erm_reference.py``: every byte the run leaves must match."""
+
+    TASKS = {
+        "multiclass": ("multiclass", 2, "accuracy"),
+        "binary": ("binary", 2, "rocauc"),
+        "regression": ("regression", 1, "rmse"),
+    }
+
+    @pytest.mark.parametrize("task", TASKS)
+    @pytest.mark.parametrize("spec, dropout", _roster_with_dropout())
+    def test_fit_matches_plain_loop_bitwise(self, spec, dropout, task):
+        task_type, out_dim, metric = self.TASKS[task]
+        train, valid = _oracle_graphs(task)
+        cfg = TrainerConfig(epochs=3, batch_size=8, eval_every=1)
+        stacked, plain = [
+            Trainer(
+                spec.build(1, out_dim, np.random.default_rng(3), dropout=dropout),
+                task_type, cfg, np.random.default_rng(4), metric=metric,
+            )
+            for _ in range(2)
+        ]
+        h_stacked = stacked.fit(train, valid)
+        h_plain = plain_fit(plain, train, valid)
+
+        assert h_stacked.train_loss == h_plain.train_loss
+        assert len(h_plain.valid_metric) == 3
+        assert h_stacked.valid_metric == h_plain.valid_metric
+        assert h_stacked.best_metric == h_plain.best_metric
+        params = dict(plain.model.named_parameters())
+        for name, param in stacked.model.named_parameters():
+            np.testing.assert_array_equal(param.data, params[name].data, err_msg=name)
+        buffers = plain.model.buffer_dict()
+        for name, value in stacked.model.buffer_dict().items():
+            np.testing.assert_array_equal(value, buffers[name], err_msg=name)
+        assert stacked.rng.bit_generator.state == plain.rng.bit_generator.state
 
 
 class TestModelSelection:

@@ -21,7 +21,12 @@ docs/*.md):
   quoted in prose) names an option of ``repro.run``, ``repro.serve`` or
   a ``repro.obs`` subcommand;
 * every ``*.md`` name cited in a ``src/`` or ``benchmarks/`` Python file
-  exists at the repository root or under ``docs/``.
+  exists at the repository root or under ``docs/``;
+* every inline-code span that reads as a code name — a Python
+  identifier, optionally dotted and optionally followed by ``()``, whose
+  last part contains ``_`` or a lower-to-upper case change — names a word
+  that occurs in some Python file under ``src/``, ``tests/``,
+  ``benchmarks/``, ``perfbench/`` or ``tools/``.
 
 Exit code 0 when everything checks out, 1 otherwise.  Run from anywhere:
 
@@ -50,8 +55,11 @@ _CLI_COMMAND = re.compile(r"python3? -m (repro\.run|repro\.serve)\b(.*)")
 _SHELL_BREAK = re.compile(r"[|;#>]|&&")
 _FLAG = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
 _BARE_FLAG = re.compile(r"--[A-Za-z][\w-]*(?: [^\s-]\S*)?")
+_CODE_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\(\))?")
+_CASE_CHANGE = re.compile(r"[a-z][A-Z]")
 CLI_MODULES = {"repro.run": "repro.run", "repro.serve": "repro.serve.__main__"}
 CITING_DIRS = ("src", "benchmarks")
+CODE_DIRS = ("src", "tests", "benchmarks", "perfbench", "tools")
 
 
 def github_slug(heading: str) -> str:
@@ -155,14 +163,42 @@ def check_md_citations(root: Path = REPO_ROOT) -> list[str]:
     return problems
 
 
+def code_words(root: Path = REPO_ROOT) -> set[str]:
+    """Every word of every Python file under ``root``'s :data:`CODE_DIRS`."""
+    words: set[str] = set()
+    for directory in CODE_DIRS:
+        for path in (root / directory).rglob("*.py"):
+            words.update(re.findall(r"\w+", path.read_text()))
+    return words
+
+
+def check_code_names(text: str, name: str, words: set[str]) -> list[str]:
+    """Inline-code names in ``text`` whose last part is not in ``words``.
+
+    Only spans that read as code are checked (``stack_seed_modules``,
+    ``Trainer.fit_many``, ``SeedLinear()``); ``Trainer`` or ``repro.run``
+    could be plain words and are skipped.
+    """
+    problems = []
+    for span in _INLINE_CODE.findall(_FENCE.sub("", text)):
+        if not _CODE_NAME.fullmatch(span):
+            continue
+        last = span.removesuffix("()").rsplit(".", 1)[-1]
+        if ("_" in last or _CASE_CHANGE.search(last)) and last not in words:
+            problems.append(f"{name}: `{span}` names nothing in the code")
+    return problems
+
+
 def main() -> int:
     problems: list[str] = check_md_citations()
+    words = code_words()
     for doc in DOC_FILES:
         if not doc.exists():
             problems.append(f"missing documentation file: {doc.relative_to(REPO_ROOT)}")
             continue
         problems.extend(check_links(doc))
         problems.extend(check_cli_flags(doc.read_text(), doc.name))
+        problems.extend(check_code_names(doc.read_text(), doc.name, words))
         problems.extend(check_doctests(doc))
     if problems:
         print("documentation check FAILED:")
