@@ -13,10 +13,10 @@ graphs, hidden_dim d=64, paper-style size shift on small graphs):
 
 * **job** — the full bench-runner protocol `run_method_multi_seed`:
   dataset build + training + train/OOD-test evaluation.  Sequential runs
-  the shipped per-seed path (fresh dataset + training + evaluation per
-  seed); batched runs the whole roster as one seed-stacked job.  This is
-  the end-to-end speedup a table reproduction sees; acceptance target
-  >= 2x.
+  each seed as a group of one (fresh dataset, a one-seed stack's training
+  and evaluation per seed); batched runs the whole roster as one
+  seed-stacked job.  This is the end-to-end speedup a table reproduction
+  sees; acceptance target >= 2x.
 * **fit** — `Trainer.fit_many` batched vs sequential on the *same* fixed
   dataset and mini-batch stream, the configuration whose bitwise parity
   `tests/test_multiseed.py` asserts.  Measured for GIN (the original

@@ -31,8 +31,9 @@ def main() -> None:
     )
     print(header)
     for method in METHODS:
-        # Train directly (not via repro.bench.run_method) because the
-        # per-bucket breakdown below needs the trained model itself.
+        # The trainers as a user calls them.  The bench protocol,
+        # repro.bench.run_method_multi_seed, hands back its trained models
+        # too (MethodResult.models), with its own epochs and seeding.
         info = dataset.info
         model_rng = np.random.default_rng(7919)
         if method == "ood-gnn":

@@ -2,7 +2,6 @@
 
 from repro.bench.runner import (
     ExperimentProtocol,
-    run_method,
     run_method_multi_seed,
     method_spec,
     MethodResult,
@@ -11,7 +10,6 @@ from repro.bench.tables import format_table, format_series
 
 __all__ = [
     "ExperimentProtocol",
-    "run_method",
     "run_method_multi_seed",
     "method_spec",
     "MethodResult",

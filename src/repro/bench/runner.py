@@ -6,13 +6,14 @@ metric (the validation split is drawn from the training distribution),
 evaluate once on the OOD test split(s), and report mean ± std over
 repeated seeds.
 
-:func:`run_method_multi_seed` optionally runs all seeds as one batched
-job (``batched=True``, the multi-seed engine of
-``docs/ARCHITECTURE.md``): the dataset is fixed at the first seed and
-only model initialisation varies, so K encoder forwards/backwards
-collapse into one vectorised pass — and for ``ood-gnn`` the K inner
-reweighting loops run as one seed-batched closed-form job.  Every method
-of the roster runs batched.
+:func:`run_method_multi_seed` is the one path: it trains each group of
+seeds through the trainers' ``fit_many`` as one seed-stacked job (the
+multi-seed engine of ``docs/ARCHITECTURE.md``) and scores it in one
+stacked sweep.  A group is one seed on its own dataset, or, with
+``batched=True``, all seeds on the first seed's dataset, so that K
+encoder forwards/backwards collapse into one vectorised pass — and for
+``ood-gnn`` the K inner reweighting loops run as one seed-batched
+closed-form job.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from repro.core.ood_gnn import OODGNN, OODGNNConfig, OODGNNTrainer
 __all__ = [
     "ExperimentProtocol",
     "MethodResult",
-    "run_method",
     "run_method_multi_seed",
     "method_spec",
 ]
@@ -55,9 +55,8 @@ class ExperimentProtocol:
 class MethodResult:
     """Mean/std of train and per-test-split metrics over seeds.
 
-    ``models``/``seeds`` are populated only when the experiment ran with
-    ``keep_models=True`` (the artifact-export path of ``repro.run``);
-    plain benchmark sweeps keep them empty so trained models are freed.
+    ``seeds`` and the trained ``models`` are index-aligned;
+    ``repro.run --export-artifact`` bundles them.
     """
 
     method: str
@@ -71,43 +70,6 @@ class MethodResult:
     def row(self, split: str) -> str:
         """``mean±std`` cell for the given test split."""
         return f"{self.test_mean[split]:.3f}±{self.test_std[split]:.3f}"
-
-
-def run_method(
-    method: str,
-    dataset: DatasetSplits,
-    seed: int,
-    protocol: ExperimentProtocol,
-):
-    """Train one method once; return (train_metric, {split: metric}).
-
-    ``method`` is either ``"ood-gnn"`` or a baseline name accepted by
-    :func:`repro.encoders.build_model`.
-    """
-    _trainer, train_metric, test_metrics = _run_method_trainer(method, dataset, seed, protocol)
-    return train_metric, test_metrics
-
-
-def _run_method_trainer(
-    method: str,
-    dataset: DatasetSplits,
-    seed: int,
-    protocol: ExperimentProtocol,
-):
-    """:func:`run_method`, but also hands back the trainer (for model export)."""
-    info = dataset.info
-    train_rng = np.random.default_rng((seed + 1) * 104729)
-    model = _model_factory(method, dataset, protocol)(seed)
-    if method == "ood-gnn":
-        # The trainer takes its configuration from the model.
-        trainer = OODGNNTrainer(model, info.task_type, train_rng, metric=info.metric)
-        trainer.fit(dataset.train, dataset.valid, eval_every=protocol.eval_every)
-    else:
-        trainer = Trainer(model, info.task_type, _trainer_config(protocol), train_rng, metric=info.metric)
-        trainer.fit(dataset.train, dataset.valid)
-    train_metric = trainer.evaluate(dataset.train)
-    test_metrics = {name: trainer.evaluate(split) for name, split in dataset.tests.items()}
-    return trainer, train_metric, test_metrics
 
 
 def _ood_gnn_config(protocol: ExperimentProtocol) -> OODGNNConfig:
@@ -135,7 +97,7 @@ def _trainer_config(protocol: ExperimentProtocol) -> TrainerConfig:
 
 
 def _model_factory(method: str, dataset: DatasetSplits, protocol: ExperimentProtocol):
-    """``seed -> untrained model``, the one constructor of both training paths.
+    """``seed -> untrained model``, the one constructor of every seed group.
 
     OOD-GNN models carry the experiment's :func:`_ood_gnn_config`; PNA's
     degree scale is the training split's.
@@ -164,8 +126,8 @@ def _model_factory(method: str, dataset: DatasetSplits, protocol: ExperimentProt
 def method_spec(method: str, protocol: ExperimentProtocol):
     """The serving :class:`~repro.serve.artifact.ModelSpec` of one experiment.
 
-    Mirrors exactly how :func:`run_method` constructs the model, so an
-    artifact exported with this spec rebuilds the same architecture.
+    Mirrors how :func:`_model_factory` builds the model, so an artifact
+    exported with this spec rebuilds the same architecture.
     Dataset-dependent constants (PNA's degree scale) travel as model
     buffers, not spec fields.
     """
@@ -182,92 +144,61 @@ def run_method_multi_seed(
     seeds,
     protocol: ExperimentProtocol,
     batched: bool = False,
-    keep_models: bool = False,
 ) -> MethodResult:
-    """Repeat :func:`run_method` over seeds with fresh datasets per seed.
+    """Train and score one method over ``seeds``; mean ± std over them.
 
-    ``dataset_factory(seed)`` regenerates the dataset so that both data
-    and initialisation randomness enter the reported std, as in the
-    paper's "10 repeated experiments".
-
-    With ``batched=True`` all seeds train as one vectorised job instead:
-    the dataset is fixed at ``dataset_factory(seeds[0])`` and only the
-    model initialisation varies across seeds (the std then reports
-    initialisation noise, not data noise).  For ``"ood-gnn"``, Algorithm
-    1's inner sample-weight loops also run as one seed-batched
-    closed-form job.
+    ``method`` is either ``"ood-gnn"`` or a baseline name accepted by
+    :func:`repro.encoders.build_model`.  Seeds train in groups, each group
+    on the dataset of its first seed.
+    By default every seed is a group of one on its own
+    ``dataset_factory(seed)``, so data and initialisation randomness both
+    enter the reported std, as in the paper's "10 repeated experiments".
+    With ``batched=True`` all seeds form one group on
+    ``dataset_factory(seeds[0])`` and only the initialisation varies
+    across seeds.  Either way a group trains through its trainer's
+    ``fit_many`` as one seed stack, shuffling with its first seed's rng,
+    and is scored in one :func:`evaluate_model_per_seed` sweep per split,
+    so one seed trains the same bytes with ``batched`` on or off.
     """
     seeds = tuple(seeds)
-    if batched:
-        return _run_method_multi_seed_batched(
-            method, dataset_factory, seeds, protocol, keep_models
-        )
-    trains, tests, models = [], [], []
-    for seed in seeds:
-        dataset = dataset_factory(seed)
-        trainer, train_metric, test_metrics = _run_method_trainer(method, dataset, seed, protocol)
-        trains.append(train_metric)
-        tests.append(test_metrics)
-        if keep_models:
-            models.append(trainer.model)
-    return _collect(method, trains, tests, seeds=seeds if keep_models else (), models=models)
-
-
-def _collect(method: str, trains: list, tests: list, seeds: tuple = (), models: list | None = None) -> MethodResult:
-    split_names = tests[0].keys()
+    if not seeds:
+        raise ValueError("need at least one seed")
+    groups = [seeds] if batched else [(seed,) for seed in seeds]
+    trains, tests, models = [], {}, []
+    for group in groups:
+        dataset = dataset_factory(group[0])
+        group_models = _fit_group(method, dataset, group, protocol)
+        stacked = stack_seed_modules(group_models)
+        metric = dataset.info.metric
+        trains.extend(evaluate_model_per_seed(stacked, dataset.train, metric))
+        for name, split in dataset.tests.items():
+            tests.setdefault(name, []).extend(evaluate_model_per_seed(stacked, split, metric))
+        models.extend(group_models)
     return MethodResult(
         method=method,
         train_mean=float(np.mean(trains)),
         train_std=float(np.std(trains)),
-        test_mean={s: float(np.mean([t[s] for t in tests])) for s in split_names},
-        test_std={s: float(np.std([t[s] for t in tests])) for s in split_names},
+        test_mean={name: float(np.mean(scores)) for name, scores in tests.items()},
+        test_std={name: float(np.std(scores)) for name, scores in tests.items()},
         seeds=seeds,
-        models=models or [],
+        models=models,
     )
 
 
-def _run_method_multi_seed_batched(
-    method: str,
-    dataset_factory,
-    seeds: tuple,
-    protocol: ExperimentProtocol,
-    keep_models: bool = False,
-) -> MethodResult:
-    """All seeds of one method as a single seed-stacked training job."""
-    dataset = dataset_factory(seeds[0])
+def _fit_group(method: str, dataset: DatasetSplits, seeds: tuple, protocol: ExperimentProtocol) -> list:
+    """Train ``seeds`` on ``dataset`` as one seed stack; the trained models."""
     info = dataset.info
     train_rng = np.random.default_rng((seeds[0] + 1) * 104729)
-    eval_every = protocol.eval_every
+    factory = _model_factory(method, dataset, protocol)
     if method == "ood-gnn":
         trainer = OODGNNTrainer(
             None, info.task_type, train_rng, metric=info.metric, config=_ood_gnn_config(protocol)
         )
         result = trainer.fit_many(
-            dataset.train,
-            dataset.valid,
-            eval_every=eval_every,
-            seeds=seeds,
-            model_factory=_model_factory(method, dataset, protocol),
+            dataset.train, dataset.valid, eval_every=protocol.eval_every,
+            seeds=seeds, model_factory=factory,
         )
     else:
         trainer = Trainer(None, info.task_type, _trainer_config(protocol), train_rng, metric=info.metric)
-        result = trainer.fit_many(
-            dataset.train,
-            dataset.valid if eval_every else None,
-            seeds=seeds,
-            model_factory=_model_factory(method, dataset, protocol),
-        )
-    # Re-stack the trained per-seed models (cheap parameter copies) so the
-    # final train/test evaluations also run as one K-wide forward sweep.
-    stacked = stack_seed_modules(result.models)
-    trains = evaluate_model_per_seed(stacked, dataset.train, info.metric)
-    tests_per_split = {
-        name: evaluate_model_per_seed(stacked, split, info.metric)
-        for name, split in dataset.tests.items()
-    }
-    tests = [{name: scores[k] for name, scores in tests_per_split.items()} for k in range(len(seeds))]
-    return _collect(
-        method, trains, tests,
-        seeds=seeds if keep_models else (),
-        models=result.models if keep_models else [],
-    )
+        result = trainer.fit_many(dataset.train, dataset.valid, seeds=seeds, model_factory=factory)
+    return result.models

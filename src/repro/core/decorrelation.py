@@ -24,6 +24,7 @@ stack and a single-seed call give the same bytes
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,11 +181,14 @@ class SampleWeightLearner:
     def decorrelation_loss(self, representations: np.ndarray, weights: np.ndarray) -> float:
         """Decorrelation objective (Eq. (7)) of ``representations`` under ``weights``.
 
-        Draws fresh random features, as :meth:`learn` does.  Evaluated in
-        primal form: the dual mode's cache precomputation only pays off
-        over a full inner loop.
+        A diagnostic: it draws its random features from a copy of the
+        sampler, so the sampler's rng is in the same state after the call
+        as before it, and the features of every later :meth:`learn` call
+        are the ones they would be without it.  Evaluated in primal form:
+        the dual mode's cache precomputation only pays off over a full
+        inner loop.
         """
-        feats = self.rff(self._prepare(representations))
+        feats = copy.deepcopy(self.rff)(self._prepare(representations))
         weights = np.asarray(weights, dtype=np.float64)
         return float(SeedFusedDecorrelation(feats[None], mode="primal").loss(weights[None])[0])
 

@@ -164,9 +164,8 @@ class OODGNNTrainer:
         self.rng = rng
         self.metric = metric
         self.config = config or model.config
-        # NOTE: this integers() draw advances the trainer rng; the batched
-        # multi-seed path replays it so its shuffle stream stays aligned
-        # with sequential trainers built from rng copies.
+        # This integers() draw seeds fit's random features; fit_many skips
+        # the same draw on its copy of the rng.
         self.weight_learner, self.estimator = self._components(np.random.default_rng(rng.integers(2**31)))
 
     def _components(self, rff_rng: np.random.Generator):
@@ -219,31 +218,32 @@ class OODGNNTrainer:
         the stacked representations
         (:func:`repro.core.decorrelation.learn_many`) — Algorithm 1
         vectorised across seeds end-to-end.  ``batched=False`` is the
-        sequential parity reference: K :meth:`fit` runs whose shuffle
-        streams and per-seed RFF streams (``seeded_rng(seed,
-        "multiseed-rff")``) come from the same sources the batched path
-        uses.  Both give the same bytes.  A factory whose models have no
-        seed-stacked variant raises :class:`~repro.nn.layers.SeedStackingError`.
+        sequential parity reference: K runs of the same loop at K = 1,
+        each on a copy of the batched run's shuffle stream and on its
+        seed's own RFF stream (``seeded_rng(seed, "multiseed-rff")``) and
+        global memory.  Both give the same bytes.  A factory whose models
+        have no seed-stacked variant raises
+        :class:`~repro.nn.layers.SeedStackingError`.
         """
         seeds = tuple(seeds)
         if not seeds:
             raise ValueError("need at least one seed")
         models = [model_factory(seed) for seed in seeds]
-        if not batched:
-            histories = []
-            for seed, model in zip(seeds, models):
-                sub = OODGNNTrainer(
-                    model, self.task_type, copy.deepcopy(self.rng), metric=self.metric, config=self.config
-                )
-                sub.weight_learner, sub.estimator = self._components(seeded_rng(seed, "multiseed-rff"))
-                histories.append(sub.fit(train_graphs, valid_graphs, eval_every=eval_every))
-            return MultiSeedResult(seeds=seeds, models=models, histories=histories)
         rng = copy.deepcopy(self.rng)
-        # Replay the rff-seeding draw the sequential OODGNNTrainer.__init__
-        # makes, so both paths shuffle mini-batches from the same stream.
+        # Skip the draw __init__ seeds fit's random features with: the seeds
+        # draw theirs from seeded_rng, and the skip keeps every seed group's
+        # shuffle stream as it was.
         rng.integers(2**31)
         components = [self._components(seeded_rng(seed, "multiseed-rff")) for seed in seeds]
-        histories = self._fit_stacked(models, components, train_graphs, valid_graphs, eval_every, rng)
+        if batched:
+            histories = self._fit_stacked(models, components, train_graphs, valid_graphs, eval_every, rng)
+        else:
+            histories = [
+                self._fit_stacked(
+                    [model], [component], train_graphs, valid_graphs, eval_every, copy.deepcopy(rng)
+                )[0]
+                for model, component in zip(models, components)
+            ]
         return MultiSeedResult(seeds=seeds, models=models, histories=histories)
 
     def _reweight_many(self, components, z_detached: np.ndarray):
@@ -343,21 +343,3 @@ class OODGNNTrainer:
     def evaluate(self, graphs: list[Graph], metric: str | None = None) -> float:
         """Metric of the trained model (testing stage uses Phi*, R* as-is)."""
         return evaluate_model(self.model, graphs, metric or self.metric)
-
-    def export_artifact(self, path, schema, spec=None, metadata: dict | None = None):
-        """Save the trained OOD-GNN as a deployable serving artifact.
-
-        The :class:`~repro.serve.artifact.ModelSpec` is derived from the
-        model's config when not given explicitly (the architecture is
-        fully determined by ``hidden_dim`` / ``num_layers`` / ``readout``
-        / ``dropout``); ``schema`` is the dataset's
-        :class:`~repro.serve.artifact.FeatureSchema`.  Returns the path
-        written.
-        """
-        from repro.serve.artifact import ModelArtifact, ModelSpec
-
-        if self.model is None:
-            raise ValueError("trainer has no model to export (fit_many results export via MultiSeedResult)")
-        if spec is None:
-            spec = ModelSpec.for_ood_gnn(self.model.config)
-        return ModelArtifact.from_model(self.model, spec, schema, metadata=metadata).save(path)

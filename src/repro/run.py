@@ -134,9 +134,7 @@ def main(argv=None) -> int:
     )
     factory = lambda seed: load_dataset(args.dataset, seed=seed, scale=args.scale)
     result = run_method_multi_seed(
-        args.method, factory, tuple(range(args.seeds)), protocol,
-        batched=args.batched_seeds,
-        keep_models=bool(args.export_artifact),
+        args.method, factory, tuple(range(args.seeds)), protocol, batched=args.batched_seeds
     )
 
     if args.export_artifact:

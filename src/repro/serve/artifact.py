@@ -5,14 +5,12 @@ requests without any user code: the weights and buffers (via
 :mod:`repro.nn.checkpoint`), a :class:`ModelSpec` that rebuilds the
 architecture by name, the dataset's :class:`FeatureSchema` (so requests
 can be validated), and a format version.  Seed-ensemble artifacts carry K
-seeds' parameters stacked along a leading axis — built either from K
-trained models or straight from a seed-stacked
-:class:`~repro.encoders.models.SeedGraphClassifier`.
+seeds' parameters stacked along a leading axis.
 
-The serving engine (:mod:`repro.serve.engine`) consumes artifacts; the
-trainers (:meth:`repro.training.trainer.Trainer.export_artifact`,
-:meth:`repro.core.ood_gnn.OODGNNTrainer.export_artifact`) produce them.
-See ``docs/ARCHITECTURE.md`` ("Inference and serving") for the design.
+The serving engine (:mod:`repro.serve.engine`) consumes artifacts;
+``python -m repro.run --export-artifact`` produces them, bundling the
+trained seed roster with :meth:`ModelArtifact.from_models`.  See
+``docs/ARCHITECTURE.md`` ("Inference and serving") for the design.
 """
 
 from __future__ import annotations
@@ -276,25 +274,6 @@ class ModelArtifact:
             tuple(seeds),
             metadata,
         )
-
-    @classmethod
-    def from_stacked(cls, stacked, spec: ModelSpec, schema: FeatureSchema, seeds=None, metadata: dict | None = None) -> "ModelArtifact":
-        """Seed-ensemble artifact straight from a seed-stacked classifier.
-
-        Slices every seed out of a
-        :class:`~repro.encoders.models.SeedGraphClassifier` via its
-        ``sync_into`` (parameters *and* batch-norm statistics) into fresh
-        per-seed models built from ``spec`` — no per-seed models need to
-        be kept around after a batched ``fit_many`` run.
-        """
-        if seeds is None:
-            seeds = tuple(range(stacked.num_seeds))
-        models = []
-        for k in range(stacked.num_seeds):
-            model = spec.build(schema)
-            stacked.sync_into(k, model)
-            models.append(model)
-        return cls.from_models(models, spec, schema, seeds, metadata)
 
     # ------------------------------------------------------------------
     # Persistence

@@ -90,7 +90,10 @@ def restore_best(model, history) -> None:
 
 @dataclass
 class MultiSeedResult:
-    """Outcome of a multi-seed training job (batched or sequential).
+    """Outcome of a ``fit_many`` job (batched or sequential).
+
+    Bundle ``models`` for serving with
+    :meth:`~repro.serve.artifact.ModelArtifact.from_models`.
 
     Attributes
     ----------
@@ -108,21 +111,6 @@ class MultiSeedResult:
     seeds: tuple
     models: list
     histories: list
-
-    def export_artifact(self, path, spec, schema, metadata: dict | None = None):
-        """Save the whole roster as one seed-ensemble serving artifact.
-
-        ``spec``/``schema`` are a :class:`~repro.serve.artifact.ModelSpec`
-        and :class:`~repro.serve.artifact.FeatureSchema`; the saved bundle
-        serves via :class:`repro.serve.InferenceEngine` (seed-averaged
-        predictions).  Returns the path written.
-        """
-        from repro.serve.artifact import ModelArtifact
-
-        artifact = ModelArtifact.from_models(
-            self.models, spec, schema, seeds=self.seeds, metadata=metadata
-        )
-        return artifact.save(path)
 
 
 class Trainer:
@@ -245,18 +233,3 @@ class Trainer:
     def evaluate(self, graphs: list[Graph], metric: str | None = None) -> float:
         """Metric of the current model on ``graphs``."""
         return evaluate_model(self.model, graphs, metric or self.metric)
-
-    def export_artifact(self, path, spec, schema, metadata: dict | None = None):
-        """Save the trained model as a deployable serving artifact.
-
-        ``spec`` is the :class:`~repro.serve.artifact.ModelSpec` the model
-        was built from, ``schema`` the dataset's
-        :class:`~repro.serve.artifact.FeatureSchema` — together they let
-        ``python -m repro.serve`` rebuild and serve the model without any
-        user code.  Returns the path written.
-        """
-        from repro.serve.artifact import ModelArtifact
-
-        if self.model is None:
-            raise ValueError("trainer has no model to export (fit_many results export via MultiSeedResult)")
-        return ModelArtifact.from_model(self.model, spec, schema, metadata=metadata).save(path)

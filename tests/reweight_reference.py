@@ -16,6 +16,8 @@ samplers give both the same objective.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.autograd.tensor import Tensor, concatenate
@@ -28,7 +30,8 @@ class TapedWeightLearner(SampleWeightLearner):
     """A :class:`SampleWeightLearner` whose inner loop runs on the tape."""
 
     def decorrelation_loss(self, representations, weights) -> float:
-        feats = self.rff(self._prepare(representations))
+        # A copy of the sampler, as the engine's diagnostic draws from.
+        feats = copy.deepcopy(self.rff)(self._prepare(representations))
         return float(pairwise_decorrelation_loss(feats, Tensor(np.asarray(weights, dtype=np.float64))).data)
 
     def learn(self, representations, fixed_weights=None) -> WeightLearningResult:

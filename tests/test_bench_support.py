@@ -81,12 +81,26 @@ class TestModelConstruction:
         expected = compute_pna_degree_scale(_tiny_dataset(0).train)
         assert expected != 1.0
         for batched in (False, True):
-            result = run_method_multi_seed(
-                "pna", _tiny_dataset, (0,), protocol, batched=batched, keep_models=True
-            )
+            result = run_method_multi_seed("pna", _tiny_dataset, (0,), protocol, batched=batched)
             (model,) = result.models
             scales = [v for k, v in model.buffer_dict().items() if k.endswith("degree_scale")]
             assert scales and all(scale == expected for scale in scales), (batched, scales)
+
+
+class TestOnePath:
+    def test_each_seed_trains_as_its_own_one_seed_group(self):
+        """Unbatched seeds train exactly as one-seed batched runs on their own datasets."""
+        protocol = ExperimentProtocol(
+            epochs=2, batch_size=8, hidden_dim=8, num_layers=2, eval_every=1,
+            ood_overrides={"reweight_epochs": 2, "warmup_fraction": 0.5},
+        )
+        result = run_method_multi_seed("ood-gnn", _tiny_dataset, (0, 1), protocol)
+        assert result.seeds == (0, 1)
+        for seed, model in zip(result.seeds, result.models):
+            (alone,) = run_method_multi_seed("ood-gnn", _tiny_dataset, (seed,), protocol, batched=True).models
+            params = dict(alone.named_parameters())
+            for name, param in model.named_parameters():
+                np.testing.assert_array_equal(param.data, params[name].data, err_msg=f"seed {seed} {name}")
 
 
 class TestProtocol:

@@ -68,6 +68,25 @@ class TestMain:
         assert "train" in out
         assert "Test(large)" in out
 
+    @pytest.mark.parametrize("method", ["ood-gnn", "gin"])
+    def test_one_seed_trains_the_same_bytes_batched_or_not(self, method, tmp_path, capsys):
+        """``--batched-seeds`` fixes the dataset and nothing else: one seed
+        prints the same metrics and exports the same artifact either way."""
+        runs = []
+        for flags in ([], ["--batched-seeds"]):
+            path = tmp_path / f"model{len(flags)}.npz"
+            assert main([
+                "--dataset", "proteins25", "--method", method,
+                "--seeds", "1", "--epochs", "2", "--scale", "0.15",
+                "--hidden-dim", "8", "--num-layers", "2",
+                "--export-artifact", str(path), *flags,
+            ]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            metrics = [line for line in lines if line.startswith(("train", "Test"))]
+            assert len(metrics) == 2
+            runs.append((metrics, path.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_builds_the_dataset_once(self, monkeypatch, capsys):
         calls = []
         load = repro.run.load_dataset

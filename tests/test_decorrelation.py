@@ -137,3 +137,18 @@ class TestLearner:
         result = learner.learn(z)
         assert len(result.losses) == 7
         assert result.final_loss == result.losses[-1]
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_decorrelation_loss_leaves_the_rff_stream_alone(self, rng, learner_cls, fraction):
+        """The history-only diagnostic draws from a copy of the sampler: the
+        sampler's rng state is unchanged by the call, so the next inner loop
+        draws the features it would draw without it — the very features the
+        diagnostic evaluated."""
+        z, _ = confounded_representations(rng, n=40)
+        rff = RandomFourierFeatures(num_functions=3, fraction=fraction, rng=np.random.default_rng(1))
+        learner = learner_cls(rff, epochs=3)
+        state = rff.rng.bit_generator.state
+        loss = learner.decorrelation_loss(z, np.ones(len(z)))
+        assert rff.rng.bit_generator.state == state
+        assert learner.decorrelation_loss(z, np.ones(len(z))) == loss
+        assert learner.learn(z).initial_loss == pytest.approx(loss, rel=1e-9)

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.bench import ExperimentProtocol, run_method, run_method_multi_seed
+from repro.bench import ExperimentProtocol, run_method_multi_seed
 from repro.datasets import load_dataset
 from repro.encoders import available_models
 
 
 TINY = ExperimentProtocol(epochs=2, batch_size=16, hidden_dim=8, num_layers=2, eval_every=1)
+
+
+def run_one(method, dataset, seed=0, protocol=TINY):
+    """One seed of ``method`` on ``dataset``: (train metric, {split: metric})."""
+    result = run_method_multi_seed(method, lambda _seed: dataset, (seed,), protocol)
+    return result.train_mean, result.test_mean
 
 
 @pytest.fixture(scope="module")
@@ -29,17 +35,17 @@ def esol():
 class TestRunMethod:
     @pytest.mark.parametrize("method", list(available_models()) + ["ood-gnn"])
     def test_every_method_trains_on_classification(self, proteins, method):
-        train, tests = run_method(method, proteins, seed=0, protocol=TINY)
+        train, tests = run_one(method, proteins)
         assert 0.0 <= train <= 1.0
         assert set(tests) == {"Test(large)"}
         assert 0.0 <= tests["Test(large)"] <= 1.0
 
     def test_binary_multitask(self, bace):
-        train, tests = run_method("gin", bace, seed=0, protocol=TINY)
+        train, tests = run_one("gin", bace)
         assert 0.0 <= tests["Test(scaffold)"] <= 1.0
 
     def test_regression(self, esol):
-        train, tests = run_method("ood-gnn", esol, seed=0, protocol=TINY)
+        train, tests = run_one("ood-gnn", esol)
         assert np.isfinite(tests["Test(scaffold)"])
 
     def test_multi_seed_aggregation(self):
@@ -53,7 +59,7 @@ class TestRunMethod:
 
     def test_mnist_two_test_splits(self):
         ds = load_dataset("mnist75sp", seed=0, num_train=12, num_valid=4, num_test=4)
-        _train, tests = run_method("gin", ds, seed=0, protocol=TINY)
+        _train, tests = run_one("gin", ds)
         assert set(tests) == {"Test(noise)", "Test(color)"}
 
     def test_ood_overrides_reach_config(self, proteins):
@@ -61,14 +67,14 @@ class TestRunMethod:
             epochs=2, batch_size=16, hidden_dim=8, num_layers=2,
             ood_overrides={"linear_decorrelation": True, "reweight_epochs": 2},
         )
-        train, _tests = run_method("ood-gnn", proteins, seed=0, protocol=proto)
+        train, _tests = run_one("ood-gnn", proteins, protocol=proto)
         assert np.isfinite(train)
 
 
 class TestReproducibility:
     def test_same_seed_same_result(self, proteins):
-        a = run_method("gcn", proteins, seed=3, protocol=TINY)
-        b = run_method("gcn", proteins, seed=3, protocol=TINY)
+        a = run_one("gcn", proteins, seed=3)
+        b = run_one("gcn", proteins, seed=3)
         assert a[0] == b[0]
         assert a[1] == b[1]
 

@@ -17,7 +17,7 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
 from repro.core import ood_gnn as ood_gnn_module
-from repro.encoders import build_model, SeedGraphClassifier
+from repro.encoders import build_model, GraphClassifier, SeedGraphClassifier
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
 from repro.nn.layers import SeedStackingError, stack_seed_modules
@@ -484,3 +484,61 @@ class TestOODGNNFitManyParity:
             ps = dict(res_s.models[k].named_parameters())
             for name in pb:
                 np.testing.assert_array_equal(pb[name].data, ps[name].data, err_msg=f"seed {k} {name}")
+
+
+class TestOneStackedPassPerBatch:
+    """Exact work counts of a K = 3 ``fit_many`` job, per mini-batch.
+
+    One ``SeedGraphClassifier.representations`` call, no per-seed
+    ``GraphClassifier.representations`` call and one ``Tensor.backward``
+    call per batch, and for OOD-GNN one ``learn_many`` call per
+    post-warmup batch.  A fallback to per-seed models or loops breaks a
+    count however fast or slow the machine is.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"batches": 0, "stacked": 0, "per_seed": 0, "backward": 0, "learn_many": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def counted_batches(iterate):
+            def batches(*args, **kwargs):
+                for batch in iterate(*args, **kwargs):
+                    calls["batches"] += 1
+                    yield batch
+
+            return batches
+
+        monkeypatch.setattr(SeedGraphClassifier, "representations",
+                            counted("stacked", SeedGraphClassifier.representations))
+        monkeypatch.setattr(GraphClassifier, "representations",
+                            counted("per_seed", GraphClassifier.representations))
+        monkeypatch.setattr(Tensor, "backward", counted("backward", Tensor.backward))
+        monkeypatch.setattr(ood_gnn_module, "learn_many", counted("learn_many", ood_gnn_module.learn_many))
+        for module in (trainer_module, ood_gnn_module):
+            monkeypatch.setattr(module, "iterate_minibatches", counted_batches(module.iterate_minibatches))
+        return calls
+
+    def test_erm_fit_many(self, calls):
+        trainer = Trainer(None, "multiclass", TrainerConfig(epochs=2, batch_size=16), np.random.default_rng(3))
+        trainer.fit_many(toy_graphs(40), seeds=SEEDS, model_factory=gin_factory)
+        # 40 graphs in batches of 16 (the last one short), 2 epochs.
+        assert calls == {"batches": 6, "stacked": 6, "per_seed": 0, "backward": 6, "learn_many": 0}
+
+    def test_ood_gnn_fit_many(self, calls):
+        cfg = OODGNNConfig(
+            hidden_dim=8, num_layers=2, epochs=3, batch_size=16, reweight_epochs=2, warmup_fraction=0.34,
+        )
+        trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(3), config=cfg)
+        trainer.fit_many(
+            toy_graphs(40), seeds=SEEDS,
+            model_factory=lambda s: OODGNN(1, 2, np.random.default_rng(s), config=cfg),
+        )
+        # 2 full batches of 16 per epoch, 3 epochs, the first one warmup.
+        assert calls == {"batches": 6, "stacked": 6, "per_seed": 0, "backward": 6, "learn_many": 4}

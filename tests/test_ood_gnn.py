@@ -7,13 +7,12 @@ import pytest
 
 from encoder_specs import ENCODER_SPECS, spec_params
 from ood_gnn_reference import plain_fit
-from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
+from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer, SampleWeightLearner
 from repro.encoders.conv import GINConv
 from repro.graph.generators import erdos_renyi
 from repro.graph.data import GraphBatch
 from repro.obs import FLAGS, clear_trace, disable_tracing, enable_tracing, profile_mode
-from repro.serve.artifact import FeatureSchema, ModelArtifact
-from repro.training import Trainer, TrainerConfig, predict
+from repro.training import Trainer, TrainerConfig
 
 
 @pytest.fixture
@@ -135,18 +134,6 @@ class TestTrainer:
         history = trainer.fit(graphs)
         assert history.train_loss[-1] < history.train_loss[0]
 
-    def test_exported_artifact_follows_the_model_config(self, rng, tmp_path):
-        """The spec comes from the model, whatever config the trainer runs."""
-        graphs = toy_dataset(rng, 20)
-        model = OODGNN(1, 2, np.random.default_rng(0), config=tiny_config(hidden_dim=16))
-        trainer = OODGNNTrainer(
-            model, "multiclass", np.random.default_rng(1), config=tiny_config(hidden_dim=8, epochs=1)
-        )
-        trainer.fit(graphs)
-        schema = FeatureSchema(feature_dim=1, out_dim=2, task_type="multiclass", num_classes=2)
-        (restored,) = ModelArtifact.load(trainer.export_artifact(tmp_path / "model.npz", schema)).build_models()
-        np.testing.assert_array_equal(predict(restored, graphs), predict(model, graphs))
-
     def test_weight_snapshots_cover_last_epoch(self, rng):
         graphs = toy_dataset(rng, 40)
         cfg = tiny_config(batch_size=10, epochs=3)
@@ -265,20 +252,23 @@ class TestInstrumentationInvariance:
             models = train()
         return [dict(model.named_parameters()) for model in models]
 
+    @staticmethod
+    def _assert_equal_params(plain, other, num_models):
+        assert len(plain) == len(other) == num_models
+        for params, params_other in zip(plain, other):
+            assert params.keys() == params_other.keys()
+            for name, param in params.items():
+                np.testing.assert_array_equal(param.data, params_other[name].data, err_msg=name)
+
     def _assert_invariant(self, train, num_models):
         plain = self._trained_params(False, train)
-        instrumented = self._trained_params(True, train)
-        assert len(plain) == len(instrumented) == num_models
-        for params, params_instrumented in zip(plain, instrumented):
-            assert params.keys() == params_instrumented.keys()
-            for name, param in params.items():
-                np.testing.assert_array_equal(param.data, params_instrumented[name].data, err_msg=name)
+        self._assert_equal_params(plain, self._trained_params(True, train), num_models)
 
-    @pytest.mark.parametrize("fit_many", FIT_MODES, ids=FIT_MODE_IDS)
-    def test_trained_parameters_bitwise_equal(self, fit_many):
+    @staticmethod
+    def _ood_gnn_train(fit_many):
+        """A ``train()`` running one warmup epoch (the history-only
+        ``decorrelation_loss`` diagnostic) and one reweighting epoch."""
         graphs = toy_dataset(np.random.default_rng(5), n=24)
-        # One warmup epoch (the history-only decorrelation_loss diagnostic)
-        # and one reweighting epoch (the inner loop).
         cfg = tiny_config(epochs=2, warmup_fraction=0.5)
         factory = lambda seed: OODGNN(1, 2, np.random.default_rng(seed), config=cfg)
 
@@ -290,7 +280,22 @@ class TestInstrumentationInvariance:
             trainer = OODGNNTrainer(None, "multiclass", np.random.default_rng(1), config=cfg)
             return trainer.fit_many(graphs, seeds=(0, 1), model_factory=factory, **fit_many).models
 
-        self._assert_invariant(train, 1 if fit_many is None else 2)
+        return train
+
+    @pytest.mark.parametrize("fit_many", FIT_MODES, ids=FIT_MODE_IDS)
+    def test_trained_parameters_bitwise_equal(self, fit_many):
+        self._assert_invariant(self._ood_gnn_train(fit_many), 1 if fit_many is None else 2)
+
+    @pytest.mark.parametrize("fit_many", FIT_MODES, ids=FIT_MODE_IDS)
+    def test_warmup_diagnostic_does_not_steer_training(self, fit_many, monkeypatch):
+        """Replacing the warmup ``decorrelation_loss`` by a constant leaves
+        the trained parameters bitwise equal: the diagnostic only feeds the
+        history and draws nothing from the random-feature streams."""
+        train = self._ood_gnn_train(fit_many)
+        plain = [dict(model.named_parameters()) for model in train()]
+        monkeypatch.setattr(SampleWeightLearner, "decorrelation_loss", lambda self, z, w: 0.0)
+        patched = [dict(model.named_parameters()) for model in train()]
+        self._assert_equal_params(plain, patched, 1 if fit_many is None else 2)
 
     @pytest.mark.parametrize("fit_many", FIT_MODES, ids=FIT_MODE_IDS)
     @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))

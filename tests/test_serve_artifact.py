@@ -148,11 +148,12 @@ class TestSingleSeedRoundTrip:
 class TestSeedEnsembleRoundTrip:
     @pytest.mark.parametrize("method", ROSTER)
     def test_stacked_seed_state_dict_to_artifact_bitwise(self, method, rng, tmp_path):
-        """seed_state_dict(k) -> per-seed artifact -> reload -> bitwise logits.
+        """sync_into(k) -> per-seed models -> artifact -> reload -> bitwise logits.
 
         Trains nothing: per-seed models are independently initialised and
         warmed up (distinct BN stats), stacked, and the stacked model's
-        per-seed slices must round-trip through the artifact bitwise.
+        per-seed slices, synced into fresh models and bundled with
+        ``from_models``, must round-trip through the artifact bitwise.
         """
         spec = ModelSpec(method, hidden_dim=8, num_layers=2)
         graphs = make_graphs(rng)
@@ -163,7 +164,12 @@ class TestSeedEnsembleRoundTrip:
             warm_up(model, graphs)
             models.append(model)
         stacked = stack_seed_modules(models)
-        path = ModelArtifact.from_stacked(stacked, spec, SCHEMA).save(tmp_path / f"{method}-ens.npz")
+        synced = []
+        for k in range(stacked.num_seeds):
+            fresh = spec.build(SCHEMA)
+            stacked.sync_into(k, fresh)
+            synced.append(fresh)
+        path = ModelArtifact.from_models(synced, spec, SCHEMA).save(tmp_path / f"{method}-ens.npz")
         artifact = ModelArtifact.load(path)
         assert artifact.num_seeds == 3
         rebuilt = artifact.build_models()
