@@ -8,14 +8,13 @@ paper) on top.  The zoo covers all baselines of Tables 2-4:
 GCN, GIN, GCN-virtual, GIN-virtual, FactorGCN, PNA, TopKPool, SAGPool.
 """
 
-from repro.encoders.conv import GCNConv, GINConv, PNAConv, FactorGCNConv, SeedGCNConv, SeedGINConv
+from repro.encoders.conv import GCNConv, GINConv, PNAConv, FactorGCNConv
 from repro.encoders.pooling import TopKPooling, SAGPooling, global_sum_pool, global_mean_pool, global_max_pool
 from repro.encoders.base import (
     GraphEncoder,
     StackedEncoder,
     VirtualNodeEncoder,
     HierarchicalPoolEncoder,
-    SeedStackedEncoder,
 )
 from repro.encoders.models import (
     GraphClassifier,
@@ -30,8 +29,6 @@ __all__ = [
     "GINConv",
     "PNAConv",
     "FactorGCNConv",
-    "SeedGCNConv",
-    "SeedGINConv",
     "TopKPooling",
     "SAGPooling",
     "global_sum_pool",
@@ -41,7 +38,6 @@ __all__ = [
     "StackedEncoder",
     "VirtualNodeEncoder",
     "HierarchicalPoolEncoder",
-    "SeedStackedEncoder",
     "GraphClassifier",
     "SeedGraphClassifier",
     "build_model",

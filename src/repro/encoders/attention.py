@@ -15,10 +15,11 @@ from repro.autograd import functional as F
 from repro.graph.segment import segment_sum, segment_softmax
 from repro.graph.utils import add_self_loops
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, SeedLinear, SeedStackingError, register_seed_stacker
+from repro.nn.layers import Linear, SeedLinear, SeedStackingError, register_seed_stacker, stack_instance
 from repro.nn import init
+from repro.encoders.conv import aggregate
 
-__all__ = ["GATConv", "SAGEConv", "SeedGATConv", "SeedSAGEConv"]
+__all__ = ["GATConv", "SAGEConv", "SeedGATConv"]
 
 
 class GATConv(Module):
@@ -66,11 +67,15 @@ class SAGEConv(Module):
     output normalisation as in the original paper.
 
     The neighbourhood mean runs through the batch's fused message-passing
-    operator with the per-edge ``1/deg(dst)`` weighting baked into the
-    matrix — the gather -> scale -> scatter form of the mean, rather than
+    operator (:func:`~repro.encoders.conv.aggregate`) with the per-edge
+    ``1/deg(dst)`` weighting baked into the matrix — the
+    gather -> scale -> scatter form of the mean, rather than
     sum-then-divide (same scale factors applied per edge instead of per
-    bucket; the results agree to rounding).
+    bucket; the results agree to rounding).  Like GCN and GIN it is its
+    own seed stack over ``(K, n, h)`` activations.
     """
+
+    supports_seed_edges = True
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, normalise: bool = False):
         super().__init__()
@@ -81,12 +86,12 @@ class SAGEConv(Module):
     def forward(self, x: Tensor, edges) -> Tensor:
         """Combine self features with the neighbourhood mean."""
         if edges.num_edges:
-            neigh = F.message_pass(edges.operator("mean", x.data.dtype), x)
+            neigh = aggregate(edges, "mean", x)
         else:
             neigh = Tensor._wrap(np.zeros_like(x.data))
         out = self.self_linear(x) + self.neigh_linear(neigh)
         if self.normalise:
-            norms = (out * out).sum(axis=1, keepdims=True).sqrt() + 1e-12
+            norms = (out * out).sum(axis=-1, keepdims=True).sqrt() + 1e-12
             out = out / norms
         return out
 
@@ -149,40 +154,5 @@ class SeedGATConv(Module):
         return out + self.bias.unsqueeze(1)
 
 
-class SeedSAGEConv(Module):
-    """Seed-stacked :class:`SAGEConv`: shared edges, per-seed linear maps."""
-
-    def __init__(self, self_linear: SeedLinear, neigh_linear: SeedLinear, normalise: bool):
-        super().__init__()
-        self.self_linear = self_linear
-        self.neigh_linear = neigh_linear
-        self.normalise = normalise
-
-    @classmethod
-    def from_layers(cls, convs: list[SAGEConv]) -> "SeedSAGEConv":
-        template = convs[0]
-        if any(c.normalise != template.normalise for c in convs[1:]):
-            raise SeedStackingError("cannot stack SAGEConv layers with differing normalise flags")
-        return cls(
-            SeedLinear.from_layers([c.self_linear for c in convs]),
-            SeedLinear.from_layers([c.neigh_linear for c in convs]),
-            template.normalise,
-        )
-
-    def forward(self, x: Tensor, edges) -> Tensor:
-        if edges.num_edges:
-            num_seeds, num_nodes, dim = x.shape
-            operator = edges.operator("mean", x.data.dtype, num_seeds)
-            flat = x.reshape(num_seeds * num_nodes, dim)
-            neigh = F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
-        else:
-            neigh = Tensor._wrap(np.zeros_like(x.data))
-        out = self.self_linear(x) + self.neigh_linear(neigh)
-        if self.normalise:
-            norms = (out * out).sum(axis=2, keepdims=True).sqrt() + 1e-12
-            out = out / norms
-        return out
-
-
 register_seed_stacker(GATConv)(SeedGATConv.from_layers)
-register_seed_stacker(SAGEConv)(SeedSAGEConv.from_layers)
+register_seed_stacker(SAGEConv)(stack_instance)

@@ -8,6 +8,13 @@ representation vector per graph.  Three assemblies cover the whole zoo:
   around a stacked encoder (GCN-virtual / GIN-virtual baselines).
 * :class:`HierarchicalPoolEncoder` — conv/pool ladders used by TopKPool
   and SAGPool, with jumping-knowledge style summed readouts per level.
+
+Each assembly is also its own seed stack: ``stack_seed_modules`` builds an
+instance of the same class over stacked children
+(:func:`~repro.nn.layers.stack_instance`), whose embedding turns the
+shared node features into ``(K, n, h)`` activations.  The forwards tell
+the two apart by rank only where a graph op differs: the readouts, the
+virtual-node broadcast and the pool ladder's per-seed connectivity.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import numpy as np
 from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.autograd import functional as F
 from repro.graph.data import GraphBatch
-from repro.graph.segment import segment_sum
 from repro.graph.utils import SeedEdgeIndex
 from repro.nn.module import Module, ModuleList
 from repro.nn.layers import (
@@ -26,11 +32,10 @@ from repro.nn.layers import (
     BatchNorm1d,
     Dropout,
     ReLU,
-    SeedLinear,
     SeedStackingError,
     fused_sequential_forward,
     register_seed_stacker,
-    stack_seed_modules,
+    stack_instance,
 )
 from repro.encoders.pooling import (
     global_sum_pool,
@@ -61,9 +66,6 @@ __all__ = [
     "StackedEncoder",
     "VirtualNodeEncoder",
     "HierarchicalPoolEncoder",
-    "SeedStackedEncoder",
-    "SeedVirtualNodeEncoder",
-    "SeedHierarchicalPoolEncoder",
 ]
 
 _READOUTS = {
@@ -74,7 +76,10 @@ _READOUTS = {
 
 
 class GraphEncoder(Module):
-    """Interface: ``forward(batch) -> (num_graphs, out_dim)`` representations."""
+    """Interface: ``forward(batch) -> (num_graphs, out_dim)`` representations.
+
+    A seed stack returns ``(K, num_graphs, out_dim)``.
+    """
 
     out_dim: int
 
@@ -149,87 +154,7 @@ class StackedEncoder(GraphEncoder):
         return self._readout(x, batch.batch, batch.num_graphs)
 
 
-_SEED_READOUTS = {
-    "sum": F.seed_segment_sum,
-    "mean": F.seed_segment_mean,
-    "max": F.seed_segment_max,
-}
-
-
-class SeedStackedEncoder(GraphEncoder):
-    """Seed-stacked :class:`StackedEncoder`: K encoders in one forward pass.
-
-    Node activations use the seed-leading ``(K, n, h)`` layout of the
-    multi-seed engine (``docs/ARCHITECTURE.md``): per-seed slices stay
-    contiguous, so every linear map is one batched GEMM and every
-    gather/scatter runs K fast 2-D passes.  Built from K per-seed encoders
-    by :meth:`from_encoders`, with bitwise parameter copies.
-    """
-
-    def __init__(self, embed, convs, norms, dropout, readout_name: str, out_dim: int, num_seeds: int):
-        super().__init__()
-        self.embed = embed
-        self.convs = convs
-        self.norms = norms
-        self.dropout = dropout
-        if readout_name not in _SEED_READOUTS:
-            raise SeedStackingError(
-                f"no seed-stacked readout for {readout_name!r}; supported: {sorted(_SEED_READOUTS)}"
-            )
-        self.readout_name = readout_name
-        self._readout = _SEED_READOUTS[readout_name]
-        self.out_dim = out_dim
-        self.num_seeds = num_seeds
-
-    @classmethod
-    def from_encoders(cls, encoders: list["StackedEncoder"]) -> "SeedStackedEncoder":
-        template = encoders[0]
-        readout_names = {name for name, fn in _READOUTS.items() if fn is template._readout}
-        embed = SeedLinear.from_layers([e.embed for e in encoders])
-        convs = ModuleList(
-            [stack_seed_modules([e.convs[i] for e in encoders]) for i in range(len(template.convs))]
-        )
-        norms = (
-            ModuleList(
-                [stack_seed_modules([e.norms[i] for e in encoders]) for i in range(len(template.norms))]
-            )
-            if template.norms is not None
-            else None
-        )
-        return cls(
-            embed,
-            convs,
-            norms,
-            template.dropout,
-            next(iter(readout_names)),
-            template.out_dim,
-            len(encoders),
-        )
-
-    def node_embeddings(self, batch: GraphBatch) -> Tensor:
-        x = self.embed(Tensor(batch.x))  # (K, total_nodes, h)
-        fused_epilogue = not is_grad_enabled()
-        for i, conv in enumerate(self.convs):
-            x = conv(x, batch.topology)
-            if fused_epilogue:
-                # Seed-stacked serving fast path: same shared epilogue.
-                x = _fused_conv_epilogue(
-                    self.norms[i] if self.norms is not None else None, self.dropout, x
-                )
-                continue
-            if self.norms is not None:
-                x = self.norms[i](x)
-            x = x.relu()
-            if self.dropout is not None:
-                x = self.dropout(x)
-        return x
-
-    def forward(self, batch: GraphBatch) -> Tensor:
-        x = self.node_embeddings(batch)
-        return self._readout(x, batch.batch, batch.num_graphs)
-
-
-register_seed_stacker(StackedEncoder)(SeedStackedEncoder.from_encoders)
+register_seed_stacker(StackedEncoder)(stack_instance)
 
 
 class VirtualNodeEncoder(GraphEncoder):
@@ -265,10 +190,14 @@ class VirtualNodeEncoder(GraphEncoder):
 
     def node_embeddings(self, batch: GraphBatch) -> Tensor:
         x = self.embed(Tensor(batch.x))
-        virtual = Tensor(np.zeros((batch.num_graphs, self.hidden_dim)))
+        # One virtual node per graph, and per seed in a stack.
+        virtual = Tensor(np.zeros(x.shape[:-2] + (batch.num_graphs, self.hidden_dim)))
         fused_epilogue = not is_grad_enabled()
         for i, conv in enumerate(self.convs):
-            x = x + virtual[batch.batch]
+            if virtual.ndim == 2:
+                x = x + virtual[batch.batch]
+            else:
+                x = x + F.seed_gather(virtual, batch.batch)
             x = conv(x, batch.topology)
             if fused_epilogue:
                 x = _fused_conv_epilogue(self.norms[i], None, x)
@@ -277,7 +206,7 @@ class VirtualNodeEncoder(GraphEncoder):
             if self.dropout is not None:
                 x = self.dropout(x)
             if i < len(self.vn_updates):
-                pooled = segment_sum(x, batch.batch, batch.num_graphs)
+                pooled = global_sum_pool(x, batch.batch, batch.num_graphs)
                 virtual = self.vn_updates[i](virtual + pooled)
         return x
 
@@ -286,88 +215,7 @@ class VirtualNodeEncoder(GraphEncoder):
         return self._readout(x, batch.batch, batch.num_graphs)
 
 
-class SeedVirtualNodeEncoder(GraphEncoder):
-    """Seed-stacked :class:`VirtualNodeEncoder`: K encoders in one forward.
-
-    Virtual-node state is ``(K, num_graphs, h)``; the broadcast into node
-    features and the per-graph pooling both run through the seed-axis
-    gather/scatter primitives, and the update MLPs are seed-stacked —
-    bitwise equal to K sequential per-seed forwards.  Attribute order
-    mirrors the per-seed class so batch-norm statistics sync by module
-    traversal (see ``SeedGraphClassifier.sync_into``).
-    """
-
-    def __init__(self, embed, convs, norms, vn_updates, dropout, readout_name: str,
-                 out_dim: int, hidden_dim: int, num_seeds: int):
-        super().__init__()
-        self.embed = embed
-        self.convs = convs
-        self.norms = norms
-        self.vn_updates = vn_updates
-        self.dropout = dropout
-        if readout_name not in _SEED_READOUTS:
-            raise SeedStackingError(
-                f"no seed-stacked readout for {readout_name!r}; supported: {sorted(_SEED_READOUTS)}"
-            )
-        self.readout_name = readout_name
-        self._readout = _SEED_READOUTS[readout_name]
-        self.out_dim = out_dim
-        self.hidden_dim = hidden_dim
-        self.num_seeds = num_seeds
-
-    @classmethod
-    def from_encoders(cls, encoders: list["VirtualNodeEncoder"]) -> "SeedVirtualNodeEncoder":
-        template = encoders[0]
-        readout_names = {name for name, fn in _READOUTS.items() if fn is template._readout}
-        embed = SeedLinear.from_layers([e.embed for e in encoders])
-        convs = ModuleList(
-            [stack_seed_modules([e.convs[i] for e in encoders]) for i in range(len(template.convs))]
-        )
-        norms = ModuleList(
-            [stack_seed_modules([e.norms[i] for e in encoders]) for i in range(len(template.norms))]
-        )
-        vn_updates = ModuleList(
-            [
-                stack_seed_modules([e.vn_updates[i] for e in encoders])
-                for i in range(len(template.vn_updates))
-            ]
-        )
-        return cls(
-            embed,
-            convs,
-            norms,
-            vn_updates,
-            template.dropout,
-            next(iter(readout_names)),
-            template.out_dim,
-            template.hidden_dim,
-            len(encoders),
-        )
-
-    def node_embeddings(self, batch: GraphBatch) -> Tensor:
-        x = self.embed(Tensor(batch.x))  # (K, total_nodes, h)
-        virtual = Tensor(np.zeros((self.num_seeds, batch.num_graphs, self.hidden_dim)))
-        fused_epilogue = not is_grad_enabled()
-        for i, conv in enumerate(self.convs):
-            x = x + F.seed_gather(virtual, batch.batch)
-            x = conv(x, batch.topology)
-            if fused_epilogue:
-                x = _fused_conv_epilogue(self.norms[i], None, x)
-            else:
-                x = self.norms[i](x).relu()
-            if self.dropout is not None:
-                x = self.dropout(x)
-            if i < len(self.vn_updates):
-                pooled = F.seed_segment_sum(x, batch.batch, batch.num_graphs)
-                virtual = self.vn_updates[i](virtual + pooled)
-        return x
-
-    def forward(self, batch: GraphBatch) -> Tensor:
-        x = self.node_embeddings(batch)
-        return self._readout(x, batch.batch, batch.num_graphs)
-
-
-register_seed_stacker(VirtualNodeEncoder)(SeedVirtualNodeEncoder.from_encoders)
+register_seed_stacker(VirtualNodeEncoder)(stack_instance)
 
 
 class HierarchicalPoolEncoder(GraphEncoder):
@@ -397,7 +245,12 @@ class HierarchicalPoolEncoder(GraphEncoder):
 
     def forward(self, batch: GraphBatch) -> Tensor:
         x = self.embed(Tensor(batch.x))
-        edges = batch.topology
+        if x.ndim == 2:
+            edges = batch.topology
+        else:
+            # Each seed of a stack keeps different nodes, so its pooled
+            # connectivity is per seed from the first level on.
+            edges = SeedEdgeIndex.from_shared(batch.edge_index, x.shape[0], batch.num_nodes)
         node_batch = batch.batch
         total = None
         for conv, pool in zip(self.convs, self.pools):
@@ -408,66 +261,26 @@ class HierarchicalPoolEncoder(GraphEncoder):
                     global_mean_pool(x, node_batch, batch.num_graphs),
                     global_max_pool(x, node_batch, batch.num_graphs),
                 ],
-                axis=1,
+                axis=-1,
             )
             total = level if total is None else total + level
         return total
 
 
-class SeedHierarchicalPoolEncoder(GraphEncoder):
-    """Seed-stacked :class:`HierarchicalPoolEncoder`.
+def _stack_pool_ladder(encoders: list[HierarchicalPoolEncoder]) -> HierarchicalPoolEncoder:
+    """Stack a pool ladder whose convs can run on per-seed connectivity.
 
-    Node state stays rectangular ``(K, n', h)`` after every pooling stage
-    (top-k keeps a per-graph count that depends only on the shared graph
-    sizes); the per-seed surviving connectivity travels as a
-    :class:`~repro.graph.utils.SeedEdgeIndex`, which the stacked convs
-    consume as one flat disjoint-union scatter (``supports_seed_edges``).
-    Stacking a conv type that cannot run on per-seed connectivity raises
-    :class:`~repro.nn.layers.SeedStackingError`.
+    A stack's pooled connectivity is a
+    :class:`~repro.graph.utils.SeedEdgeIndex`, which only the convs with
+    ``supports_seed_edges`` consume; any other conv raises
+    :class:`~repro.nn.layers.SeedStackingError` before anything is built.
     """
-
-    def __init__(self, embed, convs, pools, out_dim: int, num_seeds: int):
-        super().__init__()
-        self.embed = embed
-        self.convs = convs
-        self.pools = pools
-        self.out_dim = out_dim
-        self.num_seeds = num_seeds
-
-    @classmethod
-    def from_encoders(cls, encoders: list["HierarchicalPoolEncoder"]) -> "SeedHierarchicalPoolEncoder":
-        template = encoders[0]
-        embed = SeedLinear.from_layers([e.embed for e in encoders])
-        convs = ModuleList(
-            [stack_seed_modules([e.convs[i] for e in encoders]) for i in range(len(template.convs))]
-        )
-        for stacked, per_seed in zip(convs, template.convs):
-            if not getattr(stacked, "supports_seed_edges", False):
-                raise SeedStackingError(
-                    f"stacked {type(per_seed).__name__} cannot run on per-seed pooled connectivity"
-                )
-        pools = ModuleList(
-            [stack_seed_modules([e.pools[i] for e in encoders]) for i in range(len(template.pools))]
-        )
-        return cls(embed, convs, pools, template.out_dim, len(encoders))
-
-    def forward(self, batch: GraphBatch) -> Tensor:
-        x = self.embed(Tensor(batch.x))  # (K, total_nodes, h)
-        edges = SeedEdgeIndex.from_shared(batch.edge_index, self.num_seeds, batch.num_nodes)
-        node_batch = batch.batch
-        total = None
-        for conv, pool in zip(self.convs, self.pools):
-            x = conv(x, edges).relu()
-            x, edges, node_batch = pool(x, edges, node_batch, batch.num_graphs)
-            level = F.concatenate(
-                [
-                    F.seed_segment_mean(x, node_batch, batch.num_graphs),
-                    F.seed_segment_max(x, node_batch, batch.num_graphs),
-                ],
-                axis=2,
+    for conv in encoders[0].convs:
+        if not getattr(conv, "supports_seed_edges", False):
+            raise SeedStackingError(
+                f"stacked {type(conv).__name__} cannot run on per-seed pooled connectivity"
             )
-            total = level if total is None else total + level
-        return total
+    return stack_instance(encoders)
 
 
-register_seed_stacker(HierarchicalPoolEncoder)(SeedHierarchicalPoolEncoder.from_encoders)
+register_seed_stacker(HierarchicalPoolEncoder)(_stack_pool_ladder)

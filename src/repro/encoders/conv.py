@@ -13,16 +13,19 @@ node features.  All follow their original papers:
 * :class:`FactorGCNConv` — Yang et al. (2020), factorised edge attention
   producing disentangled factor graphs.
 
-The fixed-weight aggregations (GCN / GIN and their ``Seed*`` stacks, plus
-SAGE in :mod:`repro.encoders.attention`) run through the fused
-message-passing operator — one normalised-adjacency matmul per layer with
+The fixed-weight aggregations (GCN / GIN here, SAGE in
+:mod:`repro.encoders.attention`) run through :func:`aggregate`: the fused
+message-passing operator, one normalised-adjacency matmul per layer with
 the transpose for the backward, bitwise equal to the eager
-gather -> scale -> scatter chain.  A conv asks its connectivity for it
-(``edges.operator(norm, dtype, num_seeds)``), which builds it once per
-batch and shares it with every other layer; see the "Fused message
-passing" section of ``docs/ARCHITECTURE.md``.  Dynamic-weight convs
-(GAT's attention, PNA's multi-aggregator grid, FactorGCN's factor
-attention) keep the eager segment ops.
+gather -> scale -> scatter chain.  It asks the connectivity for the
+operator (``edges.operator(norm, dtype, num_seeds)``), which builds it
+once per batch and shares it with every other layer; see the "Fused
+message passing" section of ``docs/ARCHITECTURE.md``.  These three convs
+are their own seed stacks: a stack holds stacked parameters, takes
+``(K, n, h)`` activations, and :func:`aggregate` runs its K seeds as one
+block-diagonal matmul.  Dynamic-weight convs (GAT's attention, PNA's
+multi-aggregator grid, FactorGCN's factor attention) keep the eager
+segment ops and a ``Seed*`` twin each.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.autograd import functional as F
 from repro.graph.segment import segment_sum, segment_mean, segment_max
 from repro.graph.utils import degrees
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, MLP, SeedLinear, SeedMLP, SeedStackingError, register_seed_stacker
+from repro.nn.layers import Linear, MLP, SeedLinear, SeedStackingError, register_seed_stacker, stack_instance
 from repro.nn import init
 
 __all__ = [
@@ -42,15 +45,32 @@ __all__ = [
     "GINConv",
     "PNAConv",
     "FactorGCNConv",
-    "SeedGCNConv",
-    "SeedGINConv",
     "SeedPNAConv",
     "SeedFactorGCNConv",
 ]
 
 
+def aggregate(edges, norm: str, x: Tensor) -> Tensor:
+    """``A_norm @ x`` through the connectivity's fused operator for ``norm``.
+
+    ``x`` is ``(n, h)``, or a seed stack's ``(K, n, h)``, which is
+    flattened to ``K * n`` rows for the block-diagonal operator: the batch's
+    :class:`~repro.graph.data.Topology` tiled K times, or the per-seed
+    :class:`~repro.graph.utils.SeedEdgeIndex` of a stacked pool ladder.
+    Either way each seed's rows come out bitwise equal to its own plain run.
+    """
+    if x.ndim == 2:
+        return F.message_pass(edges.operator(norm, x.data.dtype), x)
+    num_seeds, num_nodes, dim = x.shape
+    operator = edges.operator(norm, x.data.dtype, num_seeds)
+    flat = x.reshape(num_seeds * num_nodes, dim)
+    return F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
+
+
 class GCNConv(Module):
     """Graph convolution: ``H' = D^-1/2 (A + I) D^-1/2 H W + b``."""
+
+    supports_seed_edges = True
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
@@ -58,12 +78,13 @@ class GCNConv(Module):
 
     def forward(self, x: Tensor, edges) -> Tensor:
         """Symmetric-normalised neighbourhood aggregation (with self loops)."""
-        h = self.linear(x)
-        return F.message_pass(edges.operator("gcn", h.data.dtype), h)
+        return aggregate(edges, "gcn", self.linear(x))
 
 
 class GINConv(Module):
     """Graph isomorphism convolution: ``H' = MLP((1 + eps) h_v + sum_u h_u)``."""
+
+    supports_seed_edges = True
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, train_eps: bool = True):
         super().__init__()
@@ -76,7 +97,7 @@ class GINConv(Module):
     def forward(self, x: Tensor, edges) -> Tensor:
         """Sum-aggregate neighbours and transform with the GIN MLP."""
         if edges.num_edges:
-            aggregated = F.message_pass(edges.operator("sum", x.data.dtype), x)
+            aggregated = aggregate(edges, "sum", x)
         else:
             # An edge-free graph aggregates nothing: a constant zeros
             # tensor, not a taped full-size multiply by 0.0.
@@ -88,85 +109,16 @@ class GINConv(Module):
         return self.mlp(combined)
 
 
-class SeedGCNConv(Module):
-    """Seed-stacked :class:`GCNConv` over ``(K, n, h)`` node activations.
-
-    The connectivity (and hence the normalisation coefficients) is shared
-    by every seed; only the linear map is per-seed.  Part of the batched
-    multi-seed engine (``docs/ARCHITECTURE.md``).
-
-    ``edges`` is the batch's :class:`~repro.graph.data.Topology`, tiled
-    block-diagonally over the ``K * n`` flat nodes, or the per-seed
-    :class:`~repro.graph.utils.SeedEdgeIndex` of the seed-stacked pooling
-    layers (``supports_seed_edges``).  Either way the stack aggregates in
-    one fused matmul, bitwise equal to K per-seed :class:`GCNConv` runs.
-    """
-
-    supports_seed_edges = True
-
-    def __init__(self, linear: SeedLinear):
-        super().__init__()
-        self.linear = linear
-
-    @classmethod
-    def from_layers(cls, convs: list[GCNConv]) -> "SeedGCNConv":
-        return cls(SeedLinear.from_layers([c.linear for c in convs]))
-
-    def forward(self, x: Tensor, edges) -> Tensor:
-        h = self.linear(x)
-        num_seeds, num_nodes, out_dim = h.shape
-        operator = edges.operator("gcn", h.data.dtype, num_seeds)
-        flat = h.reshape(num_seeds * num_nodes, out_dim)
-        return F.message_pass(operator, flat).reshape(num_seeds, num_nodes, out_dim)
-
-
-class SeedGINConv(Module):
-    """Seed-stacked :class:`GINConv`: shared edges, per-seed MLP and eps.
-
-    ``eps`` is ``(K, 1)`` so each seed's scalar broadcasts over its own
-    slice of the ``(K, n, h)`` activations.  ``edges`` is either container,
-    as for :class:`SeedGCNConv`.
-    """
-
-    supports_seed_edges = True
-
-    def __init__(self, mlp: SeedMLP, eps: np.ndarray | None):
-        super().__init__()
-        self.mlp = mlp
-        self.eps = Parameter(eps, name="eps") if eps is not None else None
-
-    @classmethod
-    def from_layers(cls, convs: list[GINConv]) -> "SeedGINConv":
-        mlp = SeedMLP.from_layers([c.mlp for c in convs])
-        has_eps = convs[0].eps is not None
-        eps = np.stack([c.eps.data for c in convs]) if has_eps else None
-        return cls(mlp, eps)
-
-    def forward(self, x: Tensor, edges) -> Tensor:
-        if edges.num_edges:
-            num_seeds, num_nodes, dim = x.shape
-            operator = edges.operator("sum", x.data.dtype, num_seeds)
-            flat = x.reshape(num_seeds * num_nodes, dim)
-            aggregated = F.message_pass(operator, flat).reshape(num_seeds, num_nodes, dim)
-        else:
-            aggregated = Tensor._wrap(np.zeros_like(x.data))
-        if self.eps is not None:
-            combined = _eps_combine(x, self.eps, aggregated)
-        else:
-            combined = x + aggregated
-        return self.mlp(combined)
-
-
 def _eps_combine(x: Tensor, eps: Tensor, aggregated: Tensor) -> Tensor:
     """The GIN combine ``x * (eps + 1) + aggregated`` as one tape node.
 
-    ``eps`` is ``(1,)`` for :class:`GINConv` and ``(K, 1)`` for
-    :class:`SeedGINConv`.  The sum is built in place on the product
+    ``eps`` is ``(1,)`` for a plain :class:`GINConv` and ``(K, 1)`` for
+    its seed stack.  The sum is built in place on the product
     buffer, the same two ufuncs as the three-node tensor chain.  The eps
     adjoint reduces ``g * x`` over the sample axis first and the feature
     axis second, the association of the per-seed broadcast adjoint, so
     the taped combine is bitwise equal to that chain and the batched run
-    to K sequential :class:`GINConv` runs.
+    to K sequential plain runs.
     """
     xd = x.data
     scale = (eps.data + 1.0)[..., None]
@@ -184,8 +136,8 @@ def _eps_combine(x: Tensor, eps: Tensor, aggregated: Tensor) -> Tensor:
     )
 
 
-register_seed_stacker(GCNConv)(SeedGCNConv.from_layers)
-register_seed_stacker(GINConv)(SeedGINConv.from_layers)
+register_seed_stacker(GCNConv)(stack_instance)
+register_seed_stacker(GINConv)(stack_instance)
 # PNAConv is defined below; its stacker is registered after the class.
 
 

@@ -36,17 +36,23 @@ __all__ = [
 
 
 def global_sum_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
-    """Sum node features per graph -> ``(num_graphs, d)``."""
+    """Sum node features per graph: ``(n, d) -> (num_graphs, d)``, per seed for ``(K, n, d)``."""
+    if x.ndim == 3:
+        return F.seed_segment_sum(x, batch, num_graphs)
     return segment_sum(x, batch, num_graphs)
 
 
 def global_mean_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
-    """Average node features per graph -> ``(num_graphs, d)``."""
+    """Average node features per graph: ``(n, d) -> (num_graphs, d)``, per seed for ``(K, n, d)``."""
+    if x.ndim == 3:
+        return F.seed_segment_mean(x, batch, num_graphs)
     return segment_mean(x, batch, num_graphs)
 
 
 def global_max_pool(x: Tensor, batch: np.ndarray, num_graphs: int) -> Tensor:
-    """Max node features per graph -> ``(num_graphs, d)``."""
+    """Max node features per graph: ``(n, d) -> (num_graphs, d)``, per seed for ``(K, n, d)``."""
+    if x.ndim == 3:
+        return F.seed_segment_max(x, batch, num_graphs)
     return segment_max(x, batch, num_graphs)
 
 

@@ -61,18 +61,21 @@ def gcn_norm_coefficients(edge_index: np.ndarray, num_nodes: int) -> np.ndarray:
 class SeedEdgeIndex(OperatorMemo):
     """Per-seed connectivity over the flattened ``(K * num_nodes)`` node space.
 
-    The seed-stacked pooling encoders keep node state rectangular —
+    A seed-stacked pooling encoder keeps node state rectangular —
     ``(K, n, h)`` with a shared per-graph assignment, because top-k keeps
     ``ceil(ratio * n_g)`` nodes per graph regardless of the scores — but
     each seed selects *different* nodes, so the surviving edge lists
     diverge per seed.  This container represents those K edge lists as one
     flat seed-major ``(2, sum_k E_k)`` index into the ``K * n`` node space
     (seed ``k``'s node ``v`` lives at flat row ``k * n + v``), which lets
-    the seed-stacked convs run a single 2-D gather/scatter over the
-    reshaped ``(K * n, h)`` activations.  Per-bucket scatter order matches
-    the per-seed runs (each seed's edges keep their original order and
-    never interleave), so flat message passing stays bitwise equal to K
-    sequential forwards.
+    a stacked conv's :func:`~repro.encoders.conv.aggregate` run a single
+    2-D gather/scatter over the reshaped ``(K * n, h)`` activations
+    (the convs that declare ``supports_seed_edges``).  The ladder starts
+    a stack on one built by :meth:`from_shared`, and each stacked pool
+    returns one built by :meth:`from_per_seed`.  Per-bucket scatter order
+    matches the per-seed runs (each seed's edges keep their original order
+    and never interleave), so flat message passing stays bitwise equal to
+    K sequential forwards.
 
     It memoises its operators like :class:`~repro.graph.data.Topology`;
     each one acts on the flat ``K * num_nodes`` rows of this container's

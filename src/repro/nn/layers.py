@@ -3,13 +3,17 @@
 Weight matrices use the ``(in_features, out_features)`` convention so the
 forward pass is ``x @ W + b``.
 
-The ``Seed*`` variants back the batched multi-seed training engine (see
-``docs/ARCHITECTURE.md``): each holds the parameters of K independently
-initialised copies of a layer stacked along a leading seed axis and
-evaluates all K in one vectorised pass over ``(K, n, h)`` activations.
-:func:`stack_seed_modules` converts a list of per-seed modules into the
-matching stacked module via a type-dispatched registry that other layers
-(e.g. the convolutions in :mod:`repro.encoders.conv`) extend.
+The batched multi-seed engine (see ``docs/ARCHITECTURE.md``) runs K
+independently initialised copies of a model in one vectorised pass over
+``(K, n, h)`` activations.  :func:`stack_seed_modules` turns a list of
+per-seed modules into one stacked module through a type-dispatched
+registry that other layers (e.g. the convolutions in
+:mod:`repro.encoders.conv`) extend.  Most classes stack through
+:func:`stack_instance`: the stack is an instance of the same class whose
+parameters carry a leading seed axis, so one forward serves ``(n, h)``
+and ``(K, n, h)`` activations alike.  Only the leaf kernels whose stacked
+arithmetic differs have a ``Seed*`` twin here: :class:`SeedLinear` and
+:class:`SeedBatchNorm1d`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, as_tensor, is_grad_enabled
 from repro.autograd import functional as F
 from repro.nn import init
-from repro.nn.module import Module, Parameter, Sequential
+from repro.nn.module import Module, ModuleList, Parameter, Sequential
 
 __all__ = [
     "Linear",
@@ -37,8 +41,8 @@ __all__ = [
     "LeakyReLU",
     "SeedLinear",
     "SeedBatchNorm1d",
-    "SeedMLP",
     "register_seed_stacker",
+    "stack_instance",
     "stack_seed_modules",
     "SeedStackingError",
     "fused_sequential_forward",
@@ -383,10 +387,13 @@ class MLP(Module):
 # use the seed-leading layout (K, n, h).  Each seed's slice stays
 # contiguous, so every linear map is one batched GEMM (``seed_linear``) and
 # every gather or scatter runs K 2-D passes (``seed_gather``,
-# ``seed_segment_sum``).  Stacked modules keep the attribute names of their
-# per-seed templates, which makes the dotted parameter names line up
-# one-to-one and lets a single seed's slice be loaded straight back into a
-# per-seed model.
+# ``seed_segment_sum``).  A container or fixed-weight conv is stacked by
+# :func:`stack_instance` into an instance of its own class, whose forward
+# tells a stack from a plain model by the rank of its activations; only
+# the layers whose stacked arithmetic differs keep a ``Seed*`` class.
+# Stacked modules keep the attribute names of their per-seed templates,
+# which makes the dotted parameter names line up one-to-one and lets a
+# single seed's slice be loaded straight back into a per-seed model.
 
 _SEED_STACKERS: dict[type, object] = {}
 
@@ -469,6 +476,37 @@ def stack_seed_modules(modules: list[Module]) -> Module:
         f"no multi-seed stacker registered for {type(modules[0]).__name__}; "
         "register one with register_seed_stacker"
     )
+
+
+def stack_instance(modules: list[Module]) -> Module:
+    """Stack K modules into a new instance of their own class.
+
+    Each parameter of the template ``modules[0]`` becomes a new array
+    stacked along a leading seed axis, each child module is stacked
+    through the registry, and every other instance attribute (the plain
+    settings: widths, flags, the readout) is the template's; a roster
+    whose settings differ raises :class:`SeedStackingError`.  The stack is
+    built, not copied: an instance attribute that shadows a method, such
+    as a per-instance ``forward`` wrapper, belongs to that one module and
+    is left out.  The class's forward must accept ``(K, n, h)``
+    activations as well as ``(n, h)`` ones.
+    """
+    template = modules[0]
+    cls = type(template)
+    stack = object.__new__(cls)
+    Module.__init__(stack)
+    for name, value in vars(template).items():
+        if name in vars(stack) or callable(getattr(cls, name, None)):
+            continue
+        values = [getattr(m, name) for m in modules]
+        if isinstance(value, Parameter):
+            value = Parameter(np.stack([v.data for v in values]), name=value.name)
+        elif isinstance(value, Module):
+            value = stack_seed_modules(values)
+        elif any(v != value for v in values[1:]):
+            raise SeedStackingError(f"cannot stack {cls.__name__} modules with differing {name!r} settings")
+        setattr(stack, name, value)
+    return stack
 
 
 class SeedLinear(Module):
@@ -583,32 +621,6 @@ class SeedBatchNorm1d(Module):
         )
 
 
-class SeedMLP(Module):
-    """Stacked multi-layer perceptron; mirrors :class:`MLP`'s layout.
-
-    Built by :meth:`from_layers` so the inner ``net`` Sequential keeps the
-    same positions (and therefore dotted parameter names) as the per-seed
-    template MLPs.
-    """
-
-    def __init__(self, net: Sequential, dims: list[int]):
-        super().__init__()
-        self.net = net
-        self.dims = list(dims)
-
-    @classmethod
-    def from_layers(cls, layers: list[MLP]) -> "SeedMLP":
-        template = layers[0]
-        stacked = [stack_seed_modules([m.net[i] for m in layers]) for i in range(len(template.net))]
-        return cls(Sequential(*stacked), template.dims)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled():
-            # Serving fast path: batched GEMM + in-place epilogue per block.
-            return fused_sequential_forward(self.net, as_tensor(x))
-        return self.net(x)
-
-
 def _stack_shared(modules):
     """Stateless modules (activations, Identity, Dropout) are shared as-is."""
     return modules[0]
@@ -616,15 +628,19 @@ def _stack_shared(modules):
 
 register_seed_stacker(Linear)(SeedLinear.from_layers)
 register_seed_stacker(BatchNorm1d)(SeedBatchNorm1d.from_layers)
-register_seed_stacker(MLP)(SeedMLP.from_layers)
+register_seed_stacker(MLP)(stack_instance)
 register_seed_stacker(Identity)(_stack_shared)
 register_seed_stacker(ReLU)(_stack_shared)
 register_seed_stacker(Tanh)(_stack_shared)
 register_seed_stacker(Sigmoid)(_stack_shared)
 register_seed_stacker(LeakyReLU)(_stack_shared)
 register_seed_stacker(Dropout)(_stack_shared)
-register_seed_stacker(Sequential)(
-    lambda modules: Sequential(
-        *[stack_seed_modules([m[i] for m in modules]) for i in range(len(modules[0]))]
-    )
-)
+
+
+def _stack_items(modules):
+    """Stack a container roster position by position."""
+    return [stack_seed_modules([m[i] for m in modules]) for i in range(len(modules[0]))]
+
+
+register_seed_stacker(Sequential)(lambda modules: Sequential(*_stack_items(modules)))
+register_seed_stacker(ModuleList)(lambda modules: ModuleList(_stack_items(modules)))

@@ -27,6 +27,9 @@ CLI accepts::
                     this server's stats and breaker)
     GET  /healthz   200 {"status": "ok"} / 503 {"status": "unhealthy"|"draining"}
 
+``deadline_ms`` is the request's budget, counted from its arrival (before
+the body is read); anything but a finite number > 0 answers 400.
+
 Every ``/predict`` response carries an ``X-Trace-Id`` header — the
 client's, when it sent one, else freshly minted — and the id is
 propagated through ``backend.submit(..., trace_id=...)`` into the
@@ -91,6 +94,25 @@ __all__ = ["CircuitBreaker", "EngineBackend", "ServingServer", "serve_http"]
 #: the request carries no deadline (seconds).  Keeps a wedged backend
 #: from accumulating handler threads forever.
 DEFAULT_RESULT_TIMEOUT = 60.0
+
+#: How long a handler waits past a request's deadline (seconds): the grace
+#: covers the backend's own expiry pass reporting ``DeadlineExceeded``;
+#: only a wedged backend exhausts it.
+_DEADLINE_GRACE = 5.0
+
+#: The longest ``deadline_ms`` whose wait still fits a thread timeout.
+_MAX_DEADLINE_MS = (threading.TIMEOUT_MAX - _DEADLINE_GRACE) * 1e3
+
+
+def _deadline_seconds(deadline_ms) -> float:
+    """A request's ``deadline_ms`` budget in seconds; ``ValueError`` (400)
+    unless it is a finite number > 0 whose wait fits a thread timeout."""
+    if (isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float))
+            or not 0 < deadline_ms <= _MAX_DEADLINE_MS):
+        raise ValueError(
+            f"deadline_ms must be a number in (0, {_MAX_DEADLINE_MS:.0f}], got {deadline_ms!r}"
+        )
+    return deadline_ms / 1e3
 
 
 class CircuitBreaker:
@@ -336,6 +358,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         started = time.perf_counter()
+        # A request's deadline budget counts from here, before the body
+        # is read and parsed.
+        arrived = self.server.backend.clock()
         # Read the body before any answer: on a keep-alive connection an
         # unread body would be parsed as the next request line.
         try:
@@ -372,13 +397,15 @@ class _Handler(BaseHTTPRequestHandler):
                 server._access_log(trace_id, 503, started, graphs=0)
                 return
         try:
-            self._predict(body, trace_id, headers, started)
+            self._predict(body, trace_id, headers, started, arrived)
         finally:
             if breaker is not None:
                 breaker.release()
 
-    def _predict(self, body, trace_id: str, headers: dict, started: float) -> None:
-        """Answer one admitted ``/predict`` request."""
+    def _predict(self, body, trace_id: str, headers: dict, started: float,
+                 arrived: float) -> None:
+        """Answer one admitted ``/predict`` request that arrived at
+        ``arrived`` on the backend clock."""
         server = self.server
         stats = server.stats
         try:
@@ -391,8 +418,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             payloads, single = self._request_graphs(request)
             deadline_ms = request.get("deadline_ms") if isinstance(request, dict) else None
+            deadline = None if deadline_ms is None else arrived + _deadline_seconds(deadline_ms)
             with trace_context(trace_id):
-                results, status = self._serve(payloads, deadline_ms, trace_id)
+                results, status = self._serve(payloads, deadline, trace_id)
         except ValueError as err:
             stats.record_bad_request()
             self._respond(400, {"error": str(err)}, headers)
@@ -416,9 +444,11 @@ class _Handler(BaseHTTPRequestHandler):
             return graphs, False
         return [request], True
 
-    def _serve(self, payloads: list, deadline_ms, trace_id: str) -> tuple[list[dict], int]:
+    def _serve(self, payloads: list, deadline: float | None,
+               trace_id: str) -> tuple[list[dict], int]:
         """Decode every graph, submit them as one group, await each; per-graph error objects.
 
+        ``deadline`` is an absolute instant on the backend clock, or None.
         The response status is the status of the first graph, in request
         order, that failed (200 when all succeed) — single-graph requests
         therefore surface their error as the HTTP status, batch requests
@@ -428,12 +458,6 @@ class _Handler(BaseHTTPRequestHandler):
         stats = server.stats
         backend = server.backend
         clock = backend.clock
-        deadline = None
-        if deadline_ms is not None:
-            deadline_ms = float(deadline_ms)
-            if deadline_ms <= 0:
-                raise ValueError(f"deadline_ms must be > 0, got {deadline_ms}")
-            deadline = clock() + deadline_ms / 1e3
         results: list[dict | None] = [None] * len(payloads)
         failed = []    # positions of the graphs that failed
         decoded = []   # (position, graph)
@@ -450,9 +474,7 @@ class _Handler(BaseHTTPRequestHandler):
         started = clock()
         for (pos, _graph), handle in zip(decoded, handles):
             if deadline is not None:
-                # Grace covers the backend's own expiry pass reporting
-                # DeadlineExceeded; only a wedged backend hits the cap.
-                timeout = max(0.0, deadline - clock()) + 5.0
+                timeout = max(0.0, deadline - clock()) + _DEADLINE_GRACE
             else:
                 timeout = server.result_timeout
             try:

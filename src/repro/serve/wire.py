@@ -10,11 +10,13 @@ A request graph is ``{"x": [[...], ...], "edge_index": [[srcs], [dsts]]}``
 edgeless graph).  :func:`graph_from_json` validates the payload **at the
 boundary** and raises ``ValueError`` with a message that names the field
 and the constraint — ragged feature rows, non-integer or out-of-range
-edge indices, wrong feature width — instead of letting a malformed array
-explode as a cryptic numpy gather error deep inside the packed forward
-(or, worse, letting a float edge index be silently truncated toward a
-*valid but wrong* node).  Front-ends map the ``ValueError`` to an error
-response (HTTP 400 / an ``{"error": ...}`` stream line).
+edge indices — instead of letting a malformed array explode as a cryptic
+numpy gather error deep inside the packed forward (or, worse, letting a
+float edge index be silently truncated toward a *valid but wrong* node).
+The artifact's schema (feature width, finite values) is checked once,
+where the graph is submitted to the engine.  Front-ends map the
+``ValueError`` to an error response (HTTP 400 / an ``{"error": ...}``
+stream line).
 """
 
 from __future__ import annotations
@@ -22,19 +24,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.data import Graph
-from repro.serve.artifact import FeatureSchema
 
 __all__ = ["graph_from_json", "result_to_json"]
 
 
-def graph_from_json(payload: dict, schema: FeatureSchema | None = None) -> Graph:
+def graph_from_json(payload: dict) -> Graph:
     """Build a request :class:`Graph` from its JSON object.
 
     Raises ``ValueError`` (never a bare numpy error) when the payload is
-    malformed; with ``schema`` the graph is additionally validated
-    against the artifact's :class:`~repro.serve.artifact.FeatureSchema`,
-    so a wrong-width feature row is rejected here rather than as a shape
-    mismatch in the first GEMM.
+    malformed.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"request graph must be a JSON object, got {type(payload).__name__}")
@@ -54,10 +52,7 @@ def graph_from_json(payload: dict, schema: FeatureSchema | None = None) -> Graph
     edge_index = _edge_index_from_json(payload.get("edge_index"))
     # Graph.__post_init__ rejects negative / out-of-range endpoints with a
     # clear message; re-raise anything it finds as-is (it is a ValueError).
-    graph = Graph(x=x, edge_index=edge_index)
-    if schema is not None:
-        schema.validate_graph(graph)
-    return graph
+    return Graph(x=x, edge_index=edge_index)
 
 
 def _edge_index_from_json(edge_index) -> np.ndarray:

@@ -26,7 +26,8 @@ from encoder_specs import ENCODER_SPECS, spec_params
 from repro.autograd import Tensor, functional as F, inference_mode
 from repro.autograd.tensor import compute_dtype
 from repro.encoders import build_model
-from repro.encoders.conv import GINConv, SeedGINConv
+from repro.encoders.attention import SAGEConv
+from repro.encoders.conv import GCNConv, GINConv
 from repro.graph import segment
 from repro.graph.data import GraphBatch, Topology
 from repro.graph.generators import erdos_renyi
@@ -196,6 +197,49 @@ class TestRosterFusedEagerParity:
         )
 
 
+class TestOneAggregatePerConv:
+    """Exact fused work of one forward + backward over the fixed-weight roster.
+
+    Every ``GCNConv``, ``GINConv`` and ``SAGEConv`` of a model, plain or
+    seed-stacked, aggregates through one ``aggregate`` call: one operator
+    matmul forward, one transpose matmul backward, and never the
+    reference chain.  A second path, or a fallback to per-seed or eager
+    aggregation, breaks a count however fast the machine is.
+    """
+
+    @pytest.mark.parametrize("num_seeds", [1, 2], ids=["plain", "stack-k2"])
+    @pytest.mark.parametrize(
+        "name", ["gcn", "gin", "sage", "gcn-virtual", "gin-virtual", "topkpool", "sagpool"]
+    )
+    def test_one_matmul_and_one_transpose_per_conv(self, monkeypatch, name, num_seeds):
+        calls = {"matmul": 0, "t_matmul": 0, "reference": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for key in ("matmul", "t_matmul"):
+            monkeypatch.setattr(
+                F.MessagePassOperator, key, counted(key, getattr(F.MessagePassOperator, key))
+            )
+        monkeypatch.setattr(F, "_message_pass_reference", counted("reference", F._message_pass_reference))
+        batch = _feature_batch(np.random.default_rng(16))
+        assert batch.num_edges
+        models = [
+            build_model(name, 5, 3, np.random.default_rng(seed), hidden_dim=8, num_layers=3)
+            for seed in range(num_seeds)
+        ]
+        model = models[0] if num_seeds == 1 else stack_seed_modules(models)
+        convs = sum(isinstance(m, (GCNConv, GINConv, SAGEConv)) for m in model.modules())
+        # sagpool scores each level with a GCNConv of its own.
+        assert convs == (6 if name == "sagpool" else 3)
+        model(batch).sum().backward()
+        assert calls == {"matmul": convs, "t_matmul": convs, "reference": 0}
+
+
 @st.composite
 def _edges_and_nodes(draw):
     num_nodes = draw(st.integers(2, 8))
@@ -272,7 +316,7 @@ class TestGINEmptyEdges:
 
     def test_seed_stacked_empty_edges(self):
         convs = [GINConv(4, 3, np.random.default_rng(s)) for s in (0, 1)]
-        stacked = SeedGINConv.from_layers(convs)
+        stacked = stack_seed_modules(convs)
         x = Tensor(np.random.default_rng(4).normal(size=(2, 5, 4)), requires_grad=True)
         out = stacked(x, Topology(np.zeros((2, 0), dtype=np.int64), 5))
         assert out.shape == (2, 5, 3)

@@ -17,13 +17,17 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.core import OODGNN, OODGNNConfig, OODGNNTrainer
 from repro.core import ood_gnn as ood_gnn_module
-from repro.encoders import build_model, GraphClassifier, SeedGraphClassifier
+from repro.encoders import build_model, GraphClassifier, GraphEncoder, SeedGraphClassifier
+from repro.encoders.attention import GATConv, SAGEConv
+from repro.encoders.base import HierarchicalPoolEncoder
+from repro.encoders.conv import PNAConv
+from repro.encoders.pooling import TopKPooling
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.nn.layers import SeedStackingError, stack_seed_modules
+from repro.nn.layers import MLP, SeedStackingError, stack_seed_modules
 from repro.nn.losses import seed_prediction_loss, weighted_prediction_loss
 from repro.nn.module import Module
-from repro.nn.optim import clip_grad_norm, clip_grad_norm_per_seed
+from repro.nn.optim import Adam, clip_grad_norm, clip_grad_norm_per_seed
 from repro.serve import FeatureSchema, InferenceEngine
 from repro.training import Trainer, TrainerConfig, evaluate_model, evaluate_model_per_seed
 from repro.training import trainer as trainer_module
@@ -132,6 +136,118 @@ class TestSeedStacking:
         scores = evaluate_model_per_seed(stacked, graphs, "accuracy")
         for k, model in enumerate(models):
             assert scores[k] == evaluate_model(model, graphs, "accuracy")
+
+
+def _snapshot(module):
+    """Every parameter and buffer of ``module``, copied, plus which have grads."""
+    state = {**module.state_dict(), **module.buffer_dict()}
+    return state, {name for name, p in module.named_parameters() if p.grad is not None}
+
+
+class TestOneClassStacks:
+    """The containers and fixed-weight convs stack into their own class.
+
+    ``stack_instance`` builds a new instance over freshly stacked
+    parameters; it copies neither arrays nor per-instance attributes of
+    the template, so nothing done to the stack reaches a seed's model.
+    """
+
+    # The class name, the roster entry it comes from, and how to reach it.
+    CASES = {
+        "MLP": ("gin", lambda model: model.head),
+        "StackedEncoder": ("gin", lambda model: model.encoder),
+        "VirtualNodeEncoder": ("gin-virtual", lambda model: model.encoder),
+        "HierarchicalPoolEncoder": ("sagpool", lambda model: model.encoder),
+        "GCNConv": ("gcn", lambda model: model.encoder.convs[0]),
+        "GINConv": ("gin", lambda model: model.encoder.convs[0]),
+        "SAGEConv": ("sage", lambda model: model.encoder.convs[0]),
+    }
+
+    @staticmethod
+    def _run(stack, batch):
+        """One forward of ``stack`` on ``batch``, whatever its input."""
+        if isinstance(stack, MLP):
+            return stack(Tensor(np.random.default_rng(5).normal(size=(6, stack.dims[0]))))
+        if isinstance(stack, GraphEncoder):
+            return stack(batch)
+        x = np.random.default_rng(5).normal(size=(len(SEEDS), batch.num_nodes, 8))
+        return stack(Tensor(x), batch.topology)
+
+    @pytest.mark.parametrize("cls_name", list(CASES))
+    def test_stack_is_a_fresh_instance_of_the_template_class(self, cls_name):
+        name, part = self.CASES[cls_name]
+        roster = [part(encoder_spec(name).factory(1, 2)(seed)) for seed in SEEDS]
+        assert type(roster[0]).__name__ == cls_name
+        before = [_snapshot(module) for module in roster]
+        stack = stack_seed_modules(roster)
+        assert type(stack) is type(roster[0])
+        for name_, stacked in stack.named_parameters():
+            for module in roster:
+                for plain in module.parameters():
+                    assert not np.shares_memory(stacked.data, plain.data), name_
+        out = self._run(stack, GraphBatch.from_graphs(toy_graphs(6)))
+        assert out.shape[0] == len(SEEDS)
+        optimizer = Adam(stack.parameters(), lr=0.1)
+        (out * out).sum().backward()
+        optimizer.step()
+        for module, (state, with_grad) in zip(roster, before):
+            after, after_grad = _snapshot(module)
+            assert after.keys() == state.keys() and after_grad == with_grad == set()
+            for key in state:
+                np.testing.assert_array_equal(after[key], state[key], err_msg=key)
+
+    def test_stack_is_built_not_copied(self):
+        """A per-instance wrapper on a template (as perfbench's tracer puts
+        on ``head.forward``) stays with the template: a copied stack would
+        call it and so run the plain head."""
+        batch = GraphBatch.from_graphs(toy_graphs(8))
+        models = [gin_factory(s) for s in SEEDS]
+        calls = []
+        plain_forward = models[0].head.forward
+
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return plain_forward(*args, **kwargs)
+
+        models[0].head.forward = wrapper
+        stacked = stack_seed_modules(models)
+        assert type(stacked.head) is MLP and "forward" not in vars(stacked.head)
+        logits = stacked(batch)
+        assert calls == []
+        for k, model in enumerate(models):
+            np.testing.assert_array_equal(model(batch).data, logits.data[k])
+
+    def test_differing_settings_refuse_to_stack(self):
+        """A stack takes its plain settings from the first module, so a
+        roster whose settings differ is refused, not silently unified."""
+        convs = [SAGEConv(4, 4, np.random.default_rng(s), normalise=bool(s)) for s in (0, 1)]
+        with pytest.raises(SeedStackingError, match="SAGEConv modules with differing 'normalise'"):
+            stack_seed_modules(convs)
+        encoders = [
+            build_model("gcn", 1, 2, np.random.default_rng(s), hidden_dim=8, readout=readout).encoder
+            for s, readout in enumerate(("sum", "mean"))
+        ]
+        with pytest.raises(SeedStackingError, match="differing '_readout'"):
+            stack_seed_modules(encoders)
+
+    @pytest.mark.parametrize("conv", [PNAConv, GATConv], ids=["pna", "gat"])
+    def test_pool_ladder_refuses_convs_without_seed_edges(self, conv, monkeypatch):
+        """A stacked pool ladder's connectivity is per seed; a conv that
+        cannot run on it is refused by name before any epoch starts."""
+        def make(seed):
+            rng = np.random.default_rng(seed)
+            encoder = HierarchicalPoolEncoder(
+                1, 8, 2, lambda i, o: conv(i, o, rng), lambda dim: TopKPooling(dim, rng), rng,
+            )
+            return GraphClassifier(encoder, 2, rng)
+
+        match = rf"stacked {conv.__name__} cannot run on per-seed pooled connectivity"
+        with pytest.raises(SeedStackingError, match=match):
+            stack_seed_modules([make(seed).encoder for seed in SEEDS])
+        monkeypatch.setattr(trainer_module, "iterate_minibatches", _no_epochs)
+        trainer = Trainer(None, "multiclass", TrainerConfig(epochs=1), np.random.default_rng(3))
+        with pytest.raises(SeedStackingError, match=match):
+            trainer.fit_many(toy_graphs(8), seeds=SEEDS, model_factory=make)
 
 
 class TestRosterParity:

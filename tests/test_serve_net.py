@@ -33,6 +33,7 @@ import urllib.error
 import urllib.request
 from http.client import HTTPConnection
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from repro.serve import (
     ServingStats,
     graph_from_json,
 )
+from repro.serve import net
 from repro.serve.futures import submit_each
 from repro.serve.net import CircuitBreaker, EngineBackend, serve_http
 from repro.encoders import build_model
@@ -91,7 +93,8 @@ class TestWireValidation:
 
     def test_valid_payload_round_trips(self, rng):
         payload = make_graph_payload(rng)
-        graph = graph_from_json(payload, schema=SCHEMA)
+        graph = graph_from_json(payload)
+        SCHEMA.validate_graph(graph)
         assert graph.num_nodes == 8
         np.testing.assert_array_equal(graph.x, np.asarray(payload["x"]))
 
@@ -145,7 +148,7 @@ class TestWireValidation:
     def test_schema_rejects_wrong_feature_width(self, rng):
         payload = {"x": [[1.0, 2.0]]}  # schema expects FEATURE_DIM columns
         with pytest.raises(ValueError, match="node features"):
-            graph_from_json(payload, schema=SCHEMA)
+            SCHEMA.validate_graph(graph_from_json(payload))
 
 
 class StubBackend:
@@ -274,6 +277,22 @@ class TestStatusMapping:
         )
         assert status == 400 and "deadline_ms" in body["error"]
 
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf"), 1e308, "50", True],
+                             ids=["nan", "inf", "1e308", "string", "bool"])
+    def test_unusable_deadline_ms_is_400_and_never_submitted(self, stub_server, rng, deadline_ms):
+        """``json.loads`` reads NaN and Infinity; neither they nor a budget
+        too long for a thread wait reach the backend or the breaker."""
+        backend, server = stub_server([OK])
+        status, body = http(
+            server.url + "/predict", {"graphs": [make_graph_payload(rng)], "deadline_ms": deadline_ms}
+        )
+        assert status == 400 and "deadline_ms" in body["error"]
+        assert backend.submitted == []
+        breaker = server.breaker.snapshot()
+        assert breaker["state"] == "closed" and breaker["window_size"] == 0
+        counts = http(server.url + "/stats")[1]["counts"]
+        assert counts["bad_requests"] == 1 and counts["errors"] == 0
+
     def test_deadline_ms_propagates_as_absolute_monotonic_instant(self, stub_server, rng):
         backend, server = stub_server([OK])
         before = time.monotonic()
@@ -281,6 +300,23 @@ class TestStatusMapping:
         assert status == 200
         (_graph, deadline), = backend.submitted
         assert before + 0.1 < deadline < time.monotonic() + 0.3
+
+    def test_deadline_counts_from_arrival(self, stub_server, rng, monkeypatch):
+        """Reading and parsing the body spends the budget; it does not
+        start it."""
+        now = [100.0]
+        backend, server = stub_server([OK])
+        backend.clock = lambda: now[0]
+
+        def slow_loads(body):
+            now[0] += 7.0  # the parse takes 7 s on the backend clock
+            return json.loads(body)
+
+        monkeypatch.setattr(net, "json", SimpleNamespace(loads=slow_loads, dumps=json.dumps))
+        status, _ = http(server.url + "/predict", {"graphs": [make_graph_payload(rng)], "deadline_ms": 250})
+        assert status == 200
+        (_graph, deadline), = backend.submitted
+        assert deadline == 100.0 + 0.25
 
 
 class TestStatsEndpoint:
@@ -387,6 +423,17 @@ class TestEndToEndEngineBackend:
         served, failed = body["results"]
         assert served["prediction"] in range(OUT_DIM)
         assert failed["status"] == 400 and "finite" in failed["error"]
+
+    @pytest.mark.parametrize("deadline_ms", [float("inf"), 1e308], ids=["inf", "1e308"])
+    def test_unwaitable_deadline_is_400_not_500(self, served_engine, rng, deadline_ms):
+        """A wait past ``threading.TIMEOUT_MAX`` used to overflow in the
+        handler and answer 500, counted as a backend error."""
+        _engine, server = served_engine
+        payload = {"graphs": [make_graph_payload(rng)], "deadline_ms": deadline_ms}
+        status, body = http(server.url + "/predict", payload)
+        assert status == 400 and "deadline_ms" in body["error"]
+        counts = http(server.url + "/stats")[1]["counts"]
+        assert counts["errors"] == 0 and counts["received"] == 0
 
     def test_batch_request(self, served_engine, rng):
         _engine, server = served_engine
