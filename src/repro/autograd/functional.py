@@ -78,12 +78,23 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return log_softmax(x, axis=axis).exp()
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero entries with probability ``p`` during training."""
+def dropout(
+    x: Tensor, p: float, training: bool, rng: np.random.Generator | tuple[np.random.Generator, ...]
+) -> Tensor:
+    """Inverted dropout: zero entries with probability ``p`` during training.
+
+    ``rng`` is one generator, or one per seed of seed-leading ``(K, ...)``
+    activations: seed k's mask is then drawn from ``rng[k]``, the draw its
+    own plain layer makes.
+    """
     if not training or p <= 0.0:
         return x
     mask_dtype = x.data.dtype if x.data.dtype.kind == "f" else np.float64
-    keep = (rng.random(x.shape) >= p).astype(mask_dtype) / (1.0 - p)
+    if isinstance(rng, np.random.Generator):
+        draws = rng.random(x.shape)
+    else:
+        draws = np.stack([seed_rng.random(x.shape[1:]) for seed_rng in rng])
+    keep = (draws >= p).astype(mask_dtype) / (1.0 - p)
     return x * Tensor(keep)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.graph.data import Graph
-from repro.nn.layers import stack_seed_modules
+from repro.nn.layers import stack_seed_modules, sync_seed
 # The loop calls its steps through this module's globals, which the
 # repository benchmark's tracer (perfbench/tracing.py) replaces by name.
 # The tracer also wraps weighted_prediction_loss and clip_grad_norm, which
@@ -333,10 +333,10 @@ class OODGNNTrainer:
             if valid_graphs and eval_every and (epoch + 1) % eval_every == 0:
                 scores = evaluate_model_per_seed(stacked, valid_graphs, self.metric)
                 for k, (model, history) in enumerate(zip(models, histories)):
-                    stacked.sync_into(k, model)
+                    sync_seed(stacked, k, model)
                     record_validation(history, scores[k], self.metric, model)
         for k, (model, history) in enumerate(zip(models, histories)):
-            stacked.sync_into(k, model)
+            sync_seed(stacked, k, model)
             restore_best(model, history)
         return histories
 

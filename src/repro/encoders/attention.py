@@ -15,7 +15,7 @@ from repro.autograd import functional as F
 from repro.graph.segment import segment_sum, segment_softmax
 from repro.graph.utils import add_self_loops
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, SeedLinear, SeedStackingError, register_seed_stacker, stack_instance
+from repro.nn.layers import Linear, SeedStackingError, register_seed_stacker, stack_instance, stack_seed_modules
 from repro.nn import init
 from repro.encoders.conv import aggregate
 
@@ -107,7 +107,7 @@ class SeedGATConv(Module):
     run is bitwise equal to K sequential :class:`GATConv` forwards.
     """
 
-    def __init__(self, linear: SeedLinear, att_src: np.ndarray, att_dst: np.ndarray,
+    def __init__(self, linear: Linear, att_src: np.ndarray, att_dst: np.ndarray,
                  bias: np.ndarray, num_heads: int, negative_slope: float):
         super().__init__()
         self.num_seeds = att_src.shape[0]
@@ -129,7 +129,7 @@ class SeedGATConv(Module):
                     "cannot stack GATConv layers with differing attention hyper-parameters"
                 )
         return cls(
-            SeedLinear.from_layers([c.linear for c in convs]),
+            stack_seed_modules([c.linear for c in convs]),
             np.stack([c.att_src.data for c in convs]),
             np.stack([c.att_dst.data for c in convs]),
             np.stack([c.bias.data for c in convs]),

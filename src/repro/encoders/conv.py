@@ -37,7 +37,7 @@ from repro.autograd import functional as F
 from repro.graph.segment import segment_sum, segment_mean, segment_max
 from repro.graph.utils import degrees
 from repro.nn.module import Module, Parameter
-from repro.nn.layers import Linear, MLP, SeedLinear, SeedStackingError, register_seed_stacker, stack_instance
+from repro.nn.layers import Linear, MLP, SeedStackingError, register_seed_stacker, stack_instance, stack_seed_modules
 from repro.nn import init
 
 __all__ = [
@@ -207,7 +207,7 @@ class SeedPNAConv(Module):
     roster; stacking rosters trained against different deltas is refused.
     """
 
-    def __init__(self, pre: SeedLinear, post: SeedLinear, degree_scale: float):
+    def __init__(self, pre: Linear, post: Linear, degree_scale: float):
         super().__init__()
         self.degree_scale = degree_scale
         self.pre = pre
@@ -221,8 +221,8 @@ class SeedPNAConv(Module):
                 "cannot stack PNAConv layers with differing degree_scale buffers"
             )
         return cls(
-            SeedLinear.from_layers([c.pre for c in convs]),
-            SeedLinear.from_layers([c.post for c in convs]),
+            stack_seed_modules([c.pre for c in convs]),
+            stack_seed_modules([c.post for c in convs]),
             template.degree_scale,
         )
 
@@ -336,7 +336,7 @@ class SeedFactorGCNConv(Module):
     and backwards.  ``edge_scores`` is ``(K, num_factors, 2h)``.
     """
 
-    def __init__(self, factor_transforms: list[SeedLinear], edge_scores: np.ndarray):
+    def __init__(self, factor_transforms: list[Linear], edge_scores: np.ndarray):
         super().__init__()
         self.num_factors = len(factor_transforms)
         self.factor_transforms = factor_transforms
@@ -347,7 +347,7 @@ class SeedFactorGCNConv(Module):
     @classmethod
     def from_layers(cls, convs: list[FactorGCNConv]) -> "SeedFactorGCNConv":
         transforms = [
-            SeedLinear.from_layers([c.factor_transforms[f] for c in convs])
+            stack_seed_modules([c.factor_transforms[f] for c in convs])
             for f in range(convs[0].num_factors)
         ]
         return cls(transforms, np.stack([c.edge_scores.data for c in convs]))

@@ -15,7 +15,7 @@ from repro.autograd.tensor import Tensor
 from repro.graph.data import Graph, GraphBatch
 from repro.graph.utils import degrees
 from repro.nn.module import Module
-from repro.nn.layers import MLP, SeedBatchNorm1d, BatchNorm1d, register_seed_stacker, stack_seed_modules
+from repro.nn.layers import MLP, register_seed_stacker, stack_seed_modules
 from repro.encoders.base import StackedEncoder, VirtualNodeEncoder, HierarchicalPoolEncoder, GraphEncoder
 from repro.encoders.conv import GCNConv, GINConv, PNAConv, FactorGCNConv
 from repro.encoders.attention import GATConv, SAGEConv
@@ -88,28 +88,27 @@ class GraphClassifier(Module):
 class SeedGraphClassifier(Module):
     """K seed-stacked :class:`GraphClassifier` models sharing one forward.
 
-    Mirrors the per-seed attribute layout (``encoder`` + ``head``) so
-    dotted parameter names coincide with the template model's —
-    :meth:`seed_state_dict` slices one seed's parameters straight into a
-    per-seed ``load_state_dict``.  Forward returns ``(K, num_graphs, out)``
-    seed-leading stacked logits.  See ``docs/ARCHITECTURE.md`` for the
-    engine design.
+    A bare ``encoder`` + ``head`` container over the stacked children, so
+    dotted parameter and buffer names coincide with the per-seed model's
+    (see :func:`~repro.nn.layers.sync_seed`).  Forward returns
+    ``(K, num_graphs, out)`` seed-leading stacked logits.  It is a class
+    of its own, not a ``GraphClassifier`` built by ``stack_instance``,
+    because the repository benchmark's tracer (``perfbench/tracing.py``)
+    imports it and patches it by name.  See ``docs/ARCHITECTURE.md`` for
+    the engine design.
     """
 
-    def __init__(self, encoder, head, out_dim: int, num_seeds: int):
+    def __init__(self, encoder, head):
         super().__init__()
         self.encoder = encoder
         self.head = head
-        self.out_dim = out_dim
-        self.num_seeds = num_seeds
 
     @classmethod
     def from_models(cls, models: list[GraphClassifier]) -> "SeedGraphClassifier":
         """Stack per-seed classifiers (bitwise parameter copies)."""
-        template = models[0]
         encoder = stack_seed_modules([m.encoder for m in models])
         head = stack_seed_modules([m.head for m in models])
-        return cls(encoder, head, template.out_dim, len(models))
+        return cls(encoder, head)
 
     def representations(self, batch: GraphBatch) -> Tensor:
         """Stacked representations ``(K, num_graphs, d)``."""
@@ -118,30 +117,6 @@ class SeedGraphClassifier(Module):
     def forward(self, batch: GraphBatch) -> Tensor:
         """Stacked logits ``(K, num_graphs, out_dim)``."""
         return self.head(self.representations(batch))
-
-    def seed_state_dict(self, k: int) -> dict:
-        """Seed ``k``'s parameter slices, keyed by the per-seed dotted names."""
-        return {name: p.data[k].copy() for name, p in self.named_parameters()}
-
-    def sync_into(self, k: int, model: GraphClassifier) -> None:
-        """Write seed ``k``'s parameters *and* batch-norm statistics into ``model``.
-
-        ``state_dict`` only covers trainable parameters; the running
-        batch-norm statistics also diverge during training and matter in
-        eval mode, so they are copied by walking both module trees (the
-        stacked tree mirrors the per-seed structure, hence the same
-        traversal order).
-        """
-        model.load_state_dict(self.seed_state_dict(k))
-        stacked_norms = [m for m in self.modules() if isinstance(m, SeedBatchNorm1d)]
-        plain_norms = [m for m in model.modules() if isinstance(m, BatchNorm1d)]
-        if len(stacked_norms) != len(plain_norms):
-            raise RuntimeError(
-                f"batch-norm count mismatch: stacked {len(stacked_norms)} vs model {len(plain_norms)}"
-            )
-        for stacked, plain in zip(stacked_norms, plain_norms):
-            plain.running_mean = stacked.running_mean[k].copy()
-            plain.running_var = stacked.running_var[k].copy()
 
 
 register_seed_stacker(GraphClassifier)(SeedGraphClassifier.from_models)

@@ -8,12 +8,14 @@ independently initialised copies of a model in one vectorised pass over
 ``(K, n, h)`` activations.  :func:`stack_seed_modules` turns a list of
 per-seed modules into one stacked module through a type-dispatched
 registry that other layers (e.g. the convolutions in
-:mod:`repro.encoders.conv`) extend.  Most classes stack through
+:mod:`repro.encoders.conv`) extend, and :func:`sync_seed` loads one seed
+of a stack back into its plain model.  Every class here stacks through
 :func:`stack_instance`: the stack is an instance of the same class whose
 parameters carry a leading seed axis, so one forward serves ``(n, h)``
-and ``(K, n, h)`` activations alike.  Only the leaf kernels whose stacked
-arithmetic differs have a ``Seed*`` twin here: :class:`SeedLinear` and
-:class:`SeedBatchNorm1d`.
+and ``(K, n, h)`` activations alike.  :class:`Linear` and
+:class:`BatchNorm1d` tell the two apart by the rank of their own
+parameters, and a stacked :class:`Dropout` draws each seed's mask from
+that seed's generator.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ __all__ = [
     "Tanh",
     "Sigmoid",
     "LeakyReLU",
-    "SeedLinear",
-    "SeedBatchNorm1d",
     "register_seed_stacker",
     "stack_instance",
     "stack_seed_modules",
+    "sync_seed",
     "SeedStackingError",
     "fused_sequential_forward",
 ]
@@ -107,7 +108,13 @@ def make_activation(name: str) -> Module:
 
 
 class Linear(Module):
-    """Affine map ``y = x @ W + b`` with Glorot-uniform initialisation."""
+    """Affine map ``y = x @ W + b`` with Glorot-uniform initialisation.
+
+    A seed stack holds ``(K, in, out)`` weights and ``(K, out)`` biases and
+    maps shared ``(n, in)`` or per-seed ``(K, n, in)`` inputs to
+    ``(K, n, out)`` through one batched GEMM
+    (:func:`~repro.autograd.functional.seed_linear`).
+    """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True):
         super().__init__()
@@ -117,6 +124,8 @@ class Linear(Module):
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if self.weight.data.ndim == 3:
+            return F.seed_linear(x, self.weight, self.bias)
         x = as_tensor(x)
         if not is_grad_enabled():
             # Tape-free fast path: same expression on raw arrays (x @ W,
@@ -133,7 +142,12 @@ class Linear(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
+    """Inverted dropout; active only in training mode.
+
+    A seed stack's ``rng`` is the tuple of its seeds' own generators, and
+    seed k draws its ``(n, h)`` mask from the k-th, as its plain layer
+    would.
+    """
 
     def __init__(self, p: float, rng: np.random.Generator):
         super().__init__()
@@ -146,11 +160,11 @@ class Dropout(Module):
         return F.dropout(as_tensor(x), self.p, self.training, self.rng)
 
 
-def _bn_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, axis: int = 0):
+def _bn_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float, axis: int):
     """Training-mode batch-norm forward over the sample axis ``axis``.
 
     ``gamma``/``beta`` must already broadcast against ``x`` (plain layer:
-    ``(h,)`` vs ``(n, h)``; seed-stacked: ``(K, 1, h)`` vs ``(K, n, h)``).
+    ``(1, h)`` vs ``(n, h)``; seed-stacked: ``(K, 1, h)`` vs ``(K, n, h)``).
     Returns the output plus the intermediates the analytical backward
     needs; statistics keep their reduced axis so one implementation
     serves both layouts.  The arithmetic matches the op-by-op expression
@@ -170,7 +184,7 @@ def _bn_train_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: f
 
 
 def _bn_backward_x(
-    g: np.ndarray, gamma: np.ndarray, centered: np.ndarray, std: np.ndarray, axis: int = 0
+    g: np.ndarray, gamma: np.ndarray, centered: np.ndarray, std: np.ndarray, axis: int
 ) -> np.ndarray:
     """Input gradient of training-mode batch norm (population statistics).
 
@@ -190,7 +204,13 @@ def _bn_backward_x(
 
 
 class BatchNorm1d(Module):
-    """Batch normalisation over the leading axis with running statistics.
+    """Batch normalisation over the sample axis with running statistics.
+
+    The sample axis is 0 for ``(n, h)`` activations.  A seed stack holds
+    ``(K, h)`` parameters and statistics and normalises each seed of
+    ``(K, n, h)`` activations over axis 1; the per-feature state reaches
+    either layout through ``[..., None, :]``.  Every reduction runs over
+    that one axis, so a stack is bitwise equal to K plain layers.
 
     The training-mode forward/backward is a single fused tape node (see
     :func:`_bn_train_forward`): one pass each for the statistics and the
@@ -218,37 +238,38 @@ class BatchNorm1d(Module):
         divide by ``sqrt(var + eps)``, scale and shift run in place on it:
         the eval tensor chain's ufuncs in its order, so bitwise equal.
         """
-        out = np.subtract(data, self.running_mean, out=out)
-        out /= np.sqrt(self.running_var + self.eps)
-        out *= self.gamma.data
-        out += self.beta.data
+        out = np.subtract(data, self.running_mean[..., None, :], out=out)
+        out /= np.sqrt(self.running_var + self.eps)[..., None, :]
+        out *= self.gamma.data[..., None, :]
+        out += self.beta.data[..., None, :]
         return out
 
     def forward(self, x: Tensor) -> Tensor:
         x = as_tensor(x)
-        if not (self.training and x.shape[0] > 1):
+        axis = self.gamma.data.ndim - 1
+        if not (self.training and x.shape[axis] > 1):
             if not is_grad_enabled():
                 return Tensor._wrap(self._eval_normalise(x.data))
-            mean = Tensor(self.running_mean)
-            var = Tensor(self.running_var)
+            mean = Tensor(self.running_mean[..., None, :])
+            var = Tensor(self.running_var[..., None, :])
             normalised = (x - mean) / (var + self.eps).sqrt()
-            return normalised * self.gamma + self.beta
+            return normalised * self.gamma.unsqueeze(-2) + self.beta.unsqueeze(-2)
         gamma, beta = self.gamma, self.beta
+        gamma_bc = gamma.data[..., None, :]
         out_data, mean, var, centered, std, xhat = _bn_train_forward(
-            x.data, gamma.data, beta.data, self.eps
+            x.data, gamma_bc, beta.data[..., None, :], self.eps, axis=axis
         )
-        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean[0]
-        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var[0]
+        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean[..., 0, :]
+        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var[..., 0, :]
         tracked = [t for t in (x, gamma, beta) if t.requires_grad or t._parents]
         if not (is_grad_enabled() and tracked):
             return Tensor(out_data)
-        gamma_data = gamma.data
         return Tensor._make(
             out_data,
             [
-                (x, lambda g: _bn_backward_x(g, gamma_data, centered, std)),
-                (gamma, lambda g: (g * xhat).sum(axis=0)),
-                (beta, lambda g: g.sum(axis=0)),
+                (x, lambda g: _bn_backward_x(g, gamma_bc, centered, std, axis=axis)),
+                (gamma, lambda g: (g * xhat).sum(axis=axis)),
+                (beta, lambda g: g.sum(axis=axis)),
             ],
         )
 
@@ -306,14 +327,10 @@ def fused_sequential_forward(layers, x) -> Tensor:
         if isinstance(layer, Linear):
             data = data @ layer.weight.data
             if layer.bias is not None:
-                data += layer.bias.data
-        elif isinstance(layer, SeedLinear):
-            data = np.matmul(data, layer.weight.data)
-            if layer.bias is not None:
-                data += layer.bias.data[:, None, :]
-        elif isinstance(layer, BatchNorm1d) and not (layer.training and _rows(data, 0) > 1):
-            data = layer._eval_normalise(data, out=data if owned else None)
-        elif isinstance(layer, SeedBatchNorm1d) and not (layer.training and _rows(data, 1) > 1):
+                data += layer.bias.data[..., None, :]
+        elif isinstance(layer, BatchNorm1d) and not (
+            layer.training and _rows(data, layer.gamma.data.ndim - 1) > 1
+        ):
             data = layer._eval_normalise(data, out=data if owned else None)
         elif isinstance(layer, ReLU):
             data = np.maximum(data, 0.0, out=data if owned else None)
@@ -387,13 +404,15 @@ class MLP(Module):
 # use the seed-leading layout (K, n, h).  Each seed's slice stays
 # contiguous, so every linear map is one batched GEMM (``seed_linear``) and
 # every gather or scatter runs K 2-D passes (``seed_gather``,
-# ``seed_segment_sum``).  A container or fixed-weight conv is stacked by
-# :func:`stack_instance` into an instance of its own class, whose forward
-# tells a stack from a plain model by the rank of its activations; only
-# the layers whose stacked arithmetic differs keep a ``Seed*`` class.
-# Stacked modules keep the attribute names of their per-seed templates,
-# which makes the dotted parameter names line up one-to-one and lets a
-# single seed's slice be loaded straight back into a per-seed model.
+# ``seed_segment_sum``).  The layers here, the containers and the
+# fixed-weight convs are stacked by :func:`stack_instance` into an
+# instance of their own class, whose forward tells a stack from a plain
+# model by the rank of its parameters or activations; only the layers
+# whose stacked arithmetic differs keep a ``Seed*`` class.  Stacked
+# modules keep the attribute names of their per-seed templates, which
+# makes the dotted parameter and buffer names line up one-to-one, so
+# :func:`sync_seed` loads a single seed's slice straight back into a
+# per-seed model.
 
 _SEED_STACKERS: dict[type, object] = {}
 
@@ -413,11 +432,11 @@ def register_seed_stacker(cls):
     return wrap
 
 
-def _named_types(module: Module, prefix: str = ""):
-    """Yield ``(dotted path, type)`` for ``module`` and every descendant."""
-    yield prefix.rstrip("."), type(module)
+def _named_modules(module: Module, path: str = ""):
+    """Yield ``(dotted path, module)`` for ``module`` and every descendant."""
+    yield path, module
     for name, child in module._modules.items():
-        yield from _named_types(child, f"{prefix}{name}.")
+        yield from _named_modules(child, f"{path}.{name}" if path else name)
 
 
 def _layout(module: Module) -> list[tuple[str, tuple]]:
@@ -438,10 +457,11 @@ def _check_roster(modules: list[Module]) -> None:
     module's structure, so a seed whose depth or widths differ would
     otherwise stack into a model that is not its own.
     """
-    template_types = dict(_named_types(modules[0]))
+    template_types = {path: type(m) for path, m in _named_modules(modules[0])}
     template_layout = _layout(modules[0])
     for k, module in enumerate(modules[1:], start=1):
-        for path, kind in _named_types(module):
+        for path, child in _named_modules(module):
+            kind = type(child)
             ours = template_types.get(path, kind)
             if ours is not kind:
                 where = f" at {path!r}" if path else ""
@@ -481,15 +501,17 @@ def stack_seed_modules(modules: list[Module]) -> Module:
 def stack_instance(modules: list[Module]) -> Module:
     """Stack K modules into a new instance of their own class.
 
-    Each parameter of the template ``modules[0]`` becomes a new array
-    stacked along a leading seed axis, each child module is stacked
-    through the registry, and every other instance attribute (the plain
-    settings: widths, flags, the readout) is the template's; a roster
-    whose settings differ raises :class:`SeedStackingError`.  The stack is
-    built, not copied: an instance attribute that shadows a method, such
-    as a per-instance ``forward`` wrapper, belongs to that one module and
-    is left out.  The class's forward must accept ``(K, n, h)``
-    activations as well as ``(n, h)`` ones.
+    Each parameter of the template ``modules[0]`` and each array it names
+    in ``_buffer_names`` becomes a new array stacked along a leading seed
+    axis, each child module is stacked through the registry, a random
+    generator becomes the tuple of every seed's own (shared, not copied),
+    and every other instance attribute (the plain settings: widths,
+    flags, the readout) is the template's; a roster whose settings differ
+    raises :class:`SeedStackingError`.  The stack is built, not copied: an
+    instance attribute that shadows a method, such as a per-instance
+    ``forward`` wrapper, belongs to that one module and is left out.  The
+    class's forward must accept ``(K, n, h)`` activations as well as
+    ``(n, h)`` ones.
     """
     template = modules[0]
     cls = type(template)
@@ -503,138 +525,33 @@ def stack_instance(modules: list[Module]) -> Module:
             value = Parameter(np.stack([v.data for v in values]), name=value.name)
         elif isinstance(value, Module):
             value = stack_seed_modules(values)
+        elif name in cls._buffer_names:
+            value = np.stack(values)
+        elif isinstance(value, np.random.Generator):
+            value = tuple(values)
         elif any(v != value for v in values[1:]):
             raise SeedStackingError(f"cannot stack {cls.__name__} modules with differing {name!r} settings")
         setattr(stack, name, value)
     return stack
 
 
-class SeedLinear(Module):
-    """K stacked affine maps evaluated as one batched matmul.
+def sync_seed(stack: Module, k: int, model: Module) -> None:
+    """Load seed ``k`` of ``stack`` into ``model``, one of its plain seeds.
 
-    ``weight`` is ``(K, in, out)`` and ``bias`` ``(K, out)``; the forward
-    accepts shared ``(n, in)`` inputs (broadcast to every seed) or
-    per-seed ``(K, n, in)`` activations and returns ``(K, n, out)``.
+    Seed ``k``'s slice of every stacked parameter and buffer is copied into
+    the model's entry of the same dotted name.  A plain buffer that the
+    stack holds as a shared setting instead (``PNAConv.degree_scale``) is
+    left as it is.
     """
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray | None = None):
-        super().__init__()
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.ndim != 3:
-            raise ValueError(f"expected (K, in, out) weights, got shape {weight.shape}")
-        self.num_seeds = weight.shape[0]
-        self.in_features = weight.shape[1]
-        self.out_features = weight.shape[2]
-        self.weight = Parameter(weight, name="weight")
-        self.bias = Parameter(np.asarray(bias, dtype=np.float64), name="bias") if bias is not None else None
-
-    @classmethod
-    def from_layers(cls, layers: list[Linear]) -> "SeedLinear":
-        """Stack per-seed :class:`Linear` layers (bitwise parameter copies)."""
-        weight = np.stack([l.weight.data for l in layers])
-        has_bias = layers[0].bias is not None
-        bias = np.stack([l.bias.data for l in layers]) if has_bias else None
-        return cls(weight, bias)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.seed_linear(as_tensor(x), self.weight, self.bias)
-
-    def __repr__(self):
-        return (
-            f"SeedLinear(K={self.num_seeds}, {self.in_features}, {self.out_features}, "
-            f"bias={self.bias is not None})"
-        )
+    model.load_state_dict({name: p.data[k] for name, p in stack.named_parameters()})
+    owners = dict(_named_modules(model))
+    for name, value in stack.named_buffers():
+        path, _, attr = name.rpartition(".")
+        setattr(owners[path], attr, value[k].copy())
 
 
-class SeedBatchNorm1d(Module):
-    """Per-seed batch normalisation over ``(K, n, h)`` activations.
-
-    Normalises over the sample axis independently for every seed —
-    arithmetically identical to K separate :class:`BatchNorm1d` layers
-    (same taped operation chain, so the backward adjoint matches too),
-    including the running statistics (shape ``(K, h)``).
-    """
-
-    _buffer_names = ("running_mean", "running_var")
-
-    def __init__(self, num_seeds: int, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
-        super().__init__()
-        self.num_seeds = num_seeds
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(init.ones((num_seeds, num_features)), name="gamma")
-        self.beta = Parameter(init.zeros((num_seeds, num_features)), name="beta")
-        self.running_mean = np.zeros((num_seeds, num_features), dtype=np.float64)
-        self.running_var = np.ones((num_seeds, num_features), dtype=np.float64)
-
-    @classmethod
-    def from_layers(cls, layers: list[BatchNorm1d]) -> "SeedBatchNorm1d":
-        """Stack per-seed :class:`BatchNorm1d` layers with their statistics."""
-        template = layers[0]
-        out = cls(len(layers), template.num_features, momentum=template.momentum, eps=template.eps)
-        out.gamma.data = np.stack([l.gamma.data for l in layers])
-        out.beta.data = np.stack([l.beta.data for l in layers])
-        out.running_mean = np.stack([l.running_mean for l in layers])
-        out.running_var = np.stack([l.running_var for l in layers])
-        return out
-
-    def _eval_normalise(self, data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Per-seed eval normalisation of raw ``data`` (see BatchNorm1d)."""
-        out = np.subtract(data, self.running_mean[:, None, :], out=out)
-        out /= np.sqrt(self.running_var + self.eps)[:, None, :]
-        out *= self.gamma.data[:, None, :]
-        out += self.beta.data[:, None, :]
-        return out
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = as_tensor(x)
-        if not (self.training and x.shape[1] > 1):
-            if not is_grad_enabled():
-                return Tensor._wrap(self._eval_normalise(x.data))
-            mean = Tensor(self.running_mean)
-            var = Tensor(self.running_var)
-            normalised = (x - mean.unsqueeze(1)) / (var + self.eps).sqrt().unsqueeze(1)
-            return normalised * self.gamma.unsqueeze(1) + self.beta.unsqueeze(1)
-        # One fused tape node vectorised over seeds (the shared helpers at
-        # axis=1).  Every reduction is a single-axis (sample-axis) reduce,
-        # which numpy evaluates with the same per-(seed, feature)
-        # accumulation tree as the 2-D kernels of :class:`BatchNorm1d` —
-        # bitwise parity with K sequential layers.
-        gamma, beta = self.gamma, self.beta
-        gamma_bc = gamma.data[:, None, :]
-        out_data, mean, var, centered, std, xhat = _bn_train_forward(
-            x.data, gamma_bc, beta.data[:, None, :], self.eps, axis=1
-        )
-        self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean[:, 0, :]
-        self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var[:, 0, :]
-        tracked = [t for t in (x, gamma, beta) if t.requires_grad or t._parents]
-        if not (is_grad_enabled() and tracked):
-            return Tensor(out_data)
-        return Tensor._make(
-            out_data,
-            [
-                (x, lambda g: _bn_backward_x(g, gamma_bc, centered, std, axis=1)),
-                (gamma, lambda g: (g * xhat).sum(axis=1)),
-                (beta, lambda g: g.sum(axis=1)),
-            ],
-        )
-
-
-def _stack_shared(modules):
-    """Stateless modules (activations, Identity, Dropout) are shared as-is."""
-    return modules[0]
-
-
-register_seed_stacker(Linear)(SeedLinear.from_layers)
-register_seed_stacker(BatchNorm1d)(SeedBatchNorm1d.from_layers)
-register_seed_stacker(MLP)(stack_instance)
-register_seed_stacker(Identity)(_stack_shared)
-register_seed_stacker(ReLU)(_stack_shared)
-register_seed_stacker(Tanh)(_stack_shared)
-register_seed_stacker(Sigmoid)(_stack_shared)
-register_seed_stacker(LeakyReLU)(_stack_shared)
-register_seed_stacker(Dropout)(_stack_shared)
+for _cls in (Linear, BatchNorm1d, Dropout, MLP, Identity, ReLU, Tanh, Sigmoid, LeakyReLU):
+    register_seed_stacker(_cls)(stack_instance)
 
 
 def _stack_items(modules):

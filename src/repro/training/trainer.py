@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.data import Graph
-from repro.nn.layers import stack_seed_modules
+from repro.nn.layers import stack_seed_modules, sync_seed
 from repro.nn.losses import seed_prediction_loss
 from repro.nn.optim import Adam, clip_grad_norm_per_seed
 from repro.obs.registry import registry
@@ -174,10 +174,10 @@ class Trainer:
             so does a batched roster whose seeds differ in depth or width.
 
         Both paths consume identical copies of this trainer's rng for
-        mini-batch shuffling, so under deterministic settings (no dropout)
-        the batched run reproduces the K sequential runs bit-for-bit: same
-        batches, same per-seed losses, gradients, Adam states and clipping
-        decisions.
+        mini-batch shuffling, and a stack draws seed k's dropout masks
+        from seed k's own generator, so the batched run reproduces the K
+        sequential runs bit-for-bit: same batches, same per-seed losses,
+        gradients, Adam states and clipping decisions.
         """
         seeds = tuple(seeds)
         if not seeds:
@@ -223,10 +223,10 @@ class Trainer:
             if valid_graphs and cfg.eval_every and (epoch + 1) % cfg.eval_every == 0:
                 scores = evaluate_model_per_seed(stacked, valid_graphs, self.metric)
                 for k, (model, history) in enumerate(zip(models, histories)):
-                    stacked.sync_into(k, model)
+                    sync_seed(stacked, k, model)
                     record_validation(history, scores[k], self.metric, model)
         for k, (model, history) in enumerate(zip(models, histories)):
-            stacked.sync_into(k, model)
+            sync_seed(stacked, k, model)
             restore_best(model, history)
         return histories
 

@@ -82,19 +82,31 @@ def test_code_names_quoted_in_docs_exist():
 
 
 def test_code_name_check_reports_made_up_names(tmp_path):
+    """A name counts only where code gives it, not in a docstring, a
+    comment or a string that is more than one dotted name."""
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "module.py").write_text(
-        "class SeedLinear:\n    def from_layers(self): ...\n\ndef stack_seed_modules(): ...\n"
+        '"""Stack layers, as stale_docstring_name once did."""\n'
+        "# stale_comment_name was deleted\n"
+        "from repro.nn import layer_stacks as stacks\n\n"
+        "class StackedLayer:\n    def from_layers(self): ...\n\n"
+        "def stack_seed_modules():\n"
+        "    return 'call stale_prose_name', 'repro_engine.queue_wait_ms'\n"
     )
     text = (
-        "Stack with `stack_seed_modules()` or `repro.nn.layers.SeedLinear.from_layers`;\n"
-        "`try_stack_modules` and `SeedFactorConv` are made up.  `Trainer`,\n"
+        "Stack with `stack_seed_modules()` or `repro.nn.layers.StackedLayer.from_layers`;\n"
+        "`layer_stacks` and the metric `repro_engine.queue_wait_ms` are named too.\n"
+        "`try_stack_modules` and `SeedFactorConv` are made up, and `stale_docstring_name`,\n"
+        "`stale_comment_name` and `stale_prose_name` name no code.  `Trainer`,\n"
         "`FLAGS`, `repro.run` and `x + y` are not checked.\n"
         "```python\nnot_checked_in_fences()\n```\n"
     )
     assert check_docs.check_code_names(text, "GUIDE.md", check_docs.code_words(tmp_path)) == [
         "GUIDE.md: `try_stack_modules` names nothing in the code",
         "GUIDE.md: `SeedFactorConv` names nothing in the code",
+        "GUIDE.md: `stale_docstring_name` names nothing in the code",
+        "GUIDE.md: `stale_comment_name` names nothing in the code",
+        "GUIDE.md: `stale_prose_name` names nothing in the code",
     ]
 
 

@@ -2,9 +2,9 @@
 
 The contract under test (see docs/ARCHITECTURE.md): `fit_many(batched=
 True)` trains K seed-stacked models whose results match K sequential
-`fit` runs over the same mini-batch stream — parameters bitwise under
-deterministic settings — and both paths are deterministic under fixed
-seeds.
+`fit` runs over the same mini-batch stream — parameters bitwise, with
+dropout too, since seed k of a stack draws from seed k's generator — and
+both paths are deterministic under fixed seeds.
 """
 
 import warnings
@@ -24,7 +24,7 @@ from repro.encoders.conv import PNAConv
 from repro.encoders.pooling import TopKPooling
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.nn.layers import MLP, SeedStackingError, stack_seed_modules
+from repro.nn.layers import MLP, BatchNorm1d, Dropout, Linear, SeedStackingError, stack_seed_modules, sync_seed
 from repro.nn.losses import seed_prediction_loss, weighted_prediction_loss
 from repro.nn.module import Module
 from repro.nn.optim import Adam, clip_grad_norm, clip_grad_norm_per_seed
@@ -104,19 +104,27 @@ class TestSeedStacking:
         models = [gin_factory(s) for s in SEEDS]
         stacked = stack_seed_modules(models)
         fresh = gin_factory(99)
-        fresh.load_state_dict(stacked.seed_state_dict(1))
+        sync_seed(stacked, 1, fresh)
         assert_params_equal(fresh, models[1])
 
-    def test_sync_into_copies_batch_norm_statistics(self):
-        graphs = toy_graphs(16)
-        batch = GraphBatch.from_graphs(graphs)
-        models = [gin_factory(s) for s in SEEDS]
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
+    def test_sync_seed_copies_parameters_and_buffers(self, spec):
+        """Seed k of a trained-forward stack loads into a fresh model by
+        dotted name, batch-norm statistics included; PNA's shared
+        ``degree_scale`` buffer is not part of the stack and stays put."""
+        batch = GraphBatch.from_graphs(toy_graphs(16))
+        models = [spec.factory(1, 2)(s) for s in SEEDS]
         stacked = stack_seed_modules(models)
         stacked(batch)  # advance the stacked running statistics
-        fresh = gin_factory(99)
-        stacked.sync_into(0, fresh)
-        ref = models[0]
+        fresh = spec.factory(1, 2)(99)
+        sync_seed(stacked, 1, fresh)
+        ref = models[1]
         ref(batch)  # advance the per-seed statistics identically
+        assert_params_equal(fresh, ref)
+        buffers = fresh.buffer_dict()
+        assert buffers.keys() == ref.buffer_dict().keys()
+        for name, value in ref.buffer_dict().items():
+            np.testing.assert_array_equal(buffers[name], value, err_msg=name)
         fresh.eval(), ref.eval()
         np.testing.assert_array_equal(fresh(batch).data, ref(batch).data)
 
@@ -145,15 +153,19 @@ def _snapshot(module):
 
 
 class TestOneClassStacks:
-    """The containers and fixed-weight convs stack into their own class.
+    """The leaf layers, containers and fixed-weight convs stack into their own class.
 
     ``stack_instance`` builds a new instance over freshly stacked
-    parameters; it copies neither arrays nor per-instance attributes of
-    the template, so nothing done to the stack reaches a seed's model.
+    parameters and buffers; it copies neither arrays nor per-instance
+    attributes of the template and holds no seed's module, so nothing
+    done to the stack reaches a seed's model.
     """
 
     # The class name, the roster entry it comes from, and how to reach it.
     CASES = {
+        "Linear": ("gin", lambda model: model.encoder.embed),
+        "BatchNorm1d": ("gcn", lambda model: model.encoder.norms[0]),
+        "Dropout": ("gcn", lambda model: model.encoder.dropout),
         "MLP": ("gin", lambda model: model.head),
         "StackedEncoder": ("gin", lambda model: model.encoder),
         "VirtualNodeEncoder": ("gin-virtual", lambda model: model.encoder),
@@ -166,21 +178,29 @@ class TestOneClassStacks:
     @staticmethod
     def _run(stack, batch):
         """One forward of ``stack`` on ``batch``, whatever its input."""
+        rng = np.random.default_rng(5)
         if isinstance(stack, MLP):
-            return stack(Tensor(np.random.default_rng(5).normal(size=(6, stack.dims[0]))))
+            return stack(Tensor(rng.normal(size=(6, stack.dims[0]))))
         if isinstance(stack, GraphEncoder):
             return stack(batch)
-        x = np.random.default_rng(5).normal(size=(len(SEEDS), batch.num_nodes, 8))
-        return stack(Tensor(x), batch.topology)
+        width = stack.in_features if isinstance(stack, Linear) else 8
+        x = Tensor(rng.normal(size=(len(SEEDS), batch.num_nodes, width)), requires_grad=True)
+        if isinstance(stack, (Linear, BatchNorm1d, Dropout)):
+            return stack(x)
+        return stack(x, batch.topology)
 
     @pytest.mark.parametrize("cls_name", list(CASES))
     def test_stack_is_a_fresh_instance_of_the_template_class(self, cls_name):
         name, part = self.CASES[cls_name]
-        roster = [part(encoder_spec(name).factory(1, 2)(seed)) for seed in SEEDS]
+        roster = [part(encoder_spec(name).factory(1, 2, dropout=0.2)(seed)) for seed in SEEDS]
         assert type(roster[0]).__name__ == cls_name
         before = [_snapshot(module) for module in roster]
         stack = stack_seed_modules(roster)
         assert type(stack) is type(roster[0])
+        seed_modules = {id(m) for module in roster for m in module.modules()}
+        assert not any(id(m) in seed_modules for m in stack.modules())
+        if isinstance(stack, Dropout):
+            assert all(ours is module.rng for ours, module in zip(stack.rng, roster, strict=True))
         for name_, stacked in stack.named_parameters():
             for module in roster:
                 for plain in module.parameters():
@@ -195,6 +215,19 @@ class TestOneClassStacks:
             assert after.keys() == state.keys() and after_grad == with_grad == set()
             for key in state:
                 np.testing.assert_array_equal(after[key], state[key], err_msg=key)
+
+    @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
+    def test_stack_modes_leave_every_seed_alone(self, spec):
+        """``stack.eval()`` and ``stack.train()`` switch the stack's own
+        modules: every seed's modules keep the mode they had."""
+        models = [spec.factory(1, 2, dropout=0.2)(s) for s in SEEDS]
+        models[1].eval()
+        stack = stack_seed_modules(models)
+        for mode in (False, True):
+            stack.train(mode)
+            assert all(m.training is mode for m in stack.modules())
+            for k, model in enumerate(models):
+                assert all(m.training is (k != 1) for m in model.modules()), f"{spec.name} seed {k}"
 
     def test_stack_is_built_not_copied(self):
         """A per-instance wrapper on a template (as perfbench's tracer puts
@@ -288,8 +321,11 @@ class TestRosterParity:
                     stacked_params[name].grad[k], p.grad, err_msg=f"{spec.name} {name} seed {k}"
                 )
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
     @pytest.mark.parametrize("spec", spec_params(ENCODER_SPECS))
-    def test_fit_many_batched_matches_sequential_bitwise(self, spec):
+    def test_fit_many_batched_matches_sequential_bitwise(self, spec, dropout):
+        """Seed k's dropout masks come from seed k's own generator, so
+        dropout keeps the batched run equal to the sequential one."""
         graphs = toy_graphs(24)
         results = {}
         for batched in (True, False):
@@ -298,7 +334,7 @@ class TestRosterParity:
                 np.random.default_rng(3),
             )
             results[batched] = trainer.fit_many(
-                graphs, seeds=SEEDS, model_factory=spec.factory(1, 2), batched=batched
+                graphs, seeds=SEEDS, model_factory=spec.factory(1, 2, dropout=dropout), batched=batched
             )
         for k in range(len(SEEDS)):
             assert (
@@ -573,22 +609,24 @@ class TestOODGNNFitManyParity:
             model_factory=lambda s: OODGNN(1, 2, np.random.default_rng((s + 1) * 7919), config=cfg),
         )
 
-    def _config(self):
+    def _config(self, dropout):
         return OODGNNConfig(
             hidden_dim=8, num_layers=2, epochs=4, batch_size=16,
-            reweight_epochs=3, warmup_fraction=0.25,
+            reweight_epochs=3, warmup_fraction=0.25, dropout=dropout,
         )
 
-    def test_batched_reweight_matches_sequential(self):
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_batched_reweight_matches_sequential(self, dropout):
         """The seed-batched inner loop reproduces the sequential runs exactly.
 
         Each sequential ``fit`` is the K = 1 case of the same stacked
         loop, inner loop included, and a seed of a stack gives the bytes
         of its K = 1 run (tests/test_seed_batched_reweight.py), so
-        histories and trained parameters are equal bit for bit.
+        histories and trained parameters are equal bit for bit, with
+        dropout too.
         """
         graphs = toy_graphs(40)
-        cfg = self._config()
+        cfg = self._config(dropout)
         res_b = self._fit(True, graphs, cfg)
         res_s = self._fit(False, graphs, cfg)
         for k in range(len(SEEDS)):

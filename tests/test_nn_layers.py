@@ -16,11 +16,11 @@ from repro.nn import (
     Sequential,
 )
 from repro.nn.layers import (
-    SeedBatchNorm1d,
     _bn_backward_x,
     _bn_train_forward,
     fused_sequential_forward,
     make_activation,
+    stack_seed_modules,
 )
 
 
@@ -208,7 +208,7 @@ def _eval_mlp(seed=0):
 
 
 def _eval_seed_bn(rng):
-    bn = SeedBatchNorm1d(3, 5)
+    bn = stack_seed_modules([BatchNorm1d(5) for _ in range(3)])
     bn.running_mean = rng.normal(size=(3, 5))
     bn.running_var = np.abs(rng.normal(size=(3, 5))) + 0.5
     bn.gamma.data = rng.normal(size=(3, 5))

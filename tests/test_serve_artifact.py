@@ -4,8 +4,8 @@ Covers the serving bundle contract (docs/ARCHITECTURE.md "Inference and
 serving"): an artifact reconstructs its model(s) without user code, and
 the reconstructed eval forward is bitwise identical to the in-memory
 model — including batch-norm running statistics and PNA's degree-scale
-buffer, and for seed ensembles sliced out of a stacked
-``SeedGraphClassifier``.
+buffer, and for seed ensembles sliced out of a seed stack with
+``sync_seed``.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.core import OODGNN, OODGNNConfig
 from repro.encoders import build_model
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.nn.layers import stack_seed_modules
+from repro.nn.layers import stack_seed_modules, sync_seed
 from repro.serve import ARTIFACT_FORMAT_VERSION, FeatureSchema, ModelArtifact, ModelSpec
 from repro.training.loop import predict
 
@@ -148,7 +148,7 @@ class TestSingleSeedRoundTrip:
 class TestSeedEnsembleRoundTrip:
     @pytest.mark.parametrize("method", ROSTER)
     def test_stacked_seed_state_dict_to_artifact_bitwise(self, method, rng, tmp_path):
-        """sync_into(k) -> per-seed models -> artifact -> reload -> bitwise logits.
+        """sync_seed(k) -> per-seed models -> artifact -> reload -> bitwise logits.
 
         Trains nothing: per-seed models are independently initialised and
         warmed up (distinct BN stats), stacked, and the stacked model's
@@ -165,9 +165,9 @@ class TestSeedEnsembleRoundTrip:
             models.append(model)
         stacked = stack_seed_modules(models)
         synced = []
-        for k in range(stacked.num_seeds):
+        for k in range(len(models)):
             fresh = spec.build(SCHEMA)
-            stacked.sync_into(k, fresh)
+            sync_seed(stacked, k, fresh)
             synced.append(fresh)
         path = ModelArtifact.from_models(synced, spec, SCHEMA).save(tmp_path / f"{method}-ens.npz")
         artifact = ModelArtifact.load(path)

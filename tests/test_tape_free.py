@@ -15,7 +15,7 @@ from encoder_specs import ENCODER_SPECS, spec_params
 from repro.autograd import Tensor, functional as F, inference_mode, no_grad, is_grad_enabled
 from repro.graph.data import GraphBatch
 from repro.graph.generators import erdos_renyi
-from repro.nn.layers import BatchNorm1d, Linear, SeedBatchNorm1d, SeedLinear, stack_seed_modules
+from repro.nn.layers import BatchNorm1d, Linear, stack_seed_modules
 
 
 @pytest.fixture
@@ -146,8 +146,9 @@ class TestLayerParity:
         np.testing.assert_array_equal(taped.data, fast.data)
 
     def test_seed_layers_fast_path(self, rng):
-        linear = SeedLinear(rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 3)))
-        norm = SeedBatchNorm1d(2, 3)
+        linear = stack_seed_modules([Linear(4, 3, rng) for _ in range(2)])
+        linear.bias.data = rng.normal(size=(2, 3))
+        norm = stack_seed_modules([BatchNorm1d(3) for _ in range(2)])
         norm.running_mean = rng.normal(size=(2, 3))
         norm.running_var = np.abs(rng.normal(size=(2, 3))) + 0.5
         norm.eval()

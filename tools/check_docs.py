@@ -24,9 +24,11 @@ docs/*.md):
   exists at the repository root or under ``docs/``;
 * every inline-code span that reads as a code name — a Python
   identifier, optionally dotted and optionally followed by ``()``, whose
-  last part contains ``_`` or a lower-to-upper case change — names a word
-  that occurs in some Python file under ``src/``, ``tests/``,
-  ``benchmarks/``, ``perfbench/`` or ``tools/``.
+  last part contains ``_`` or a lower-to-upper case change — names
+  something that code in some Python file under ``src/``, ``tests/``,
+  ``benchmarks/``, ``perfbench/`` or ``tools/`` names (see
+  :func:`code_words`); a name left only in docstrings, comments or prose
+  strings does not count.
 
 Exit code 0 when everything checks out, 1 otherwise.  Run from anywhere:
 
@@ -36,6 +38,7 @@ Exit code 0 when everything checks out, 1 otherwise.  Run from anywhere:
 from __future__ import annotations
 
 import argparse
+import ast
 import doctest
 import importlib
 import re
@@ -164,11 +167,26 @@ def check_md_citations(root: Path = REPO_ROOT) -> list[str]:
 
 
 def code_words(root: Path = REPO_ROOT) -> set[str]:
-    """Every word of every Python file under ``root``'s :data:`CODE_DIRS`."""
+    """Every name that code gives in the Python files under ``root``'s :data:`CODE_DIRS`.
+
+    That is every identifier, attribute, ``def`` and ``class`` name,
+    argument and import, and every string constant that is one dotted
+    name (a metric name such as ``repro_engine_queue_wait_ms``), split at
+    its dots.  Docstrings, comments and other strings name nothing, so a
+    name deleted from the code but left in one of them is not counted.
+    """
     words: set[str] = set()
     for directory in CODE_DIRS:
         for path in (root / directory).rglob("*.py"):
-            words.update(re.findall(r"\w+", path.read_text()))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    parts = node.value.split(".")
+                    if all(part.isidentifier() for part in parts):
+                        words.update(parts)
+                for field in ("id", "attr", "name", "arg", "asname", "module"):
+                    value = getattr(node, field, None)
+                    if isinstance(value, str):
+                        words.update(value.split("."))
     return words
 
 
@@ -176,7 +194,7 @@ def check_code_names(text: str, name: str, words: set[str]) -> list[str]:
     """Inline-code names in ``text`` whose last part is not in ``words``.
 
     Only spans that read as code are checked (``stack_seed_modules``,
-    ``Trainer.fit_many``, ``SeedLinear()``); ``Trainer`` or ``repro.run``
+    ``Trainer.fit_many``, ``sync_seed()``); ``Trainer`` or ``repro.run``
     could be plain words and are skipped.
     """
     problems = []
